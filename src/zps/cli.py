@@ -19,9 +19,7 @@ import json
 import os
 import sys
 import tempfile
-from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Mapping
 
 from .backends import RemoteBackend, ScorerBackend, SyntheticBackend, derived_profile
 from .cache import ScoreCache
@@ -37,11 +35,11 @@ from .evalsim import (
     simulate_robustness,
 )
 from .fewshot import (
+    best_checkpoint,
     build_pseudo_val,
-    checkpoint_agreement,
+    checkpoint_agreements,
     load_checkpoint_predictions,
     load_pseudo_labeled,
-    select_checkpoint,
 )
 from .scoring import NORMALIZE_MODES, predict, score_all
 from .selection import STRATEGIES, EnsembleConfig, select
@@ -49,51 +47,22 @@ from .selection import STRATEGIES, EnsembleConfig, select
 TOKEN_ENV = "ZPS_API_TOKEN"
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Everything needed to audit a run, minus the secret itself."""
-
-    command: str
-    seed: int = 0
-    api_token_present: bool = False
-    catalog: str | None = None
-    examples: str | None = None
-    backend: str | None = None
-    endpoint: str | None = None
-    model: str | None = None
-    cache: str | None = None
-    strategy: str | None = None
-    normalize: str | None = None
-    length_norm: bool | None = None
-    no_filter: bool | None = None
-    score_all_prompts: bool | None = None
-    jobs: int | None = None
-    size: int | None = None
-    spec_path: str | None = None
-    checkpoints: str | None = None
-    pseudo_val: str | None = None
-    synthetic_profile: str | None = None
-    out: str | None = None
-    input_hashes: Mapping[str, str] = field(default_factory=dict)
-
-    def to_json_dict(self) -> dict:
-        doc = {
-            "command": self.command,
-            "seed": self.seed,
-            "api_token_present": self.api_token_present,
-            "input_hashes": dict(self.input_hashes),
-        }
-        optional = (
-            "catalog", "examples", "backend", "endpoint", "model", "cache",
-            "strategy", "normalize", "length_norm", "no_filter",
-            "score_all_prompts", "jobs", "size", "spec_path", "checkpoints",
-            "pseudo_val", "synthetic_profile", "out",
-        )
-        for name in optional:
-            value = getattr(self, name)
-            if value is not None:
-                doc[name] = value
-        return doc
+# (argparse attribute, config key): the options an artifact's "config" block
+# records. An option the subcommand lacks, or left unset, is omitted;
+# --length-norm on/off is recorded as a bool.
+_CONFIG_FIELDS = (
+    ("catalog", "catalog"), ("examples", "examples"), ("backend", "backend"),
+    ("endpoint", "endpoint"), ("model", "model"), ("cache", "cache"),
+    ("strategy", "strategy"), ("normalize", "normalize"),
+    ("length_norm", "length_norm"), ("no_filter", "no_filter"),
+    ("score_all_prompts", "score_all_prompts"), ("jobs", "jobs"), ("size", "size"),
+    ("spec", "spec_path"), ("checkpoints", "checkpoints"),
+    ("pseudo_val", "pseudo_val"), ("synthetic_profile", "synthetic_profile"),
+    ("out", "out"),
+)
+# Options whose input file is content-hashed into the config block.
+_HASHED_INPUTS = ("catalog", "examples", "synthetic_profile", "spec", "checkpoints",
+                  "pseudo_val")
 
 
 def _hash_file(path: str | Path) -> str:
@@ -103,39 +72,20 @@ def _hash_file(path: str | Path) -> str:
         raise ValidationError(f"cannot read {path}: {exc}") from None
 
 
-def _run_config(args: argparse.Namespace, command: str) -> RunConfig:
-    hash_attrs = ("catalog", "examples", "synthetic_profile", "spec",
-                  "checkpoints", "pseudo_val")
-    hashes = {}
-    for name in hash_attrs:
-        value = getattr(args, name, None)
-        if value:
-            hashes[name] = _hash_file(value)
-    length_norm = getattr(args, "length_norm", None)
-    return RunConfig(
-        command=command,
-        seed=getattr(args, "seed", 0),
-        api_token_present=TOKEN_ENV in os.environ,
-        catalog=getattr(args, "catalog", None),
-        examples=getattr(args, "examples", None),
-        backend=getattr(args, "backend", None),
-        endpoint=getattr(args, "endpoint", None),
-        model=getattr(args, "model", None),
-        cache=getattr(args, "cache", None),
-        strategy=getattr(args, "strategy", None),
-        normalize=getattr(args, "normalize", None),
-        length_norm=None if length_norm is None else length_norm == "on",
-        no_filter=getattr(args, "no_filter", None),
-        score_all_prompts=getattr(args, "score_all_prompts", None),
-        jobs=getattr(args, "jobs", None),
-        size=getattr(args, "size", None),
-        spec_path=getattr(args, "spec", None),
-        checkpoints=getattr(args, "checkpoints", None),
-        pseudo_val=getattr(args, "pseudo_val", None),
-        synthetic_profile=getattr(args, "synthetic_profile", None),
-        out=getattr(args, "out", None),
-        input_hashes=hashes,
-    )
+def _run_config(args: argparse.Namespace) -> dict:
+    """Everything needed to audit a run, minus the secret itself."""
+    config = {
+        "command": args.command,
+        "seed": args.seed,
+        "api_token_present": TOKEN_ENV in os.environ,
+        "input_hashes": {name: _hash_file(getattr(args, name))
+                         for name in _HASHED_INPUTS if getattr(args, name, None)},
+    }
+    for attr, key in _CONFIG_FIELDS:
+        value = getattr(args, attr, None)
+        if value is not None:
+            config[key] = value == "on" if attr == "length_norm" else value
+    return config
 
 
 def _write_artifact(path: str | Path, text: str) -> None:
@@ -232,7 +182,7 @@ def _score_from_args(args: argparse.Namespace):
 
 
 def cmd_select(args: argparse.Namespace) -> int:
-    config = _run_config(args, "select")
+    config = _run_config(args)
     _, _, _, tensor, _ = _score_from_args(args)
     report = select(
         tensor,
@@ -240,7 +190,7 @@ def cmd_select(args: argparse.Namespace) -> int:
         no_filter=args.no_filter,
         score_all_prompts=args.score_all_prompts,
     )
-    _write_artifact(args.out, _dump({"config": config.to_json_dict(),
+    _write_artifact(args.out, _dump({"config": config,
                                      "report": report.to_json_dict()}))
     print(f"selected {report.selected} "
           f"(pseudo accuracy {report.pseudo_acc[report.selected]:.4f}); "
@@ -249,7 +199,7 @@ def cmd_select(args: argparse.Namespace) -> int:
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
-    config = _run_config(args, "evaluate")
+    config = _run_config(args)
     task, _, examples, tensor, _ = _score_from_args(args)
     gold = gold_label_map(examples)
     gold_field = task.gold_label_field or "gold_label"
@@ -269,7 +219,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         score_all_prompts=True,
     )
     eval_report = evaluate(report, predict(tensor), gold)
-    _write_artifact(args.out, _dump({"config": config.to_json_dict(),
+    _write_artifact(args.out, _dump({"config": config,
                                      "report": eval_report.to_json_dict()}))
     header = f"{'prompt':<14} {'pseudo acc':>10} {'true acc':>9}"
     print(header)
@@ -283,7 +233,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    config = _run_config(args, "simulate")
+    config = _run_config(args)
     spec = load_robustness_spec(args.spec) if args.spec else default_robustness_spec()
     robustness = simulate_robustness(spec)
     strategies = compare_strategies(spec)
@@ -294,7 +244,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         _write_artifact(
             args.out,
             _dump({
-                "config": config.to_json_dict(),
+                "config": config,
                 "robustness": robustness.to_json_dict(),
                 "strategies": strategies.to_json_dict(),
             }),
@@ -304,7 +254,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def cmd_pseudo_val(args: argparse.Namespace) -> int:
-    config = _run_config(args, "pseudo-val")
+    config = _run_config(args)
     _, _, _, tensor, _ = _score_from_args(args)
     pseudo = build_pseudo_val(
         tensor, EnsembleConfig(strategy=args.strategy), size=args.size
@@ -312,7 +262,7 @@ def cmd_pseudo_val(args: argparse.Namespace) -> int:
     _write_artifact(args.out, pseudo.to_jsonl())
     # The JSONL line format is fixed, so the run config rides in a sidecar.
     _write_artifact(f"{args.out}.meta.json",
-                    _dump({"config": config.to_json_dict(),
+                    _dump({"config": config,
                            "provenance": pseudo.provenance,
                            "size": len(pseudo)}))
     print(f"{len(pseudo)} pseudo-labeled examples written to {args.out}")
@@ -320,17 +270,15 @@ def cmd_pseudo_val(args: argparse.Namespace) -> int:
 
 
 def cmd_select_checkpoint(args: argparse.Namespace) -> int:
-    config = _run_config(args, "select-checkpoint")
+    config = _run_config(args)
     task, _ = load_catalog(args.catalog)
     candidates = load_checkpoint_predictions(args.checkpoints, task.choices)
     pseudo = load_pseudo_labeled(args.pseudo_val)
-    best = select_checkpoint(candidates, pseudo)
-    agreements = {
-        c.checkpoint_id: checkpoint_agreement(c, pseudo) for c in candidates
-    }
+    agreements = checkpoint_agreements(candidates, pseudo)
+    best = best_checkpoint(agreements)
     if args.out:
         _write_artifact(args.out, _dump({
-            "config": config.to_json_dict(),
+            "config": config,
             "selected_checkpoint": best,
             "agreement": agreements,
         }))
@@ -339,7 +287,7 @@ def cmd_select_checkpoint(args: argparse.Namespace) -> int:
 
 
 def cmd_score(args: argparse.Namespace) -> int:
-    _run_config(args, "score")  # validates the input files up front
+    _run_config(args)  # validates the input files up front
     if not args.cache:
         raise ValidationError("score needs --cache to have somewhere to warm")
     _, prompts, examples, tensor, cache = _score_from_args(args)

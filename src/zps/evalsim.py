@@ -24,8 +24,8 @@ from scipy.stats import ConstantInputWarning, spearmanr
 from .backends import SyntheticBackend
 from .catalog import Prompt, PromptTemplate, TaskSpec, UnlabeledExample, Verbalizer
 from .errors import ValidationError
-from .scoring import PredictionMatrix, ScoreTensor, predict, score_all
-from .selection import STRATEGIES, EnsembleConfig, SelectionReport, select
+from .scoring import PredictionMatrix, ScoreTensor, label_indices, predict, score_all
+from .selection import STRATEGIES, EnsembleConfig, SelectionReport, pseudo_accuracy, select
 
 
 @dataclass(frozen=True)
@@ -105,20 +105,13 @@ def evaluate(
     missing = [e for e in preds.example_ids if e not in gold_labels]
     if missing:
         raise ValidationError(f"gold labels missing for examples: {missing[:5]}")
-    lookup = {c: j for j, c in enumerate(preds.choices)}
-    try:
-        targets = np.asarray(
-            [lookup[gold_labels[e]] for e in preds.example_ids], dtype=np.int64
-        )
-    except KeyError as exc:
-        raise ValidationError(f"gold label {exc} is not among the choices") from None
-
-    per_prompt = {
-        pid: float(np.mean(preds.indices[i] == targets))
-        for i, pid in enumerate(preds.prompt_ids)
-    }
-    pseudo_idx = np.asarray(
-        [lookup[lab] for lab in selection.pseudo_labels], dtype=np.int64
+    targets = label_indices([gold_labels[e] for e in preds.example_ids], preds.choices)
+    per_prompt = pseudo_accuracy(preds, targets)
+    pseudo_row = PredictionMatrix(
+        prompt_ids=("pseudo_labels",),
+        example_ids=preds.example_ids,
+        choices=preds.choices,
+        indices=[label_indices(selection.pseudo_labels, preds.choices)],
     )
     common = sorted(set(selection.pseudo_acc) & set(per_prompt))
     return EvalReport(
@@ -128,7 +121,7 @@ def evaluate(
         median_candidate_accuracy=float(statistics.median(per_prompt.values())),
         selected=selection.selected,
         selected_accuracy=per_prompt[selection.selected],
-        pseudo_label_accuracy=float(np.mean(pseudo_idx == targets)),
+        pseudo_label_accuracy=pseudo_accuracy(pseudo_row, targets)["pseudo_labels"],
         spearman_pseudo_vs_true=_spearman(
             [selection.pseudo_acc[p] for p in common],
             [per_prompt[p] for p in common],
@@ -362,23 +355,16 @@ def _cell_from_tensor(
     strategy: str,
 ) -> SimulationCell:
     report = select(tensor, EnsembleConfig(strategy=strategy))
-    preds = predict(tensor)
-    lookup = {c: j for j, c in enumerate(tensor.choices)}
-    targets = np.asarray([lookup[planted[e]] for e in tensor.example_ids], dtype=np.int64)
-    per_prompt = {
-        pid: float(np.mean(preds.indices[i] == targets))
-        for i, pid in enumerate(preds.prompt_ids)
-    }
-    pseudo_idx = np.asarray([lookup[lab] for lab in report.pseudo_labels], dtype=np.int64)
+    truth = evaluate(report, predict(tensor), planted)
     return SimulationCell(
         ratio=ratio,
         seed=seed,
         strategy=strategy,
         report=report,
-        per_prompt_accuracy=per_prompt,
-        pseudo_label_accuracy=float(np.mean(pseudo_idx == targets)),
-        zps_accuracy=per_prompt[report.selected],
-        mean_candidate_accuracy=float(np.mean(list(per_prompt.values()))),
+        per_prompt_accuracy=truth.per_prompt_accuracy,
+        pseudo_label_accuracy=truth.pseudo_label_accuracy,
+        zps_accuracy=truth.selected_accuracy,
+        mean_candidate_accuracy=truth.mean_candidate_accuracy,
     )
 
 

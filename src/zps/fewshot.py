@@ -1,8 +1,8 @@
 """Pseudo-labeled data in the few-shot regime.
 
-Builds pseudo-validation sets and top-k-confidence pseudo-training sets from
-a score tensor, and selects among externally trained checkpoints by their
-agreement with a pseudo-validation set. No training happens here; checkpoint
+Builds pseudo-validation sets (and, truncated to the top k, pseudo-training
+sets) from a score tensor, and selects among externally trained checkpoints
+by their agreement with a pseudo-validation set. No training happens here; checkpoint
 predictions arrive as JSON Lines files produced by whatever trainer the user
 runs.
 """
@@ -17,10 +17,10 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .catalog import UnlabeledExample, canon_label
+from .catalog import canon_label
 from .errors import ValidationError
-from .scoring import PredictionMatrix, ScoreTensor, predict
-from .selection import EnsembleConfig, ensemble_predict, ensemble_scores, select
+from .scoring import PredictionMatrix, ScoreTensor, label_indices
+from .selection import EnsembleConfig, ensemble_predict, ensemble_scores, pseudo_accuracy
 
 
 @dataclass(frozen=True)
@@ -136,19 +136,13 @@ def top_confidence_pseudo_train(
     k: int,
     config: EnsembleConfig | None = None,
 ) -> PseudoLabeledSet:
-    """The k examples with the largest ensemble confidence gap, pseudo-labeled.
-
-    Intended for export to an external trainer as extra training data.
-    """
-    config = config or EnsembleConfig()
+    """The k examples with the largest ensemble confidence gap, pseudo-labeled:
+    ``build_pseudo_val(size=k)``, for export to an external trainer as extra
+    training data."""
     n = len(tensor.example_ids)
     if not 1 <= k <= n:
         raise ValidationError(f"k must be in [1, {n}], got {k}")
-    entries = _ranked_entries(tensor, config)[:k]
-    return PseudoLabeledSet(
-        entries=tuple(entries),
-        provenance=f"pseudo_train:strategy={config.strategy};k={k}",
-    )
+    return build_pseudo_val(tensor, config, size=k)
 
 
 @dataclass(frozen=True)
@@ -169,9 +163,8 @@ def load_checkpoint_predictions(
     """
     path = Path(path)
     choices = tuple(canon_label(c) for c in choices)
-    lookup = {c: j for j, c in enumerate(choices)}
-    # checkpoint -> prompt -> [(example_id, choice index)]
-    rows: dict[str, dict[str, list[tuple[str, int]]]] = {}
+    # checkpoint -> prompt -> [(example_id, predicted label)]
+    rows: dict[str, dict[str, list[tuple[str, str]]]] = {}
     for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
         if not line.strip():
             continue
@@ -182,15 +175,10 @@ def load_checkpoint_predictions(
         needed = {"checkpoint_id", "prompt_id", "example_id", "pred"}
         if not isinstance(row, dict) or not needed <= row.keys():
             raise ValidationError(f"{path}:{lineno}: expected keys {sorted(needed)}")
-        pred = canon_label(row["pred"])
-        if pred not in lookup:
-            raise ValidationError(
-                f"{path}:{lineno}: pred {pred!r} is not among choices {list(choices)}"
-            )
         ckpt = str(row["checkpoint_id"])
         prompt = str(row["prompt_id"])
         per_prompt = rows.setdefault(ckpt, {}).setdefault(prompt, [])
-        per_prompt.append((str(row["example_id"]), lookup[pred]))
+        per_prompt.append((str(row["example_id"]), canon_label(row["pred"])))
 
     if not rows:
         raise ValidationError(f"{path}: no checkpoint predictions found")
@@ -213,9 +201,11 @@ def load_checkpoint_predictions(
                 f"checkpoint {ckpt!r} covers a different example list than the first checkpoint"
             )
         prompt_ids = tuple(per_prompt)
-        indices = np.array(
-            [[idx for _, idx in per_prompt[p]] for p in prompt_ids], dtype=np.int64
-        )
+        preds = [pred for p in prompt_ids for _, pred in per_prompt[p]]
+        try:
+            indices = label_indices(preds, choices).reshape(len(prompt_ids), -1)
+        except ValidationError as exc:
+            raise ValidationError(f"{path}: checkpoint {ckpt!r}: {exc}") from None
         candidates.append(
             CheckpointPredictions(
                 checkpoint_id=ckpt,
@@ -243,19 +233,34 @@ def checkpoint_agreement(
             f"checkpoint {candidate.checkpoint_id!r} lacks predictions for "
             f"examples {missing[:5]}"
         )
-    lookup = {c: j for j, c in enumerate(preds.choices)}
-    try:
-        targets = np.asarray(
-            [lookup[lab] for _, lab, _ in pseudo_val.entries], dtype=np.int64
-        )
-    except KeyError as exc:
-        raise ValidationError(f"pseudo-val label {exc} is not among the choices") from None
-    cols = np.asarray([columns[e] for e in pseudo_val.example_ids], dtype=np.int64)
-    per_prompt = [
-        float(np.mean(preds.indices[i, cols] == targets))
-        for i in range(len(preds.prompt_ids))
-    ]
-    return float(np.mean(per_prompt))
+    on_pseudo_val = PredictionMatrix(
+        prompt_ids=preds.prompt_ids,
+        example_ids=pseudo_val.example_ids,
+        choices=preds.choices,
+        indices=preds.indices[:, [columns[e] for e in pseudo_val.example_ids]],
+    )
+    labels = [lab for _, lab, _ in pseudo_val.entries]
+    return float(np.mean(list(pseudo_accuracy(on_pseudo_val, labels).values())))
+
+
+def checkpoint_agreements(
+    candidates: Sequence[CheckpointPredictions], pseudo_val: PseudoLabeledSet
+) -> dict[str, float]:
+    """Each candidate's agreement with the pseudo-validation labels, in
+    candidate order."""
+    if not candidates:
+        raise ValidationError("checkpoint selection needs at least one candidate")
+    reference = candidates[0].preds.example_ids
+    for cand in candidates[1:]:
+        if cand.preds.example_ids != reference:
+            raise ValidationError(
+                f"checkpoint {cand.checkpoint_id!r} covers a different example "
+                "list than the first candidate"
+            )
+    agreements = {c.checkpoint_id: checkpoint_agreement(c, pseudo_val) for c in candidates}
+    if len(agreements) != len(candidates):
+        raise ValidationError("checkpoint ids must be unique")
+    return agreements
 
 
 def select_checkpoint(
@@ -266,203 +271,9 @@ def select_checkpoint(
     Ties go to the earliest candidate in the provided order, taken to be
     training order.
     """
-    if not candidates:
-        raise ValidationError("select_checkpoint needs at least one candidate")
-    reference = candidates[0].preds.example_ids
-    for cand in candidates[1:]:
-        if cand.preds.example_ids != reference:
-            raise ValidationError(
-                f"checkpoint {cand.checkpoint_id!r} covers a different example "
-                "list than the first candidate"
-            )
-    best_id, best_agreement = None, -1.0
-    for cand in candidates:
-        agreement = checkpoint_agreement(cand, pseudo_val)
-        if agreement > best_agreement:
-            best_id, best_agreement = cand.checkpoint_id, agreement
-    return best_id
+    return best_checkpoint(checkpoint_agreements(candidates, pseudo_val))
 
 
-def split_labeled(
-    examples: Sequence[UnlabeledExample],
-) -> tuple[list[UnlabeledExample], list[UnlabeledExample]]:
-    """First half for training, second half for validation (m/2 + m/2)."""
-    if len(examples) < 2:
-        raise ValidationError("need at least 2 labeled examples to split")
-    half = len(examples) // 2
-    return list(examples[:half]), list(examples[half:])
-
-
-@dataclass(frozen=True)
-class UsageStrategyRow:
-    """One row of the labeled-vs-pseudo-labeled usage comparison."""
-
-    strategy: str
-    name: str
-    train_size: int
-    val_size: int
-    val_kind: str
-    selected: str
-    pseudo_val_accuracy: float | None
-    agrees_with_gold_selection: bool
-
-    def to_json_dict(self) -> dict:
-        return {
-            "strategy": self.strategy,
-            "name": self.name,
-            "train_size": self.train_size,
-            "val_size": self.val_size,
-            "val_kind": self.val_kind,
-            "selected": self.selected,
-            "pseudo_val_accuracy": self.pseudo_val_accuracy,
-            "agrees_with_gold_selection": self.agrees_with_gold_selection,
-        }
-
-
-def _gold_accuracy_selection(
-    preds: PredictionMatrix, gold: Mapping[str, str], example_ids: Sequence[str]
-) -> str:
-    """Prompt with the highest gold accuracy over the given examples; ties go
-    to the smallest prompt_id."""
-    columns = {e: k for k, e in enumerate(preds.example_ids)}
-    lookup = {c: j for j, c in enumerate(preds.choices)}
-    cols = np.asarray([columns[e] for e in example_ids], dtype=np.int64)
-    targets = np.asarray([lookup[gold[e]] for e in example_ids], dtype=np.int64)
-    acc = {
-        pid: float(np.mean(preds.indices[i, cols] == targets))
-        for i, pid in enumerate(preds.prompt_ids)
-    }
-    return min(preds.prompt_ids, key=lambda pid: (-acc[pid], pid))
-
-
-def _pseudo_set_accuracy(
-    pseudo: PseudoLabeledSet, gold: Mapping[str, str] | None
-) -> float | None:
-    if gold is None or any(e not in gold for e in pseudo.example_ids):
-        return None
-    return float(
-        np.mean([lab == gold[e] for e, lab, _ in pseudo.entries])
-    )
-
-
-def evaluate_usage_strategies(
-    gold_examples: Sequence[UnlabeledExample],
-    labeled_tensor: ScoreTensor,
-    unlabeled_tensor: ScoreTensor,
-    config: EnsembleConfig | None = None,
-    *,
-    unlabeled_gold: Mapping[str, str] | None = None,
-) -> list[UsageStrategyRow]:
-    """Compare ways of spending a small gold budget of m examples.
-
-    Four strategies: half train + half gold val; all-m train with a size-m
-    top-confidence pseudo-train set; all-m train with a size-m pseudo-val
-    set; all-m train with the whole unlabeled pool as pseudo-val. Training
-    itself is external, so each row reports only what prompt each validation
-    recipe selects, the pseudo set's accuracy against gold when gold is
-    known, and whether the selection agrees with the gold-validation one.
-    """
-    config = config or EnsembleConfig()
-    m = len(gold_examples)
-    if m < 2:
-        raise ValidationError("usage comparison needs at least 2 gold examples")
-    missing_gold = [e.example_id for e in gold_examples if e.gold_label is None]
-    if missing_gold:
-        raise ValidationError(f"examples missing gold labels: {missing_gold[:5]}")
-    have = set(labeled_tensor.example_ids)
-    absent = [e.example_id for e in gold_examples if e.example_id not in have]
-    if absent:
-        raise ValidationError(f"labeled tensor lacks scores for examples: {absent[:5]}")
-
-    gold = {e.example_id: e.gold_label for e in gold_examples}
-    preds_lab = predict(labeled_tensor)
-    n = len(unlabeled_tensor.example_ids)
-
-    train, val = split_labeled(gold_examples)
-    ref_selected = _gold_accuracy_selection(
-        preds_lab, gold, [e.example_id for e in val]
-    )
-    rows = [
-        UsageStrategyRow(
-            strategy="gold_val",
-            name=f"{len(train)}+{len(val)}",
-            train_size=len(train),
-            val_size=len(val),
-            val_kind="gold",
-            selected=ref_selected,
-            pseudo_val_accuracy=None,
-            agrees_with_gold_selection=True,
-        )
-    ]
-
-    pseudo_train = top_confidence_pseudo_train(unlabeled_tensor, min(m, n), config)
-    train_all_selected = _gold_accuracy_selection(
-        preds_lab, gold, [e.example_id for e in gold_examples]
-    )
-    rows.append(
-        UsageStrategyRow(
-            strategy="pseudo_train",
-            name=f"{m}_pseudo_train",
-            train_size=m,
-            val_size=m,
-            val_kind="gold",
-            selected=train_all_selected,
-            pseudo_val_accuracy=_pseudo_set_accuracy(pseudo_train, unlabeled_gold),
-            agrees_with_gold_selection=train_all_selected == ref_selected,
-        )
-    )
-
-    pseudo_val = build_pseudo_val(unlabeled_tensor, config, size=min(m, n))
-    preds_unlab = predict(unlabeled_tensor)
-    columns = {e: k for k, e in enumerate(unlabeled_tensor.example_ids)}
-    lookup = {c: j for j, c in enumerate(unlabeled_tensor.choices)}
-    cols = np.asarray([columns[e] for e in pseudo_val.example_ids], dtype=np.int64)
-    targets = np.asarray(
-        [lookup[lab] for _, lab, _ in pseudo_val.entries], dtype=np.int64
-    )
-    agreement = {
-        pid: float(np.mean(preds_unlab.indices[i, cols] == targets))
-        for i, pid in enumerate(preds_unlab.prompt_ids)
-    }
-    pv_selected = min(preds_unlab.prompt_ids, key=lambda pid: (-agreement[pid], pid))
-    rows.append(
-        UsageStrategyRow(
-            strategy="pseudo_val",
-            name=f"{m}_pseudo_val",
-            train_size=m,
-            val_size=len(pseudo_val),
-            val_kind="pseudo",
-            selected=pv_selected,
-            pseudo_val_accuracy=_pseudo_set_accuracy(pseudo_val, unlabeled_gold),
-            agrees_with_gold_selection=pv_selected == ref_selected,
-        )
-    )
-
-    full_report = select(unlabeled_tensor, config)
-    full_set = build_pseudo_val(unlabeled_tensor, config)
-    rows.append(
-        UsageStrategyRow(
-            strategy="more_pseudo_val",
-            name="more_pseudo_val",
-            train_size=m,
-            val_size=n,
-            val_kind="pseudo",
-            selected=full_report.selected,
-            pseudo_val_accuracy=_pseudo_set_accuracy(full_set, unlabeled_gold),
-            agrees_with_gold_selection=full_report.selected == ref_selected,
-        )
-    )
-    return rows
-
-
-def format_usage_table(rows: Sequence[UsageStrategyRow]) -> str:
-    header = f"{'strategy':<18} {'train':>5} {'val':>5} {'val kind':<8} {'selected':<12} {'pseudo acc':>10} {'agrees':>6}"
-    lines = [header, "-" * len(header)]
-    for row in rows:
-        acc = "-" if row.pseudo_val_accuracy is None else f"{row.pseudo_val_accuracy:.4f}"
-        lines.append(
-            f"{row.name:<18} {row.train_size:>5} {row.val_size:>5} "
-            f"{row.val_kind:<8} {row.selected:<12} {acc:>10} "
-            f"{str(row.agrees_with_gold_selection):>6}"
-        )
-    return "\n".join(lines)
+def best_checkpoint(agreements: Mapping[str, float]) -> str:
+    """The checkpoint with the highest agreement; ties go to the earliest."""
+    return max(agreements, key=agreements.__getitem__)

@@ -34,6 +34,24 @@ logger = logging.getLogger(__name__)
 NORMALIZE_MODES = ("softmax", "none")
 
 
+def label_indices(labels: Sequence[str], choices: Sequence[str]) -> np.ndarray:
+    """Choice index of each label; a label outside ``choices`` is a ValidationError."""
+    lookup = {c: j for j, c in enumerate(choices)}
+    try:
+        return np.asarray([lookup[lab] for lab in labels], dtype=np.int64)
+    except KeyError as exc:
+        raise ValidationError(
+            f"label {exc} is not among the choices {list(choices)}"
+        ) from None
+
+
+def _prompt_index(prompt_ids: tuple[str, ...], prompt_id: str) -> int:
+    try:
+        return prompt_ids.index(prompt_id)
+    except ValueError:
+        raise ValidationError(f"unknown prompt_id {prompt_id!r}") from None
+
+
 @dataclass(frozen=True)
 class ScoreTensor:
     """Dense p x n x c array of finite natural-log scores.
@@ -75,10 +93,7 @@ class ScoreTensor:
         return np.exp(self.logprobs)
 
     def prompt_index(self, prompt_id: str) -> int:
-        try:
-            return self.prompt_ids.index(prompt_id)
-        except ValueError:
-            raise ValidationError(f"unknown prompt_id {prompt_id!r}") from None
+        return _prompt_index(self.prompt_ids, prompt_id)
 
     def restrict(self, prompt_ids: Sequence[str]) -> "ScoreTensor":
         """Sub-tensor over the given prompts, in the given order."""
@@ -116,13 +131,13 @@ class PredictionMatrix:
         object.__setattr__(self, "choices", tuple(self.choices))
 
     def row(self, prompt_id: str) -> np.ndarray:
-        return self.indices[self.prompt_ids.index(prompt_id)]
+        return self.indices[_prompt_index(self.prompt_ids, prompt_id)]
 
     def labels_row(self, prompt_id: str) -> list[str]:
         return [self.choices[j] for j in self.row(prompt_id)]
 
     def restrict(self, prompt_ids: Sequence[str]) -> "PredictionMatrix":
-        rows = [self.prompt_ids.index(pid) for pid in prompt_ids]
+        rows = [_prompt_index(self.prompt_ids, pid) for pid in prompt_ids]
         return PredictionMatrix(
             prompt_ids=tuple(prompt_ids),
             example_ids=self.example_ids,

@@ -15,19 +15,15 @@ was permuted.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from .errors import ValidationError
-from .scoring import PredictionMatrix, ScoreTensor, predict
+from .scoring import PredictionMatrix, ScoreTensor, label_indices, predict
 
 STRATEGIES = ("logprob_mean", "prob_mean", "majority_vote")
-
-# The fixed tie rule: ensemble score ties fall back to summed per-prompt
-# log-probability, then earliest choice in task order.
-TIE_BREAK = "sumlogp_then_choice_order"
 
 
 @dataclass(frozen=True)
@@ -35,15 +31,12 @@ class EnsembleConfig:
     """Which ensemble combines the kept prompts into pseudo-labels."""
 
     strategy: str = "logprob_mean"
-    tie_break: str = TIE_BREAK
 
     def __post_init__(self):
         if self.strategy not in STRATEGIES:
             raise ValidationError(
                 f"unknown strategy {self.strategy!r}; expected one of {STRATEGIES}"
             )
-        if self.tie_break != TIE_BREAK:
-            raise ValidationError(f"unsupported tie_break {self.tie_break!r}")
 
 
 @dataclass(frozen=True)
@@ -87,13 +80,11 @@ class SelectionReport:
     selected: str
     strategy: str
     example_ids: tuple[str, ...] = ()
-    extras: Mapping[str, object] = field(default_factory=dict)
 
     def __post_init__(self):
         object.__setattr__(self, "pseudo_labels", tuple(self.pseudo_labels))
         object.__setattr__(self, "pseudo_acc", dict(self.pseudo_acc))
         object.__setattr__(self, "example_ids", tuple(self.example_ids))
-        object.__setattr__(self, "extras", dict(self.extras))
         if self.selected not in self.confidence.kept:
             raise ValidationError(
                 f"selected prompt {self.selected!r} is not in the kept set"
@@ -110,7 +101,6 @@ class SelectionReport:
             "pseudo_acc": {p: float(a) for p, a in self.pseudo_acc.items()},
             "pseudo_labels": list(self.pseudo_labels),
             "example_ids": list(self.example_ids),
-            **({"extras": dict(self.extras)} if self.extras else {}),
         }
 
     def to_json(self) -> str:
@@ -236,34 +226,30 @@ def ensemble_predict(tensor: ScoreTensor, config: EnsembleConfig) -> np.ndarray:
     return np.argmax(tie_scores, axis=1)
 
 
-def _labels_to_indices(labels: Sequence[str], choices: tuple[str, ...]) -> np.ndarray:
-    lookup = {c: j for j, c in enumerate(choices)}
-    try:
-        return np.asarray([lookup[lab] for lab in labels], dtype=np.int64)
-    except KeyError as exc:
-        raise ValidationError(f"label {exc} is not among the task choices") from None
-
-
 def pseudo_accuracy(
     preds: PredictionMatrix,
     pseudo_labels: Sequence[str] | np.ndarray,
     prompt_ids: Sequence[str] | None = None,
 ) -> dict[str, float]:
-    """Per-prompt agreement with the pseudo-labels.
+    """Per-prompt agreement with a label row: the share of examples where the
+    prompt predicts the row's label.
 
-    ``pseudo_labels`` may be label ids or choice indices; it must cover the
-    prediction matrix's examples in the same order.
+    The row holds pseudo-labels when selecting prompts or checkpoints and
+    gold labels when evaluating. It may be label ids or choice indices and
+    must cover the prediction matrix's examples in the same order.
     """
     if isinstance(pseudo_labels, np.ndarray) and pseudo_labels.dtype != object \
             and np.issubdtype(pseudo_labels.dtype, np.integer):
         targets = pseudo_labels.astype(np.int64)
     else:
-        targets = _labels_to_indices(list(pseudo_labels), preds.choices)
+        targets = label_indices(pseudo_labels, preds.choices)
     if targets.shape != (len(preds.example_ids),):
         raise ValidationError(
             f"pseudo-label length {targets.shape} does not match "
             f"{len(preds.example_ids)} examples"
         )
+    if not targets.size:
+        raise ValidationError("agreement needs at least one labeled example")
     ids = list(prompt_ids) if prompt_ids is not None else list(preds.prompt_ids)
     return {
         pid: float(np.mean(preds.row(pid) == targets)) for pid in ids

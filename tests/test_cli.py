@@ -197,37 +197,58 @@ class TestPseudoVal:
 
 
 class TestSelectCheckpoint:
-    def test_winner_and_artifact(self, workdir, capsys):
-        pv_rows = [
-            {"example_id": f"e{k}", "label": "0", "gap": 1.0 - 0.1 * k}
-            for k in range(4)
-        ]
-        (workdir / "pv.jsonl").write_text(
-            "\n".join(json.dumps(r) for r in pv_rows) + "\n", encoding="utf-8"
+    PREDS = {"step100": ["0", "1", "1", "1"], "step200": ["0", "0", "0", "1"]}
+    PV_ROWS = [{"example_id": f"e{k}", "label": "0", "gap": 1.0 - 0.1 * k} for k in range(4)]
+
+    def run(self, d, pv_rows):
+        (d / "pv.jsonl").write_text(
+            "".join(json.dumps(r) + "\n" for r in pv_rows), encoding="utf-8"
         )
-        ck_rows = []
-        agreement_by_ckpt = {"step100": ["0", "1", "1", "1"], "step200": ["0", "0", "0", "1"]}
-        for ckpt, preds in agreement_by_ckpt.items():
-            for k, pred in enumerate(preds):
-                ck_rows.append(
-                    {"checkpoint_id": ckpt, "prompt_id": "pa",
-                     "example_id": f"e{k}", "pred": pred}
-                )
-        (workdir / "ckpts.jsonl").write_text(
+        ck_rows = [
+            {"checkpoint_id": ckpt, "prompt_id": "pa", "example_id": f"e{k}", "pred": pred}
+            for ckpt, preds in self.PREDS.items()
+            for k, pred in enumerate(preds)
+        ]
+        (d / "ckpts.jsonl").write_text(
             "\n".join(json.dumps(r) for r in ck_rows) + "\n", encoding="utf-8"
         )
-        code = main([
+        return main([
             "select-checkpoint",
-            "--catalog", str(workdir / "catalog.json"),
-            "--checkpoints", str(workdir / "ckpts.jsonl"),
-            "--pseudo-val", str(workdir / "pv.jsonl"),
-            "--out", str(workdir / "ck.json"),
+            "--catalog", str(d / "catalog.json"),
+            "--checkpoints", str(d / "ckpts.jsonl"),
+            "--pseudo-val", str(d / "pv.jsonl"),
+            "--out", str(d / "ck.json"),
         ])
-        assert code == 0
+
+    def test_winner_and_artifact(self, workdir, capsys):
+        assert self.run(workdir, self.PV_ROWS) == 0
         assert "selected checkpoint step200" in capsys.readouterr().out
         doc = json.loads((workdir / "ck.json").read_text())
         assert doc["selected_checkpoint"] == "step200"
         assert doc["agreement"] == {"step100": 0.25, "step200": 0.75}
+
+    def test_each_agreement_computed_once(self, workdir, monkeypatch):
+        import zps.cli as cli_module
+        import zps.fewshot as fewshot_module
+
+        calls = []
+        original = fewshot_module.checkpoint_agreement
+
+        def counted(candidate, pseudo_val):
+            calls.append(candidate.checkpoint_id)
+            return original(candidate, pseudo_val)
+
+        # Count calls made through either module's binding of the function.
+        monkeypatch.setattr(fewshot_module, "checkpoint_agreement", counted)
+        monkeypatch.setattr(cli_module, "checkpoint_agreement", counted, raising=False)
+        assert self.run(workdir, self.PV_ROWS) == 0
+        assert calls == ["step100", "step200"]
+
+    def test_empty_pseudo_val_is_input_error(self, workdir, capsys):
+        assert self.run(workdir, []) == 1
+        err = capsys.readouterr().err
+        assert "error:" in err and "internal" not in err
+        assert not (workdir / "ck.json").exists()
 
 
 class TestScore:

@@ -185,6 +185,12 @@ class TestEvaluate:
         with pytest.raises(ValidationError, match="different examples"):
             evaluate(selection, other, {"e0000": "0", "e0001": "0", "e0002": "0"})
 
+    def test_pseudo_label_outside_choices_is_validation_error(self):
+        preds = matrix_from_rows([[0, 1]])
+        selection = report_with({"p00": 0.5}, preds, pseudo_labels=["0", "zebra"])
+        with pytest.raises(ValidationError, match="zebra"):
+            evaluate(selection, preds, {"e0000": "0", "e0001": "1"})
+
 
 class TestRobustnessSpec:
     def good_kwargs(self):

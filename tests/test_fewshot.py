@@ -1,4 +1,4 @@
-"""Pseudo-labeled sets, checkpoint selection and gold-budget comparison."""
+"""Pseudo-labeled sets and checkpoint selection."""
 
 import json
 
@@ -10,30 +10,18 @@ from zps import (
     EnsembleConfig,
     PredictionMatrix,
     PseudoLabeledSet,
-    SyntheticBackend,
-    UnlabeledExample,
     ValidationError,
     build_pseudo_val,
     checkpoint_agreement,
-    evaluate_usage_strategies,
-    format_usage_table,
     load_checkpoint_predictions,
     load_pseudo_labeled,
     predict,
     pseudo_accuracy,
-    score_all,
     select_checkpoint,
-    split_labeled,
     top_confidence_pseudo_train,
 )
 
-from .helpers import (
-    make_examples,
-    make_prompts,
-    make_task,
-    prob_tensor,
-    synthetic_tensor,
-)
+from .helpers import prob_tensor, synthetic_tensor
 
 PROB_MEAN = EnsembleConfig("prob_mean")
 
@@ -311,128 +299,3 @@ class TestCheckpointSelection:
             select_checkpoint([a, b], self.pseudo_val(["0", "1"]))
         with pytest.raises(ValidationError, match="at least one"):
             select_checkpoint([], self.pseudo_val(["0"]))
-
-
-class TestSplitLabeled:
-    def test_even_split(self):
-        examples = make_examples(32)
-        train, val = split_labeled(examples)
-        assert len(train) == 16 and len(val) == 16
-        assert train == examples[:16] and val == examples[16:]
-
-    def test_odd_split_favors_validation(self):
-        train, val = split_labeled(make_examples(7))
-        assert len(train) == 3 and len(val) == 4
-
-    def test_too_small(self):
-        with pytest.raises(ValidationError, match="at least 2"):
-            split_labeled(make_examples(1))
-
-
-def usage_setup(m=32, n=100, seed=0, p=5, qualities=None):
-    task = make_task(2)
-    prompts = make_prompts(task, p)
-    if qualities is None:
-        qualities = [0.95, 0.7, 0.65, 0.6, 0.55][:p]
-    quality_map = {pr.prompt_id: q for pr, q in zip(prompts, qualities)}
-
-    rng = np.random.default_rng(seed)
-    gold_examples = [
-        UnlabeledExample(
-            f"g{k:03d}", {"text": f"g{k}"}, gold_label=str(int(rng.integers(0, 2)))
-        )
-        for k in range(m)
-    ]
-    unlabeled = make_examples(n)
-    unlabeled_gold = {
-        e.example_id: str(int(rng.integers(0, 2))) for e in unlabeled
-    }
-    backend = SyntheticBackend(
-        seed=seed,
-        prompt_quality=quality_map,
-        planted_labels={
-            **{e.example_id: e.gold_label for e in gold_examples},
-            **unlabeled_gold,
-        },
-    )
-    labeled_tensor = score_all(task, prompts, gold_examples, backend)
-    unlabeled_tensor = score_all(task, prompts, unlabeled, backend)
-    return gold_examples, labeled_tensor, unlabeled_tensor, unlabeled_gold
-
-
-class TestUsageStrategies:
-    def test_row_shapes_and_names(self):
-        gold_examples, lab, unlab, unlab_gold = usage_setup()
-        rows = evaluate_usage_strategies(
-            gold_examples, lab, unlab, unlabeled_gold=unlab_gold
-        )
-        assert [r.strategy for r in rows] == [
-            "gold_val", "pseudo_train", "pseudo_val", "more_pseudo_val"
-        ]
-        assert [r.name for r in rows] == [
-            "16+16", "32_pseudo_train", "32_pseudo_val", "more_pseudo_val"
-        ]
-        assert [r.train_size for r in rows] == [16, 32, 32, 32]
-        assert [r.val_size for r in rows] == [16, 32, 32, 100]
-        assert [r.val_kind for r in rows] == ["gold", "gold", "pseudo", "pseudo"]
-        assert rows[0].agrees_with_gold_selection is True
-        assert rows[0].pseudo_val_accuracy is None
-        for row in rows[1:]:
-            assert 0.0 <= row.pseudo_val_accuracy <= 1.0
-
-    def test_without_unlabeled_gold_accuracy_is_unknown(self):
-        gold_examples, lab, unlab, _ = usage_setup()
-        rows = evaluate_usage_strategies(gold_examples, lab, unlab)
-        assert all(r.pseudo_val_accuracy is None for r in rows)
-
-    def test_dominant_prompt_selected_by_every_recipe(self):
-        gold_examples, lab, unlab, unlab_gold = usage_setup(
-            m=40, n=200, seed=4, qualities=[0.97, 0.6, 0.58, 0.56, 0.54]
-        )
-        rows = evaluate_usage_strategies(
-            gold_examples, lab, unlab, unlabeled_gold=unlab_gold
-        )
-        assert all(r.selected == "p00" for r in rows)
-        assert all(r.agrees_with_gold_selection for r in rows)
-
-    def test_pseudo_sets_prefer_confident_examples(self):
-        gold_examples, lab, unlab, unlab_gold = usage_setup(m=20, n=150, seed=2)
-        rows = evaluate_usage_strategies(
-            gold_examples, lab, unlab, unlabeled_gold=unlab_gold
-        )
-        by_name = {r.strategy: r for r in rows}
-        # the top-confidence train subset should not be less accurate than
-        # the pseudo-labels over the whole pool
-        assert by_name["pseudo_train"].pseudo_val_accuracy >= \
-            by_name["more_pseudo_val"].pseudo_val_accuracy - 1e-9
-
-    def test_validation_errors(self):
-        gold_examples, lab, unlab, _ = usage_setup(m=6, n=20)
-        with pytest.raises(ValidationError, match="at least 2"):
-            evaluate_usage_strategies(gold_examples[:1], lab, unlab)
-        unlabeled_example = UnlabeledExample("u0", {"text": "u"})
-        with pytest.raises(ValidationError, match="missing gold"):
-            evaluate_usage_strategies(
-                gold_examples[:4] + [unlabeled_example], lab, unlab
-            )
-        stranger = UnlabeledExample("zz", {"text": "z"}, gold_label="1")
-        with pytest.raises(ValidationError, match="lacks scores"):
-            evaluate_usage_strategies(gold_examples[:4] + [stranger], lab, unlab)
-
-    def test_format_table_lists_every_row(self):
-        gold_examples, lab, unlab, unlab_gold = usage_setup(m=8, n=30)
-        rows = evaluate_usage_strategies(
-            gold_examples, lab, unlab, unlabeled_gold=unlab_gold
-        )
-        table = format_usage_table(rows)
-        for row in rows:
-            assert row.name in table
-        assert "selected" in table
-
-    def test_row_json_dict_round_trips_through_json(self):
-        gold_examples, lab, unlab, unlab_gold = usage_setup(m=8, n=30)
-        rows = evaluate_usage_strategies(
-            gold_examples, lab, unlab, unlabeled_gold=unlab_gold
-        )
-        doc = json.dumps([r.to_json_dict() for r in rows], sort_keys=True)
-        assert json.loads(doc)[0]["strategy"] == "gold_val"

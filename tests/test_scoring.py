@@ -77,6 +77,16 @@ class TestPredictionMatrix:
         assert sub.prompt_ids == ("p1",)
         assert np.array_equal(sub.indices, [[1, 1]])
 
+    def test_row_of_unknown_prompt_is_validation_error(self):
+        matrix = PredictionMatrix(("p0",), ("e0",), ("0", "1"), np.array([[1]]))
+        with pytest.raises(ValidationError, match="p9"):
+            matrix.row("p9")
+
+    def test_restrict_to_unknown_prompt_is_validation_error(self):
+        matrix = PredictionMatrix(("p0",), ("e0",), ("0", "1"), np.array([[1]]))
+        with pytest.raises(ValidationError, match="p9"):
+            matrix.restrict(["p0", "p9"])
+
 
 class TestPredict:
     def test_ties_go_to_earliest_choice(self):

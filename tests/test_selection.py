@@ -229,8 +229,6 @@ class TestEnsembles:
     def test_unknown_strategy_rejected(self):
         with pytest.raises(ValidationError, match="strategy"):
             EnsembleConfig("median")
-        with pytest.raises(ValidationError, match="tie_break"):
-            EnsembleConfig("logprob_mean", tie_break="random")
 
 
 class TestPseudoAccuracy:
