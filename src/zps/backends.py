@@ -41,16 +41,13 @@ DEFAULT_BACKOFF = 0.5
 class BackendCapabilities:
     """What a backend can do and how its scores are addressed.
 
-    ``granularity`` is "phrase" when scores are summed token log-likelihoods
-    of the whole candidate phrase, "token" when the backend already returns
-    a per-token average. ``content_addressed`` is True when a score depends
-    only on the (input, candidate) strings; the synthetic backend keys its
-    scores by (prompt_id, example_id) instead, and the cache layer respects
-    that.
+    Scores are summed token log-likelihoods of the whole candidate phrase.
+    ``content_addressed`` is True when a score depends only on the (input,
+    candidate) strings; the synthetic backend keys its scores by (prompt_id,
+    example_id) instead, and the cache layer respects that.
     """
 
     max_batch_size: int
-    granularity: str = "phrase"
     content_addressed: bool = True
 
 
@@ -139,7 +136,6 @@ class SyntheticBackend(ScorerBackend):
     def capabilities(self) -> BackendCapabilities:
         return BackendCapabilities(
             max_batch_size=self._max_batch_size,
-            granularity="phrase",
             content_addressed=False,
         )
 
@@ -254,7 +250,6 @@ class RemoteBackend(ScorerBackend):
     def capabilities(self) -> BackendCapabilities:
         return BackendCapabilities(
             max_batch_size=self._max_batch_size,
-            granularity="phrase",
             content_addressed=True,
         )
 

@@ -35,13 +35,10 @@ class ScoringFailedError(BackendError):
     were affected.
     """
 
-    def __init__(self, failed: list[tuple[str, str]], cause: str = ""):
+    def __init__(self, failed: list[tuple[str, str]]):
         self.failed = sorted(failed)
         coords = ", ".join(f"({p}, {e})" for p, e in self.failed)
-        message = f"scoring failed for {len(self.failed)} cell(s): {coords}"
-        if cause:
-            message += f" -- {cause}"
-        super().__init__(message)
+        super().__init__(f"scoring failed for {len(self.failed)} cell(s): {coords}")
 
 
 class CacheCorruptionError(ZpsError):

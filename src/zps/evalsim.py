@@ -13,13 +13,11 @@ from __future__ import annotations
 
 import json
 import statistics
-import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping, Sequence
 
 import numpy as np
-from scipy.stats import ConstantInputWarning, spearmanr
 
 from .backends import SyntheticBackend
 from .catalog import Prompt, PromptTemplate, TaskSpec, UnlabeledExample, Verbalizer
@@ -84,13 +82,21 @@ class EvalReport:
         }
 
 
+def _average_ranks(values: Sequence[float]) -> np.ndarray:
+    """1-based ranks; tied values share the mean of the ranks they span."""
+    v = np.asarray(values, dtype=np.float64)
+    below = (v[None, :] < v[:, None]).sum(axis=1)
+    tied = (v[None, :] == v[:, None]).sum(axis=1)
+    return below + (tied + 1) / 2
+
+
 def _spearman(pseudo: Sequence[float], true: Sequence[float]) -> float | None:
+    """Pearson correlation of the average ranks; None for constant input."""
     if len(pseudo) < 2:
         return None
-    with warnings.catch_warnings():
-        # constant input is an expected degenerate case, answered with None
-        warnings.simplefilter("ignore", ConstantInputWarning)
-        rho = spearmanr(pseudo, true).statistic
+    ranks = np.column_stack([_average_ranks(pseudo), _average_ranks(true)])
+    with np.errstate(invalid="ignore", divide="ignore"):
+        rho = np.corrcoef(ranks, rowvar=False)[1, 0]
     return None if np.isnan(rho) else float(rho)
 
 

@@ -6,12 +6,12 @@ prompt x example x choice tensor everything downstream consumes. Results are
 written position-addressed, so the tensor is bit-identical no matter how
 requests are batched, parallelized, or served from cache.
 
-Phrase scores default to the sum of token log-likelihoods as returned by the
-backend; ``length_norm`` divides by the phrase's whitespace token count when
-the backend reports phrase-level sums. ``normalize="softmax"`` renormalizes
-over the choice set so per-cell probabilities sum to one -- the default,
-since confidence gaps are only comparable across prompts on a normalized
-scale. ``normalize="none"`` keeps raw likelihoods for raw-likelihood studies.
+Phrase scores are the sum of token log-likelihoods as returned by the
+backend; ``length_norm`` divides each by the phrase's whitespace token count.
+``normalize="softmax"`` renormalizes over the choice set so per-cell
+probabilities sum to one -- the default, since confidence gaps are only
+comparable across prompts on a normalized scale. ``normalize="none"`` keeps
+raw likelihoods for raw-likelihood studies.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.special import log_softmax
 
 from .backends import ScoreRequest, ScorerBackend
 from .cache import ScoreCache, make_cache_key
@@ -156,6 +155,15 @@ def predict(tensor: ScoreTensor) -> PredictionMatrix:
     )
 
 
+def log_softmax(raw: np.ndarray, axis: int) -> np.ndarray:
+    """Log-probabilities over ``axis``, shifted by the max for stability.
+
+    ``raw`` must be finite, which both backends and the cache guarantee.
+    """
+    shifted = raw - raw.max(axis, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis, keepdims=True))
+
+
 def _label_tokens(phrase: str) -> int:
     return max(1, len(phrase.split()))
 
@@ -190,18 +198,11 @@ def score_all(
         raise ValidationError("jobs must be >= 1")
 
     caps = backend.capabilities
-    divide_lengths = length_norm and caps.granularity == "phrase"
     choice_labels = task.choices
     raw = np.empty((len(prompts), len(examples), len(choice_labels)), dtype=np.float64)
 
-    def cell_keys(req: ScoreRequest) -> list[str]:
-        coords = None if caps.content_addressed else (req.prompt_id, req.example_id)
-        return [
-            make_cache_key(backend.model_id, req.input, cand, length_norm, coords)
-            for cand in req.candidates
-        ]
-
-    pending: list[tuple[int, int, ScoreRequest]] = []
+    # A pending cell carries its cache keys, so each is hashed once.
+    pending: list[tuple[int, int, ScoreRequest, list[str]]] = []
     for i, prompt in enumerate(prompts):
         phrases = candidate_phrases(task, prompt)
         for k, example in enumerate(examples):
@@ -212,16 +213,22 @@ def score_all(
                 example_id=example.example_id,
                 choice_labels=choice_labels,
             )
+            keys: list[str] = []
             if cache is not None:
-                cached = [cache.get(key) for key in cell_keys(req)]
+                coords = None if caps.content_addressed else (req.prompt_id, req.example_id)
+                keys = [make_cache_key(backend.model_id, req.input, cand, length_norm, coords)
+                        for cand in phrases]
+                cached = [cache.get(key) for key in keys]
                 if all(v is not None for v in cached):
                     raw[i, k, :] = cached
                     continue
-            pending.append((i, k, req))
+            pending.append((i, k, req, keys))
 
-    def score_requests(chunk: list[tuple[int, int, ScoreRequest]]) -> list[tuple[str, str]]:
+    def score_requests(
+        chunk: list[tuple[int, int, ScoreRequest, list[str]]]
+    ) -> list[tuple[str, str]]:
         """Score one chunk in place; returns coordinates that failed."""
-        reqs = [req for _, _, req in chunk]
+        reqs = [req for _, _, req, _ in chunk]
         try:
             results = backend.score_batch(reqs)
         except BackendError as exc:
@@ -234,13 +241,13 @@ def score_all(
             for item in chunk:
                 failed.extend(score_requests([item]))
             return failed
-        for (i, k, req), scores in zip(chunk, results):
+        for (i, k, req, keys), scores in zip(chunk, results):
             values = list(scores)
-            if divide_lengths:
+            if length_norm:
                 values = [v / _label_tokens(c) for v, c in zip(values, req.candidates)]
             raw[i, k, :] = values
             if cache is not None:
-                for key, value in zip(cell_keys(req), values):
+                for key, value in zip(keys, values):
                     cache.put(key, value)
         return []
 

@@ -121,12 +121,15 @@ def confidence_scores(tensor: ScoreTensor) -> np.ndarray:
     return gaps.sum(axis=1)
 
 
-def _within_cluster_sse(prefix: np.ndarray, prefix_sq: np.ndarray, lo: int, hi: int) -> float:
-    """Sum of squared deviations of sorted[lo:hi] from its mean, via prefix sums."""
-    count = hi - lo
-    total = prefix[hi] - prefix[lo]
-    total_sq = prefix_sq[hi] - prefix_sq[lo]
-    return total_sq - total * total / count
+def _keep_all(prompt_ids: Sequence[str], values: np.ndarray) -> ConfidenceReport:
+    """The unfiltered split: every prompt kept, both cluster means the overall mean."""
+    mean = float(values.mean())
+    return ConfidenceReport(
+        confidences={pid: float(c) for pid, c in zip(prompt_ids, values)},
+        kept=tuple(sorted(prompt_ids)),
+        discarded=(),
+        cluster_means=(mean, mean),
+    )
 
 
 def filter_prompts(
@@ -146,17 +149,9 @@ def filter_prompts(
     values = np.asarray(confidences, dtype=np.float64)
     if not np.all(np.isfinite(values)):
         raise ValidationError("confidence scores must be finite")
-    conf_map = {pid: float(c) for pid, c in zip(prompt_ids, values)}
     p = len(prompt_ids)
-
     if p <= 2 or np.all(values == values[0]):
-        mean = float(values.mean())
-        return ConfidenceReport(
-            confidences=conf_map,
-            kept=tuple(sorted(prompt_ids)),
-            discarded=(),
-            cluster_means=(mean, mean),
-        )
+        return _keep_all(prompt_ids, values)
 
     # Sort by (confidence, prompt_id) so equal scores split deterministically
     # regardless of input order.
@@ -165,18 +160,20 @@ def filter_prompts(
     prefix = np.concatenate(([0.0], np.cumsum(sorted_values)))
     prefix_sq = np.concatenate(([0.0], np.cumsum(sorted_values**2)))
 
-    best_split, best_sse = 1, np.inf
-    for split in range(1, p):
-        sse = _within_cluster_sse(prefix, prefix_sq, 0, split) + _within_cluster_sse(
-            prefix, prefix_sq, split, p
-        )
-        if sse < best_sse:
-            best_split, best_sse = split, sse
+    # Within-cluster SSE of sorted[:split] plus sorted[split:] for every split,
+    # each as sum of squares minus total * total / count; argmin takes the
+    # first minimum.
+    splits = np.arange(1, p)
+    low_total, high_total = prefix[splits], prefix[p] - prefix[splits]
+    sse = (prefix_sq[splits] - low_total * low_total / splits) + (
+        (prefix_sq[p] - prefix_sq[splits]) - high_total * high_total / (p - splits)
+    )
+    best_split = int(np.argmin(sse)) + 1
 
     low = [prompt_ids[i] for i in order[:best_split]]
     high = [prompt_ids[i] for i in order[best_split:]]
     return ConfidenceReport(
-        confidences=conf_map,
+        confidences={pid: float(c) for pid, c in zip(prompt_ids, values)},
         kept=tuple(sorted(high)),
         discarded=tuple(sorted(low)),
         cluster_means=(
@@ -200,11 +197,8 @@ def ensemble_scores(tensor: ScoreTensor, config: EnsembleConfig) -> np.ndarray:
         return np.exp(tensor.logprobs).mean(axis=0)
     # majority_vote: per-prompt argmax predictions, counted per choice
     preds = np.argmax(tensor.logprobs, axis=2)
-    n, c = len(tensor.example_ids), len(tensor.choices)
-    votes = np.zeros((n, c), dtype=np.float64)
-    for k in range(n):
-        votes[k] = np.bincount(preds[:, k], minlength=c)
-    return votes
+    votes = preds[:, :, None] == np.arange(len(tensor.choices))
+    return votes.sum(axis=0).astype(np.float64)
 
 
 def ensemble_predict(tensor: ScoreTensor, config: EnsembleConfig) -> np.ndarray:
@@ -274,13 +268,7 @@ def select(
     config = config or EnsembleConfig()
     conf = confidence_scores(tensor)
     if no_filter:
-        mean = float(conf.mean())
-        report = ConfidenceReport(
-            confidences={pid: float(c) for pid, c in zip(tensor.prompt_ids, conf)},
-            kept=tuple(sorted(tensor.prompt_ids)),
-            discarded=(),
-            cluster_means=(mean, mean),
-        )
+        report = _keep_all(tensor.prompt_ids, conf)
     else:
         report = filter_prompts(tensor.prompt_ids, conf)
 

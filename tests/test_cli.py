@@ -2,10 +2,26 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import zps
 from zps.cli import TOKEN_ENV, main
+
+
+def test_import_loads_no_scipy():
+    code = (
+        "import sys, zps, zps.cli; "
+        "print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(zps.__file__).resolve().parent.parent))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=60)
+    assert out.stdout.strip() == "[]"
 
 
 @pytest.fixture(autouse=True)

@@ -4,6 +4,7 @@ import json
 
 import numpy as np
 import pytest
+from scipy.stats import spearmanr
 
 from zps import (
     ConfidenceReport,
@@ -129,11 +130,13 @@ class TestEvaluate:
                 {f"p{i:02d}": float(pseudo[i]) for i in range(p)}, preds
             )
             report = evaluate(selection, preds, gold)
-            expected = spearman_oracle(pseudo, [np.mean(rows[i] == 0) for i in range(p)])
+            true_acc = [np.mean(rows[i] == 0) for i in range(p)]
+            expected = spearman_oracle(pseudo, true_acc)
             if expected is None:
                 assert report.spearman_pseudo_vs_true is None
             else:
                 assert report.spearman_pseudo_vs_true == pytest.approx(expected, abs=1e-12)
+                assert report.spearman_pseudo_vs_true == spearmanr(pseudo, true_acc).statistic
 
     def test_spearman_none_when_degenerate(self):
         preds = matrix_from_rows([[0, 1]])

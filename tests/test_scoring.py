@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from scipy.special import log_softmax
+from scipy.special import log_softmax as scipy_log_softmax
 
 from zps import (
     PredictionMatrix,
@@ -18,6 +18,7 @@ from zps import (
     score_all,
 )
 from zps.backends import _hash01
+from zps.scoring import log_softmax
 
 from .helpers import (
     make_examples,
@@ -142,9 +143,16 @@ class TestScoreAll:
         task, prompts, examples, backend, _ = synthetic_setup(p=2, n=3)
         raw = score_all(task, prompts, examples, backend, normalize="none")
         soft = score_all(task, prompts, examples, backend, normalize="softmax")
-        assert np.array_equal(log_softmax(raw.logprobs, axis=2), soft.logprobs)
+        assert np.array_equal(scipy_log_softmax(raw.logprobs, axis=2), soft.logprobs)
         assert not raw.normalized and soft.normalized
         assert np.allclose(soft.probs().sum(axis=2), 1.0)
+
+    def test_log_softmax_matches_scipy(self):
+        rng = np.random.default_rng(3)
+        for scale in (1e-3, 1.0, 50.0, 1e3):
+            for _ in range(20):
+                raw = rng.standard_normal(tuple(rng.integers(1, 6, size=3))) * scale
+                assert np.array_equal(log_softmax(raw, 2), scipy_log_softmax(raw, axis=2))
 
     def test_warm_cache_serves_everything(self, tmp_path):
         task, prompts, examples, backend, _ = synthetic_setup(p=3, n=5)
