@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Iterable, Mapping
 
@@ -76,14 +76,19 @@ class PromptTemplate:
     """Template text with literal ``{{name}}`` substitution, nothing more."""
 
     template_text: str
+    # The text split once at its placeholders: literals at even positions,
+    # field names at odd ones, so render never re-parses the template.
+    parts: tuple[str, ...] = field(init=False, repr=False, compare=False)
+    _names: tuple[str, ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        parts = tuple(_PLACEHOLDER_RE.split(self.template_text))
+        object.__setattr__(self, "parts", parts)
+        object.__setattr__(self, "_names", tuple(dict.fromkeys(parts[1::2])))
 
     def placeholders(self) -> tuple[str, ...]:
         """Placeholder names in order of first appearance."""
-        seen: list[str] = []
-        for name in _PLACEHOLDER_RE.findall(self.template_text):
-            if name not in seen:
-                seen.append(name)
-        return tuple(seen)
+        return self._names
 
 
 @dataclass(frozen=True)
@@ -160,15 +165,16 @@ def render(prompt: Prompt, example: UnlabeledExample) -> str:
     Deterministic; no characters other than the placeholders are altered.
     Raises listing every absent placeholder if the example is incomplete.
     """
-    missing = [p for p in prompt.template.placeholders() if p not in example.fields]
+    fields = example.fields
+    missing = [p for p in prompt.template.placeholders() if p not in fields]
     if missing:
         raise ValidationError(
             f"prompt {prompt.prompt_id!r}, example {example.example_id!r}: "
             f"missing fields {missing}"
         )
-    return _PLACEHOLDER_RE.sub(
-        lambda m: str(example.fields[m.group(1)]), prompt.template.template_text
-    )
+    out = list(prompt.template.parts)
+    out[1::2] = [str(fields[name]) for name in out[1::2]]
+    return "".join(out)
 
 
 def verbalize(prompt: Prompt, label: Any) -> str:

@@ -235,8 +235,8 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 def cmd_simulate(args: argparse.Namespace) -> int:
     config = _run_config(args)
     spec = load_robustness_spec(args.spec) if args.spec else default_robustness_spec()
-    robustness = simulate_robustness(spec)
     strategies = compare_strategies(spec)
+    robustness = simulate_robustness(spec, strategies.cells)
     print(format_robustness_table(robustness))
     print()
     print(format_strategy_table(strategies))

@@ -14,6 +14,7 @@ from __future__ import annotations
 import json
 import statistics
 from dataclasses import dataclass, field
+from itertools import product
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -345,14 +346,6 @@ def _population(
     return task, prompts, examples, backend, planted
 
 
-def _run_cell(
-    spec: RobustnessSpec, ratio: float, seed: int, strategy: str
-) -> SimulationCell:
-    task, prompts, examples, backend, planted = _population(spec, ratio, seed)
-    tensor = score_all(task, prompts, examples, backend)
-    return _cell_from_tensor(tensor, planted, ratio, seed, strategy)
-
-
 def _cell_from_tensor(
     tensor: ScoreTensor,
     planted: Mapping[str, str],
@@ -374,15 +367,44 @@ def _cell_from_tensor(
     )
 
 
-def simulate_robustness(spec: RobustnessSpec) -> SimulationResult:
+def _run_populations(
+    spec: RobustnessSpec, strategies: Sequence[str]
+) -> list[SimulationCell]:
+    """Score each (ratio, seed) population once and run every strategy on
+    it; cells in ratios x seeds order, strategies innermost."""
+    cells = []
+    for ratio, seed in product(spec.ratios, spec.seeds):
+        task, prompts, examples, backend, planted = _population(spec, ratio, seed)
+        tensor = score_all(task, prompts, examples, backend)
+        for strategy in strategies:
+            cells.append(_cell_from_tensor(tensor, planted, ratio, seed, strategy))
+    return cells
+
+
+def simulate_robustness(
+    spec: RobustnessSpec, cells: Sequence[SimulationCell] | None = None
+) -> SimulationResult:
     """For each ratio, corrupt that fraction of the prompt population and
     measure the selected prompt's true accuracy against the candidate mean,
-    aggregated as mean +/- sample stddev over seeds."""
-    cells = []
+    aggregated as mean +/- sample stddev over seeds.
+
+    ``cells`` reuses populations already run, such as
+    ``compare_strategies(spec).cells``: its ``spec.strategy`` cells must
+    cover ``spec.ratios`` x ``spec.seeds`` in order. Without it every
+    population is scored here.
+    """
+    if cells is None:
+        cells = _run_populations(spec, (spec.strategy,))
+    else:
+        cells = [c for c in cells if c.strategy == spec.strategy]
+        if [(c.ratio, c.seed) for c in cells] != list(product(spec.ratios, spec.seeds)):
+            raise ValidationError(
+                f"{spec.strategy} cells do not cover the spec's ratios x seeds in order"
+            )
+    n = len(spec.seeds)
     rows = []
-    for ratio in spec.ratios:
-        ratio_cells = [_run_cell(spec, ratio, seed, spec.strategy) for seed in spec.seeds]
-        cells.extend(ratio_cells)
+    for i, ratio in enumerate(spec.ratios):
+        ratio_cells = cells[i * n:(i + 1) * n]
         zps_mean, zps_std = _mean_std([c.zps_accuracy for c in ratio_cells])
         cand_mean, cand_std = _mean_std([c.mean_candidate_accuracy for c in ratio_cells])
         rows.append(
@@ -392,7 +414,7 @@ def simulate_robustness(spec: RobustnessSpec) -> SimulationResult:
                 zps_std=zps_std,
                 candidate_mean=cand_mean,
                 candidate_std=cand_std,
-                n_seeds=len(spec.seeds),
+                n_seeds=n,
             )
         )
     return SimulationResult(spec=spec, rows=tuple(rows), cells=tuple(cells))
@@ -401,19 +423,10 @@ def simulate_robustness(spec: RobustnessSpec) -> SimulationResult:
 def compare_strategies(spec: RobustnessSpec) -> SimulationResult:
     """Run every (ratio, seed) population once and pseudo-label it under all
     three ensemble strategies; one aggregate row per strategy."""
-    cells = []
-    per_strategy: dict[str, list[SimulationCell]] = {s: [] for s in STRATEGIES}
-    for ratio in spec.ratios:
-        for seed in spec.seeds:
-            task, prompts, examples, backend, planted = _population(spec, ratio, seed)
-            tensor = score_all(task, prompts, examples, backend)
-            for strategy in STRATEGIES:
-                cell = _cell_from_tensor(tensor, planted, ratio, seed, strategy)
-                per_strategy[strategy].append(cell)
-                cells.append(cell)
+    cells = _run_populations(spec, STRATEGIES)
     rows = []
     for strategy in STRATEGIES:
-        group = per_strategy[strategy]
+        group = [c for c in cells if c.strategy == strategy]
         pl_mean, pl_std = _mean_std([c.pseudo_label_accuracy for c in group])
         sel_mean, sel_std = _mean_std([c.zps_accuracy for c in group])
         rows.append(

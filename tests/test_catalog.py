@@ -1,6 +1,7 @@
 """Tasks, templates, verbalizers and the catalog/examples file formats."""
 
 import json
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -238,3 +239,57 @@ def test_render_never_leaves_placeholders(values):
     assert "{{hypothesis}}" not in out
     for value in values.values():
         assert value in out
+
+
+# The substitution render has always meant: one regex pass over the text.
+ORACLE_RE = re.compile(r"\{\{\s*([A-Za-z_][A-Za-z0-9_]*)\s*\}\}")
+
+
+def oracle_names(text):
+    return tuple(dict.fromkeys(ORACLE_RE.findall(text)))
+
+
+def oracle_render(prompt, example):
+    missing = [n for n in oracle_names(prompt.template.template_text) if n not in example.fields]
+    if missing:
+        raise ValidationError(
+            f"prompt {prompt.prompt_id!r}, example {example.example_id!r}: "
+            f"missing fields {missing}"
+        )
+    return ORACLE_RE.sub(lambda m: str(example.fields[m.group(1)]),
+                         prompt.template.template_text)
+
+
+NAMES = ["a", "b", "_x1", "premise"]
+placeholder = st.builds(
+    lambda left, name, right: "{{" + left + name + right + "}}",
+    st.sampled_from(["", " ", "  ", "\t", "\n"]),
+    st.sampled_from(NAMES),
+    st.sampled_from(["", " ", "\n "]),
+)
+literal = st.one_of(
+    st.sampled_from(["{", "}", "{{", "}}", "{{1x}}", "{{ a b }}", "{{}}", "{ {a} }", " ", "\n"]),
+    st.text(alphabet="ab{} _1\n", max_size=6),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    pieces=st.lists(st.one_of(placeholder, literal), max_size=8),
+    values=st.dictionaries(
+        st.sampled_from(NAMES),
+        st.one_of(st.text(alphabet="xy{} ", max_size=5), st.integers(-3, 3), st.floats(0, 1)),
+    ),
+)
+def test_render_matches_regex_oracle(pieces, values):
+    prompt = Prompt("p", PromptTemplate("".join(pieces)), Verbalizer({"0": "n", "1": "y"}))
+    example = UnlabeledExample("e", values)
+    try:
+        expected = oracle_render(prompt, example)
+    except ValidationError as exc:
+        with pytest.raises(ValidationError) as got:
+            render(prompt, example)
+        assert str(got.value) == str(exc)
+    else:
+        assert render(prompt, example) == expected
+    assert prompt.template.placeholders() == oracle_names(prompt.template.template_text)

@@ -347,8 +347,32 @@ class TestSimulate:
         assert len(doc["strategies"]["strategies"]) == 3
         assert [r["ratio"] for r in doc["robustness"]["rows"]] == [0.25, 0.5]
 
+    def test_scores_each_population_once(self, workdir, monkeypatch):
+        calls = []
+        score_all = zps.evalsim.score_all
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return score_all(*args, **kwargs)
+
+        monkeypatch.setattr(zps.evalsim, "score_all", counting)
+        assert main(["simulate", "--spec", str(self.spec_file(workdir))]) == 0
+        assert len(calls) == 2 * 2  # len(ratios) * len(seeds)
+
     def test_bad_spec_is_input_error(self, workdir, capsys):
         path = workdir / "spec.json"
         path.write_text('{"base_qualities": [0.7], "surprise": true}', encoding="utf-8")
         assert main(["simulate", "--spec", str(path)]) == 1
         assert "error:" in capsys.readouterr().err
+
+
+def test_readme_simulation_example_matches_output(capsys):
+    root = Path(__file__).resolve().parents[1]
+    readme = (root / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Simulation\n", 1)[1]
+    block = section.split("```bash\n", 1)[1].split("\n```", 1)[0].splitlines()
+    assert block[0] == "zps simulate --spec demo/robustness_spec.json"
+    documented = [line[2:] if line.startswith("# ") else line.lstrip("#") for line in block[1:]]
+    assert main(["simulate", "--spec", str(root / "demo" / "robustness_spec.json")]) == 0
+    printed = capsys.readouterr().out.splitlines()
+    assert [line.rstrip() for line in documented] == [line.rstrip() for line in printed]

@@ -365,6 +365,42 @@ class TestSimulateRobustness:
         assert "0.25" in table and "0.50" in table and "±" in table
 
 
+class TestReusedCells:
+    # a repeated ratio and a repeated seed, and a strategy other than the
+    # default, so rows must be grouped by position and filtered by strategy
+    SPEC = dict(
+        base_qualities=(0.6, 0.65, 0.7, 0.75, 0.8, 0.85),
+        ratios=(0.5, 0.25, 0.5),
+        seeds=(3, 3, 1),
+        strategy="majority_vote",
+        choices=3,
+    )
+
+    def test_same_rows_and_cells_as_a_fresh_run(self):
+        spec = tiny_spec(**self.SPEC)
+        fresh = simulate_robustness(spec)
+        reused = simulate_robustness(spec, compare_strategies(spec).cells)
+        assert reused.to_json_dict() == fresh.to_json_dict()
+        assert reused.cells == fresh.cells
+        # each row, the repeated ratio's too, aggregates its own three seeds
+        for i, row in enumerate(fresh.rows):
+            accs = [c.zps_accuracy for c in fresh.cells[3 * i:3 * i + 3]]
+            assert (row.zps_mean, row.zps_std) == (np.mean(accs), np.std(accs, ddof=1))
+
+    def test_cells_of_another_spec_are_rejected(self):
+        spec = tiny_spec(**self.SPEC)
+        other = tiny_spec(**{**self.SPEC, "seeds": (3, 1, 3)})
+        with pytest.raises(ValidationError, match="ratios x seeds"):
+            simulate_robustness(spec, compare_strategies(other).cells)
+
+    def test_a_dropped_cell_is_rejected(self):
+        spec = tiny_spec(**self.SPEC)
+        cells = compare_strategies(spec).cells
+        kept = [c for c in cells if c.strategy == spec.strategy]
+        with pytest.raises(ValidationError, match="ratios x seeds"):
+            simulate_robustness(spec, [c for c in cells if c is not kept[4]])
+
+
 class TestCompareStrategies:
     def test_one_row_per_strategy_in_fixed_order(self):
         spec = tiny_spec(ratios=(0.25,), seeds=(0, 1))
