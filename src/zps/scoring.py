@@ -186,9 +186,10 @@ def score_all(
     """Fill the full p x n x c score tensor.
 
     Cells present in the cache are served without backend calls; newly
-    computed cells are appended to the cache before returning. If any cell
-    cannot be scored after the backend's bounded retries, the failing
-    (prompt_id, example_id) coordinates are isolated and reported together.
+    computed cells are appended to the cache with one ``put_many`` per scored
+    chunk. If any cell cannot be scored after the backend's bounded retries,
+    the failing (prompt_id, example_id) coordinates are isolated and reported
+    together.
     """
     if not prompts or not examples:
         raise ValidationError("score_all needs at least one prompt and one example")
@@ -241,14 +242,15 @@ def score_all(
             for item in chunk:
                 failed.extend(score_requests([item]))
             return failed
+        scored: list[tuple[str, float]] = []
         for (i, k, req, keys), scores in zip(chunk, results):
             values = list(scores)
             if length_norm:
                 values = [v / _label_tokens(c) for v, c in zip(values, req.candidates)]
             raw[i, k, :] = values
-            if cache is not None:
-                for key, value in zip(keys, values):
-                    cache.put(key, value)
+            scored.extend(zip(keys, values))
+        if cache is not None:
+            cache.put_many(scored)
         return []
 
     chunks = _chunk(pending, caps.max_batch_size)

@@ -1,5 +1,7 @@
 """Score tensor container and the batch scoring driver."""
 
+import json
+
 import numpy as np
 import pytest
 from scipy.special import log_softmax as scipy_log_softmax
@@ -28,6 +30,25 @@ from .helpers import (
     raw_tensor,
     synthetic_setup,
 )
+
+
+class _CountingHandle:
+    """File handle stand-in that counts writes and flushes."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.writes = self.flushes = 0
+
+    def write(self, text):
+        self.writes += 1
+        return self.inner.write(text)
+
+    def flush(self):
+        self.flushes += 1
+        self.inner.flush()
+
+    def close(self):
+        self.inner.close()
 
 
 class TestScoreTensor:
@@ -222,6 +243,60 @@ class TestScoreAll:
             return score_all(task, prompts, examples, backend, jobs=jobs)
 
         assert np.array_equal(run(1).logprobs, run(4).logprobs)
+
+    def test_cold_cache_gets_one_write_per_scored_chunk(self, tmp_path):
+        task, prompts, examples, _, planted = synthetic_setup(p=3, n=10)
+        backend = SyntheticBackend(
+            seed=0, prompt_quality={p.prompt_id: 0.7 for p in prompts},
+            planted_labels=planted, max_batch_size=4,
+        )
+        with ScoreCache(tmp_path / "c.jsonl") as cache:
+            handle = cache._handle = _CountingHandle(cache._handle)
+            score_all(task, prompts, examples, backend, cache)
+            assert backend.calls == 8  # 30 cells in chunks of 4
+            assert handle.writes == handle.flushes == 8
+            assert len(cache) == 30 * 2
+
+    def test_parallel_jobs_write_the_same_cache(self, tmp_path):
+        task = make_task(3)
+        prompts = make_prompts(task, 3)
+        examples = make_examples(11)
+        planted = plant_labels(task, examples)
+
+        def run(jobs):
+            backend = SyntheticBackend(
+                seed=2, prompt_quality={p.prompt_id: 0.7 for p in prompts},
+                planted_labels=planted, max_batch_size=2,
+            )
+            path = tmp_path / f"jobs{jobs}.jsonl"
+            with ScoreCache(path) as cache:
+                score_all(task, prompts, examples, backend, cache, jobs=jobs)
+            return path.read_text(encoding="utf-8").splitlines()
+
+        serial, parallel = run(1), run(3)
+        assert len(serial) == 3 * 11 * 3
+        assert sorted(parallel) == sorted(serial)
+        with ScoreCache(tmp_path / "jobs1.jsonl") as a, \
+                ScoreCache(tmp_path / "jobs3.jsonl") as b:
+            keys = [json.loads(line)["key"] for line in serial]
+            assert [a.get(k) for k in keys] == [b.get(k) for k in keys]
+
+    def test_isolated_cells_stay_cached_after_a_failure(self, tmp_path):
+        task = make_task(2)
+        prompts = make_prompts(task, 2)
+        examples = make_examples(3)
+        backend = SyntheticBackend(
+            seed=0, prompt_quality={p.prompt_id: 0.7 for p in prompts},
+            planted_labels={"e0000": "0", "e0001": "intruder", "e0002": "1"},
+            max_batch_size=4,
+        )
+        path = tmp_path / "c.jsonl"
+        with ScoreCache(path) as cache:
+            with pytest.raises(ScoringFailedError):
+                score_all(task, prompts, examples, backend, cache)
+        # the four good cells, from both chunks, two choices each
+        with ScoreCache(path) as cache:
+            assert len(cache) == 4 * 2
 
     def test_length_norm_divides_by_token_count(self):
         task = make_task(2)
