@@ -448,7 +448,7 @@ def format_robustness_table(result: SimulationResult) -> str:
     for row in result.rows:
         lines.append(
             f"{row.ratio:>6.2f} {row.zps_mean:>8.4f}±{row.zps_std:<7.4f} "
-            f"{row.candidate_mean:>8.4f}±{row.candidate_std:<7.4f}"
+            f"{row.candidate_mean:>8.4f}±{row.candidate_std:<7.4f}".rstrip()
         )
     return "\n".join(lines)
 
@@ -459,6 +459,6 @@ def format_strategy_table(result: SimulationResult) -> str:
     for row in result.strategy_rows:
         lines.append(
             f"{row.strategy:<14} {row.pseudo_label_mean:>9.4f}±{row.pseudo_label_std:<8.4f} "
-            f"{row.selected_mean:>9.4f}±{row.selected_std:<8.4f}"
+            f"{row.selected_mean:>9.4f}±{row.selected_std:<8.4f}".rstrip()
         )
     return "\n".join(lines)

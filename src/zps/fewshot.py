@@ -19,8 +19,8 @@ import numpy as np
 
 from .catalog import canon_label
 from .errors import ValidationError
-from .scoring import PredictionMatrix, ScoreTensor, label_indices
-from .selection import EnsembleConfig, ensemble_predict, ensemble_scores, pseudo_accuracy
+from .scoring import PredictionMatrix, ScoreTensor, label_indices, top2_gap
+from .selection import EnsembleConfig, ensemble_vote, pseudo_accuracy
 
 
 @dataclass(frozen=True)
@@ -99,14 +99,13 @@ def _ranked_entries(
     The sort is stable with ties kept in original example order, so any
     prefix of the ranking is reproducible and top-k sets nest.
     """
-    scores = ensemble_scores(tensor, config)
-    pseudo_idx = ensemble_predict(tensor, config)
-    ordered = np.sort(scores, axis=1)
-    gaps = ordered[:, -1] - ordered[:, -2]
+    scores, pseudo_idx = ensemble_vote(tensor, config)
+    gaps = top2_gap(scores)
     order = np.argsort(-gaps, kind="stable")
+    labels, gap_values = pseudo_idx.tolist(), gaps.tolist()
     return [
-        (tensor.example_ids[k], tensor.choices[pseudo_idx[k]], float(gaps[k]))
-        for k in order
+        (tensor.example_ids[k], tensor.choices[labels[k]], gap_values[k])
+        for k in order.tolist()
     ]
 
 

@@ -19,6 +19,7 @@ from __future__ import annotations
 import logging
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -44,11 +45,33 @@ def label_indices(labels: Sequence[str], choices: Sequence[str]) -> np.ndarray:
         ) from None
 
 
-def _prompt_index(prompt_ids: tuple[str, ...], prompt_id: str) -> int:
+def prompt_rows(prompt_ids: Sequence[str], wanted: Sequence[str]) -> list[int]:
+    """Row of each wanted prompt id (its first occurrence in ``prompt_ids``);
+    an unknown id is a ValidationError."""
+    lookup: dict[str, int] = {}
+    for i, pid in enumerate(prompt_ids):
+        lookup.setdefault(pid, i)
     try:
-        return prompt_ids.index(prompt_id)
-    except ValueError:
-        raise ValidationError(f"unknown prompt_id {prompt_id!r}") from None
+        return [lookup[pid] for pid in wanted]
+    except KeyError as exc:
+        raise ValidationError(f"unknown prompt_id {exc.args[0]!r}") from None
+
+
+def top2_gap(values: np.ndarray) -> np.ndarray:
+    """Largest minus second-largest entry along the last axis; 0 on a tie.
+
+    One running max/second-max pass over the columns, which gives the same
+    two values as sorting the axis without sorting it.
+    """
+    if values.shape[-1] < 2:
+        raise ValidationError("a top-2 gap needs at least 2 choices")
+    first, second = values[..., 0], values[..., 1]
+    top, runner_up = np.maximum(first, second), np.minimum(first, second)
+    for j in range(2, values.shape[-1]):
+        column = values[..., j]
+        np.maximum(runner_up, np.minimum(top, column), out=runner_up)
+        np.maximum(top, column, out=top)
+    return np.subtract(top, runner_up, out=top)
 
 
 @dataclass(frozen=True)
@@ -59,6 +82,12 @@ class ScoreTensor:
     order, and the task's choice order. When ``normalized`` is True the
     per-cell scores are log-probabilities over the choice set (all <= 0).
     Immutable after construction; safe to share across workers.
+
+    Two derived views are computed on first use and kept on the instance:
+    ``predictions`` (the argmax ``PredictionMatrix``) and ``confidences``
+    (each prompt's summed top-1 minus top-2 choice probability). Both are
+    read-only and depend on ``logprobs`` alone, which never changes, so every
+    caller may share them; ``restrict`` builds a new tensor with neither.
     """
 
     prompt_ids: tuple[str, ...]
@@ -91,19 +120,43 @@ class ScoreTensor:
         """Per-cell choice probabilities, exp of the stored log scores."""
         return np.exp(self.logprobs)
 
+    @cached_property
+    def predictions(self) -> "PredictionMatrix":
+        """Argmax choice per (prompt, example); ties go to the earliest choice."""
+        return PredictionMatrix(
+            prompt_ids=self.prompt_ids,
+            example_ids=self.example_ids,
+            choices=self.choices,
+            indices=np.argmax(self.logprobs, axis=2),
+        )
+
+    @cached_property
+    def confidences(self) -> np.ndarray:
+        """Per-prompt summed top-1 minus top-2 choice probability (read-only)."""
+        scores = top2_gap(self.probs()).sum(axis=1)
+        scores.flags.writeable = False
+        return scores
+
     def prompt_index(self, prompt_id: str) -> int:
-        return _prompt_index(self.prompt_ids, prompt_id)
+        return prompt_rows(self.prompt_ids, [prompt_id])[0]
 
     def restrict(self, prompt_ids: Sequence[str]) -> "ScoreTensor":
-        """Sub-tensor over the given prompts, in the given order."""
-        rows = [self.prompt_index(pid) for pid in prompt_ids]
-        return ScoreTensor(
+        """Sub-tensor over the given prompts, in the given order.
+
+        Its rows are a fresh copy of this validated tensor's, so they are not
+        checked or copied again. It starts with no memoised views.
+        """
+        logprobs = self.logprobs[prompt_rows(self.prompt_ids, prompt_ids)]
+        logprobs.flags.writeable = False
+        sub = object.__new__(type(self))
+        sub.__dict__.update(
             prompt_ids=tuple(prompt_ids),
             example_ids=self.example_ids,
             choices=self.choices,
-            logprobs=self.logprobs[rows],
+            logprobs=logprobs,
             normalized=self.normalized,
         )
+        return sub
 
 
 @dataclass(frozen=True)
@@ -130,13 +183,13 @@ class PredictionMatrix:
         object.__setattr__(self, "choices", tuple(self.choices))
 
     def row(self, prompt_id: str) -> np.ndarray:
-        return self.indices[_prompt_index(self.prompt_ids, prompt_id)]
+        return self.indices[prompt_rows(self.prompt_ids, [prompt_id])[0]]
 
     def labels_row(self, prompt_id: str) -> list[str]:
         return [self.choices[j] for j in self.row(prompt_id)]
 
     def restrict(self, prompt_ids: Sequence[str]) -> "PredictionMatrix":
-        rows = [_prompt_index(self.prompt_ids, pid) for pid in prompt_ids]
+        rows = prompt_rows(self.prompt_ids, prompt_ids)
         return PredictionMatrix(
             prompt_ids=tuple(prompt_ids),
             example_ids=self.example_ids,
@@ -146,13 +199,11 @@ class PredictionMatrix:
 
 
 def predict(tensor: ScoreTensor) -> PredictionMatrix:
-    """Argmax choice per (prompt, example); ties go to the earliest choice."""
-    return PredictionMatrix(
-        prompt_ids=tensor.prompt_ids,
-        example_ids=tensor.example_ids,
-        choices=tensor.choices,
-        indices=np.argmax(tensor.logprobs, axis=2),
-    )
+    """Argmax choice per (prompt, example); ties go to the earliest choice.
+
+    Computed once per tensor: this returns the tensor's ``predictions``.
+    """
+    return tensor.predictions
 
 
 def log_softmax(raw: np.ndarray, axis: int) -> np.ndarray:

@@ -21,7 +21,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import ValidationError
-from .scoring import PredictionMatrix, ScoreTensor, label_indices, predict
+from .scoring import PredictionMatrix, ScoreTensor, label_indices, predict, prompt_rows
 
 STRATEGIES = ("logprob_mean", "prob_mean", "majority_vote")
 
@@ -112,13 +112,12 @@ def confidence_scores(tensor: ScoreTensor) -> np.ndarray:
     """Per-prompt decisiveness: summed top-1 minus top-2 choice probability.
 
     Under softmax normalization each per-example gap is in [0, 1], so a
-    prompt's score lies in [0, n].
+    prompt's score lies in [0, n]. The vector is the tensor's read-only
+    ``confidences``, computed once per tensor.
     """
     if len(tensor.choices) < 2:
         raise ValidationError("confidence needs at least 2 choices")
-    probs = np.sort(tensor.probs(), axis=2)
-    gaps = probs[:, :, -1] - probs[:, :, -2]
-    return gaps.sum(axis=1)
+    return tensor.confidences
 
 
 def _keep_all(prompt_ids: Sequence[str], values: np.ndarray) -> ConfidenceReport:
@@ -190,34 +189,42 @@ def _ordered_by_prompt_id(tensor: ScoreTensor) -> ScoreTensor:
 
 def ensemble_scores(tensor: ScoreTensor, config: EnsembleConfig) -> np.ndarray:
     """The n x c ensemble score matrix s(x_k, y) for the configured strategy."""
+    if not tensor.prompt_ids:
+        raise ValidationError("ensemble needs at least one prompt")
     tensor = _ordered_by_prompt_id(tensor)
     if config.strategy == "logprob_mean":
         return tensor.logprobs.mean(axis=0)
     if config.strategy == "prob_mean":
         return np.exp(tensor.logprobs).mean(axis=0)
     # majority_vote: per-prompt argmax predictions, counted per choice
-    preds = np.argmax(tensor.logprobs, axis=2)
-    votes = preds[:, :, None] == np.arange(len(tensor.choices))
-    return votes.sum(axis=0).astype(np.float64)
+    preds = predict(tensor).indices
+    votes = [(preds == j).sum(axis=0) for j in range(len(tensor.choices))]
+    return np.stack(votes, axis=1).astype(np.float64)
 
 
-def ensemble_predict(tensor: ScoreTensor, config: EnsembleConfig) -> np.ndarray:
-    """Pseudo-label indices, one per example, from the prompt ensemble.
+def ensemble_vote(
+    tensor: ScoreTensor, config: EnsembleConfig
+) -> tuple[np.ndarray, np.ndarray]:
+    """The ensemble score matrix and the pseudo-label index per example it gives.
 
     Score ties resolve to the earliest choice in task order; majority-vote
     ties are first broken by summed per-prompt log-probability.
     """
-    if not tensor.prompt_ids:
-        raise ValidationError("ensemble needs at least one prompt")
     tensor = _ordered_by_prompt_id(tensor)
     scores = ensemble_scores(tensor, config)
     if config.strategy != "majority_vote":
-        return np.argmax(scores, axis=1)
+        return scores, np.argmax(scores, axis=1)
 
     sum_logp = tensor.logprobs.sum(axis=0)
     top = scores.max(axis=1, keepdims=True)
     tie_scores = np.where(scores == top, sum_logp, -np.inf)
-    return np.argmax(tie_scores, axis=1)
+    return scores, np.argmax(tie_scores, axis=1)
+
+
+def ensemble_predict(tensor: ScoreTensor, config: EnsembleConfig) -> np.ndarray:
+    """Pseudo-label indices, one per example, from the prompt ensemble
+    (the labels of ``ensemble_vote``)."""
+    return ensemble_vote(tensor, config)[1]
 
 
 def pseudo_accuracy(
@@ -245,9 +252,8 @@ def pseudo_accuracy(
     if not targets.size:
         raise ValidationError("agreement needs at least one labeled example")
     ids = list(prompt_ids) if prompt_ids is not None else list(preds.prompt_ids)
-    return {
-        pid: float(np.mean(preds.row(pid) == targets)) for pid in ids
-    }
+    agreement = (preds.indices[prompt_rows(preds.prompt_ids, ids)] == targets).mean(axis=1)
+    return {pid: float(a) for pid, a in zip(ids, agreement)}
 
 
 def select(
@@ -284,7 +290,7 @@ def select(
     )
     return SelectionReport(
         confidence=report,
-        pseudo_labels=tuple(tensor.choices[j] for j in pseudo_idx),
+        pseudo_labels=tuple(tensor.choices[j] for j in pseudo_idx.tolist()),
         pseudo_acc=acc,
         selected=selected,
         strategy=config.strategy,

@@ -375,4 +375,4 @@ def test_readme_simulation_example_matches_output(capsys):
     documented = [line[2:] if line.startswith("# ") else line.lstrip("#") for line in block[1:]]
     assert main(["simulate", "--spec", str(root / "demo" / "robustness_spec.json")]) == 0
     printed = capsys.readouterr().out.splitlines()
-    assert [line.rstrip() for line in documented] == [line.rstrip() for line in printed]
+    assert documented == printed

@@ -21,7 +21,9 @@ from zps import (
     top_confidence_pseudo_train,
 )
 
-from .helpers import prob_tensor, synthetic_tensor
+from zps.selection import ensemble_scores
+
+from .helpers import normalized_tensor, prob_tensor, raw_tensor, synthetic_tensor
 
 PROB_MEAN = EnsembleConfig("prob_mean")
 
@@ -89,6 +91,24 @@ class TestBuildPseudoVal:
         assert ps.example_ids == ("e0000",)
         full = build_pseudo_val(gap_tensor(), PROB_MEAN, size=3)
         assert full.example_ids == build_pseudo_val(gap_tensor(), PROB_MEAN).example_ids
+
+    @pytest.mark.parametrize("c", range(2, 7))
+    @pytest.mark.parametrize("kind", ["softmax", "rounded", "raw"])
+    @pytest.mark.parametrize("strategy", ["logprob_mean", "prob_mean", "majority_vote"])
+    def test_gaps_equal_sorted_ensemble_gaps(self, c, kind, strategy):
+        rng = np.random.default_rng(c)
+        arr = rng.normal(scale=1.5, size=(5, 40, c))
+        if kind == "raw":
+            tensor = raw_tensor(np.round(arr, 1))
+        else:
+            tensor = normalized_tensor(np.round(arr) if kind == "rounded" else arr)
+        config = EnsembleConfig(strategy)
+        ordered = np.sort(ensemble_scores(tensor, config), axis=1)
+        gaps = ordered[:, -1] - ordered[:, -2]
+        ps = build_pseudo_val(tensor, config)
+        order = np.argsort(-gaps, kind="stable")
+        assert ps.example_ids == tuple(tensor.example_ids[k] for k in order)
+        assert np.array_equal([g for _, _, g in ps.entries], gaps[order])
 
     def test_ties_keep_example_order(self):
         tensor = prob_tensor([[[0.7, 0.3], [0.7, 0.3], [0.7, 0.3]]])

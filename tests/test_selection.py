@@ -21,7 +21,28 @@ from zps import (
     select,
 )
 
-from .helpers import prob_tensor, raw_tensor, synthetic_tensor
+from zps.scoring import top2_gap
+
+from .helpers import normalized_tensor, prob_tensor, raw_tensor, synthetic_tensor
+
+
+def varied_tensor(c, kind, seed=0):
+    """A 7 x 30 x c tensor: softmax-normalized, rounded (tied scores and
+    tied gaps) or raw unnormalized scores."""
+    rng = np.random.default_rng(seed + 10 * c)
+    arr = rng.normal(scale=1.5, size=(7, 30, c))
+    if kind == "raw":
+        return raw_tensor(np.round(arr, 1))
+    return normalized_tensor(np.round(arr) if kind == "rounded" else arr)
+
+
+def sorted_gaps(values):
+    """The top-1 minus top-2 gap over the last axis by a full sort."""
+    ordered = np.sort(values, axis=-1)
+    return ordered[..., -1] - ordered[..., -2]
+
+
+TENSOR_CASES = [(c, kind) for c in range(2, 7) for kind in ("softmax", "rounded", "raw")]
 
 
 class TestConfidenceScores:
@@ -45,8 +66,57 @@ class TestConfidenceScores:
         assert confidence_scores(tensor) == pytest.approx([0.5])
 
     def test_needs_two_choices(self):
+        tensor = prob_tensor(np.ones((1, 2, 1)))
         with pytest.raises(ValidationError, match="2 choices"):
-            confidence_scores(prob_tensor(np.ones((1, 2, 1))))
+            confidence_scores(tensor)
+        assert "confidences" not in vars(tensor)
+
+    @pytest.mark.parametrize("c,kind", TENSOR_CASES)
+    def test_equals_sorted_gap_sum(self, c, kind):
+        tensor = varied_tensor(c, kind)
+        expected = sorted_gaps(np.exp(tensor.logprobs)).sum(axis=1)
+        assert np.array_equal(confidence_scores(tensor), expected)
+
+    def test_top2_gap_is_zero_on_a_tie(self):
+        values = np.array([[0.4, 0.2, 0.4], [0.1, 0.5, 0.4], [0.3, 0.3, 0.3]])
+        assert top2_gap(values).tolist() == [0.0, 0.5 - 0.4, 0.0]
+        with pytest.raises(ValidationError, match="2 choices"):
+            top2_gap(np.ones((2, 1)))
+
+
+class TestTensorViews:
+    def test_predict_is_computed_once(self):
+        tensor = varied_tensor(3, "softmax")
+        assert predict(tensor) is predict(tensor)
+        assert predict(tensor) is tensor.predictions
+
+    def test_select_fills_the_memo_and_restrict_starts_empty(self):
+        tensor = varied_tensor(4, "softmax")
+        assert not {"predictions", "confidences"} & vars(tensor).keys()
+        select(tensor)
+        assert {"predictions", "confidences"} <= vars(tensor).keys()
+        sub = tensor.restrict(["p03", "p01"])
+        assert not {"predictions", "confidences"} & vars(sub).keys()
+        assert predict(sub).prompt_ids == ("p03", "p01")
+        assert np.array_equal(predict(sub).indices, predict(tensor).indices[[3, 1]])
+        assert np.array_equal(confidence_scores(sub), confidence_scores(tensor)[[3, 1]])
+
+    def test_returned_confidences_cannot_be_changed(self):
+        tensor = varied_tensor(2, "softmax")
+        first = confidence_scores(tensor)
+        before = first.copy()
+        with pytest.raises(ValueError):
+            first[0] = 123.0
+        assert np.array_equal(confidence_scores(tensor), before)
+
+    def test_memoised_predictions_keep_the_tie_rules(self):
+        # choices 0 and 1 tie within p00 and p01: argmax takes the earliest,
+        # so the vote is 2-1 for choice 0
+        tensor = raw_tensor([[[-1.0, -1.0, -2.0]], [[-1.0, -1.0, -3.0]], [[-2.0, -1.0, -1.5]]])
+        assert predict(tensor).indices[:, 0].tolist() == [0, 0, 1]
+        report = select(tensor, EnsembleConfig("majority_vote"), no_filter=True)
+        assert report.pseudo_labels == ("0",)
+        assert predict(tensor).indices[:, 0].tolist() == [0, 0, 1]
 
 
 def oracle_split(prompt_ids, confidences):
@@ -263,6 +333,22 @@ class TestPseudoAccuracy:
             pseudo_accuracy(self.matrix(), ["no", "yes"])
         with pytest.raises(ValidationError, match="choices"):
             pseudo_accuracy(self.matrix(), ["no", "yes", "maybe"])
+        with pytest.raises(ValidationError, match="p9"):
+            pseudo_accuracy(self.matrix(), ["no", "yes", "no"], prompt_ids=["p1", "p9"])
+
+    def test_equals_per_row_mean(self):
+        rng = np.random.default_rng(3)
+        indices = rng.integers(0, 3, size=(9, 37))
+        matrix = PredictionMatrix(
+            tuple(f"p{i}" for i in range(9)), tuple(f"e{k}" for k in range(37)),
+            ("a", "b", "c"), indices,
+        )
+        targets = rng.integers(0, 3, size=37)
+        wanted = ["p4", "p0", "p8", "p4"]
+        acc = pseudo_accuracy(matrix, targets, prompt_ids=wanted)
+        assert list(acc) == ["p4", "p0", "p8"]
+        for pid in wanted:
+            assert acc[pid] == float(np.mean(indices[int(pid[1:])] == targets))
 
 
 class TestSelect:
