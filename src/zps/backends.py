@@ -4,7 +4,10 @@ A backend rates candidate phrases against a rendered input and returns one
 finite natural-log likelihood per candidate. Two implementations ship here:
 
 * ``RemoteBackend`` talks to any inference service over a small JSON wire
-  protocol with bounded exponential-backoff retries.
+  protocol with bounded exponential-backoff retries, over ``http.client``.
+  HTTPS checks certificates with ``ssl.create_default_context()`` (the system
+  CA store; ``SSL_CERT_FILE`` applies). Proxy variables, ``.netrc``, URL
+  credentials and ``REQUESTS_CA_BUNDLE`` are not read; 3xx is not followed.
 * ``SyntheticBackend`` is a seeded, closed-form stand-in for a real model,
   used for tests and simulations. Per prompt it is right about a planted
   label with a configured probability, and its score margins are calibrated:
@@ -20,12 +23,14 @@ import hashlib
 import json
 import logging
 import math
+import threading
 import time
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
+from functools import partial
+from http.client import HTTPConnection, HTTPException, HTTPSConnection
 from typing import Mapping, Sequence
-
-import requests
+from urllib.parse import quote, urlsplit
 
 from .errors import BackendError, ProtocolError, ValidationError
 
@@ -228,17 +233,29 @@ class RemoteBackend(ScorerBackend):
         timeout: float = 60.0,
         retries: int = DEFAULT_RETRIES,
         backoff: float = DEFAULT_BACKOFF,
-        session: requests.Session | None = None,
     ):
         if retries < 1:
             raise ValidationError("retries must be >= 1")
+        try:
+            url = urlsplit(endpoint)
+            port = url.port
+        except ValueError:  # a malformed port or IPv6 address
+            url, port = urlsplit(""), None
+        if url.scheme not in ("http", "https") or not url.hostname:
+            raise ValidationError(f"endpoint is not an http(s) URL with a host: {endpoint!r}")
+        connection = HTTPSConnection if url.scheme == "https" else HTTPConnection
+        self._connect = partial(connection, url.hostname, port, timeout=timeout)
+        path = (url.path or "/") + (f"?{url.query}" if url.query else "")
+        # Spaces, control and non-ASCII characters are percent-encoded; escapes stay.
+        self._path = quote(path, safe="!#$%&'()*+,/:;=?@[]~")
+        self._headers = {"Content-Type": "application/json"}
+        if api_token:
+            self._headers["Authorization"] = f"Bearer {api_token}"
+        self._local = threading.local()
         self.endpoint = endpoint
         self.model = model
-        self.api_token = api_token
-        self.timeout = timeout
         self.retries = retries
         self.backoff = backoff
-        self.session = session or requests.Session()
         self._max_batch_size = max_batch_size
         self.retry_count = 0
 
@@ -253,13 +270,23 @@ class RemoteBackend(ScorerBackend):
             content_addressed=True,
         )
 
-    def _headers(self) -> dict[str, str]:
-        headers = {"Content-Type": "application/json"}
-        if self.api_token:
-            headers["Authorization"] = f"Bearer {self.api_token}"
-        return headers
+    def _send(self, body: bytes) -> tuple[int, bytes]:
+        """POST on this thread's kept-alive connection: (status, response body)."""
+        conn = getattr(self._local, "conn", None)
+        if conn is None:
+            conn = self._local.conn = self._connect()
+        reused = conn.sock is not None
+        try:
+            conn.request("POST", self._path, body, self._headers)
+            response = conn.getresponse()
+            return response.status, response.read()
+        except (OSError, HTTPException) as exc:
+            conn.close()  # the next request reconnects
+            if reused and isinstance(exc, ConnectionError):
+                return self._send(body)  # closed by the server while idle: not a retry
+            raise
 
-    def _post(self, payload: dict) -> dict:
+    def _post(self, body: bytes) -> bytes:
         last_error: Exception | None = None
         for attempt in range(self.retries):
             if attempt > 0:
@@ -271,29 +298,18 @@ class RemoteBackend(ScorerBackend):
                 )
                 time.sleep(delay)
             try:
-                response = self.session.post(
-                    self.endpoint, json=payload, headers=self._headers(),
-                    timeout=self.timeout,
-                )
-            except requests.RequestException as exc:
+                status, data = self._send(body)
+            except (OSError, HTTPException) as exc:
                 last_error = exc
                 continue
-            if response.status_code >= 500:
-                last_error = BackendError(
-                    f"server error {response.status_code} from {self.endpoint}"
-                )
+            if status >= 500:
+                last_error = BackendError(f"server error {status} from {self.endpoint}")
                 continue
-            if response.status_code != 200:
+            if status != 200:
                 raise BackendError(
-                    f"scorer at {self.endpoint} answered {response.status_code}: "
-                    f"{response.text[:200]}"
+                    f"scorer at {self.endpoint} answered {status}: {_excerpt(data)}"
                 )
-            try:
-                return response.json()
-            except ValueError:
-                raise ProtocolError(
-                    "response is not JSON", payload_excerpt=response.text[:200]
-                ) from None
+            return data
         raise BackendError(
             f"scorer at {self.endpoint} unreachable after {self.retries} attempts: "
             f"{last_error}"
@@ -306,14 +322,17 @@ class RemoteBackend(ScorerBackend):
                 {"input": req.input, "candidates": list(req.candidates)} for req in batch
             ],
         }
-        doc = self._post(payload)
-        excerpt = json.dumps(doc)[:200]
-        results = doc.get("results")
+        data = self._post(json.dumps(payload).encode())
+        try:
+            doc = json.loads(data)
+        except ValueError:
+            raise ProtocolError("response is not JSON", _excerpt(data)) from None
+        results = doc.get("results") if isinstance(doc, dict) else None
         if not isinstance(results, list) or len(results) != len(batch):
             raise ProtocolError(
                 f"expected {len(batch)} results, got "
                 f"{len(results) if isinstance(results, list) else type(results).__name__}",
-                payload_excerpt=excerpt,
+                payload_excerpt=_excerpt(data),
             )
         out: list[list[float]] = []
         for req, result in zip(batch, results):
@@ -321,7 +340,7 @@ class RemoteBackend(ScorerBackend):
             if not isinstance(scores, list) or len(scores) != len(req.candidates):
                 raise ProtocolError(
                     f"malformed scores for input of example {req.example_id!r}",
-                    payload_excerpt=excerpt,
+                    payload_excerpt=_excerpt(data),
                 )
             values: list[float] = []
             for value in scores:
@@ -330,8 +349,12 @@ class RemoteBackend(ScorerBackend):
                     raise ProtocolError(
                         f"non-finite or non-numeric score {value!r} for example "
                         f"{req.example_id!r}",
-                        payload_excerpt=excerpt,
+                        payload_excerpt=_excerpt(data),
                     )
                 values.append(float(value))
             out.append(values)
         return out
+
+
+def _excerpt(body: bytes) -> str:
+    return body.decode("utf-8", errors="replace")[:200]

@@ -137,9 +137,6 @@ class ScoreTensor:
         scores.flags.writeable = False
         return scores
 
-    def prompt_index(self, prompt_id: str) -> int:
-        return prompt_rows(self.prompt_ids, [prompt_id])[0]
-
     def restrict(self, prompt_ids: Sequence[str]) -> "ScoreTensor":
         """Sub-tensor over the given prompts, in the given order.
 

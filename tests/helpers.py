@@ -107,17 +107,35 @@ class StubScorer:
     ``script`` is a queue of canned (status, body) responses served in
     order; once exhausted (or when empty from the start) the server answers
     properly with ``stub_score`` values. Bodies may be dicts (sent as JSON)
-    or raw strings. All received request payloads and headers are recorded.
+    or raw strings. All received request payloads, headers and paths are recorded.
+
+    With ``drop_idle`` the server speaks HTTP/1.1 and sends a Content-Length,
+    so clients keep the connection alive, but closes it after every answer
+    without a ``Connection: close`` header, like a server whose keep-alive
+    timeout has run out.
     """
 
-    def __init__(self, script=None):
+    def __init__(self, script=None, drop_idle=False):
         self.script = list(script or [])
         self.requests: list[dict] = []
         self.headers: list[dict] = []
+        self.paths: list[str] = []
         self._lock = threading.Lock()
         stub = self
 
         class Handler(BaseHTTPRequestHandler):
+            if drop_idle:
+                protocol_version = "HTTP/1.1"
+
+            def reply(self, status, data):
+                body = data.encode()
+                self.send_response(status)
+                self.send_header("Content-Type", "application/json")
+                self.send_header("Content-Length", str(len(body)))
+                self.end_headers()
+                self.wfile.write(body)
+                self.close_connection = True
+
             def do_POST(self):
                 length = int(self.headers.get("Content-Length", 0))
                 body = self.rfile.read(length)
@@ -125,24 +143,17 @@ class StubScorer:
                 with stub._lock:
                     stub.requests.append(payload)
                     stub.headers.append({k: v for k, v in self.headers.items()})
+                    stub.paths.append(self.path)
                     scripted = stub.script.pop(0) if stub.script else None
                 if scripted is not None:
                     status, doc = scripted
-                    data = doc if isinstance(doc, str) else json.dumps(doc)
-                    self.send_response(status)
-                    self.send_header("Content-Type", "application/json")
-                    self.end_headers()
-                    self.wfile.write(data.encode())
+                    self.reply(status, doc if isinstance(doc, str) else json.dumps(doc))
                     return
                 results = [
                     {"scores": [stub_score(item["input"], c) for c in item["candidates"]]}
                     for item in payload.get("items", [])
                 ]
-                data = json.dumps({"results": results})
-                self.send_response(200)
-                self.send_header("Content-Type", "application/json")
-                self.end_headers()
-                self.wfile.write(data.encode())
+                self.reply(200, json.dumps({"results": results}))
 
             def log_message(self, *args):
                 pass

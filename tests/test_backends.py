@@ -1,18 +1,24 @@
 """Synthetic and remote scoring backends."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
 from zps import (
     BackendError,
+    Prompt,
+    PromptTemplate,
     ProtocolError,
     RemoteBackend,
     ScoreRequest,
     SyntheticBackend,
     ValidationError,
+    Verbalizer,
     derived_profile,
+    score_all,
 )
-from .helpers import StubScorer, stub_score
+from .helpers import StubScorer, make_examples, make_task, stub_score
 
 
 def requests_for(prompt_ids, example_ids, choices):
@@ -186,6 +192,13 @@ class TestRemoteBackend:
             headers = stub.headers[0]
         assert headers.get("Authorization") == "Bearer sekrit"
 
+    def test_endpoint_path_is_percent_encoded(self):
+        reqs = requests_for(["p0"], ["e0"], ["0", "1"])
+        with StubScorer() as stub:
+            endpoint = stub.url.replace("/score", "/v1/a b/\u00e9%2F?q=x y")
+            RemoteBackend(endpoint=endpoint, model="m").score_batch(reqs)
+            assert stub.paths == ["/v1/a%20b/%C3%A9%2F?q=x%20y"]
+
     def test_no_token_no_auth_header(self):
         reqs = requests_for(["p0"], ["e0"], ["0", "1"])
         with StubScorer() as stub:
@@ -243,6 +256,7 @@ class TestRemoteBackend:
             {"results": [{"scores": [float("nan"), -1.0]}, {"scores": [-1.0, -2.0]}]},
             {"results": [{"scores": [True, -1.0]}, {"scores": [-1.0, -2.0]}]},
             {"results": [0.5, {"scores": [-1.0, -2.0]}]},
+            [{"scores": [-1.0, -2.0]}, {"scores": [-1.0, -2.0]}],
         ],
     )
     def test_malformed_payloads_raise_protocol_error(self, body):
@@ -274,3 +288,44 @@ class TestRemoteBackend:
         assert backend.model_id == "m"
         with pytest.raises(ValidationError):
             RemoteBackend(endpoint="http://x/score", model="m", retries=0)
+
+    @pytest.mark.parametrize(
+        "endpoint",
+        ["ftp://x/score", "scorer/score", "http:///score", "http://x:port/score", ""],
+    )
+    def test_endpoint_needs_http_scheme_and_host(self, endpoint):
+        with pytest.raises(ValidationError, match="endpoint"):
+            RemoteBackend(endpoint=endpoint, model="m")
+
+    def test_server_closing_idle_connection_is_not_a_retry(self):
+        reqs = requests_for(["p0"], ["e0"], ["0", "1"])
+        expected = [[stub_score(r.input, cand) for cand in r.candidates] for r in reqs]
+        with StubScorer(drop_idle=True) as stub:
+            backend = RemoteBackend(endpoint=stub.url, model="m", backoff=0.5)
+            for _ in range(5):
+                assert backend.score_batch(reqs) == expected
+            assert len(stub.requests) == 5
+        assert backend.retry_count == 0
+
+    def test_score_all_with_jobs_matches_serial_and_sends_each_item_once(self):
+        task = make_task(3)
+        prompts = [
+            Prompt(f"p{i}", PromptTemplate("{{text}}" + "?" * i),
+                   Verbalizer({lab: f"phrase {lab}" for lab in task.choices}))
+            for i in range(3)
+        ]
+        examples = make_examples(10)
+        tensors, sent = [], []
+        for jobs in (1, 3):
+            with StubScorer() as stub:
+                backend = RemoteBackend(endpoint=stub.url, model="m", max_batch_size=4)
+                tensors.append(score_all(task, prompts, examples, backend, jobs=jobs).logprobs)
+                sent.append(Counter(
+                    (item["input"], tuple(item["candidates"]))
+                    for payload in stub.requests for item in payload["items"]
+                ))
+            assert backend.retry_count == 0
+        assert np.array_equal(tensors[0], tensors[1])
+        assert len(sent[1]) == len(prompts) * len(examples)
+        assert set(sent[1].values()) == {1}
+        assert sent[1] == sent[0]

@@ -14,9 +14,10 @@ from zps.cli import TOKEN_ENV, main
 
 
 def test_import_loads_no_scipy():
+    # zps needs numpy alone: neither scipy nor an HTTP stack beyond the standard library.
     code = (
-        "import sys, zps, zps.cli; "
-        "print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+        "import sys, zps, zps.cli; print(sorted(m for m in sys.modules "
+        "if m.startswith(('scipy', 'requests', 'urllib3'))))"
     )
     env = dict(os.environ, PYTHONPATH=str(Path(zps.__file__).resolve().parent.parent))
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
@@ -308,6 +309,14 @@ class TestRemoteErrors:
         ]
         assert main(args) == 2
         assert "backend error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("endpoint", ["ftp://x/score", "scorer/score"])
+    def test_endpoint_without_http_scheme_exits_one(self, workdir, capsys, endpoint):
+        args = select_args(workdir) + [
+            "--backend", "remote", "--endpoint", endpoint, "--model", "m",
+        ]
+        assert main(args) == 1
+        assert "endpoint" in capsys.readouterr().err
 
     def test_remote_needs_endpoint_and_model(self, workdir, capsys):
         args = select_args(workdir) + ["--backend", "remote"]
