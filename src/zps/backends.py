@@ -84,6 +84,9 @@ class ScorerBackend(ABC):
     def score_batch(self, batch: Sequence[ScoreRequest]) -> list[list[float]]:
         """Log-likelihood per candidate for each request, aligned with input order."""
 
+    def close(self) -> None:
+        """Release held resources such as connections; the default holds none."""
+
 
 def _hash01(*parts: str) -> float:
     """Deterministic uniform float in [0, 1) from string parts."""
@@ -251,7 +254,10 @@ class RemoteBackend(ScorerBackend):
         self._headers = {"Content-Type": "application/json"}
         if api_token:
             self._headers["Authorization"] = f"Bearer {api_token}"
-        self._local = threading.local()
+        # Kept-alive connections no request is using: at most one per request
+        # that was ever in flight at once, shared by threads and score_all calls.
+        self._idle: list[HTTPConnection] = []
+        self._idle_lock = threading.Lock()
         self.endpoint = endpoint
         self.model = model
         self.retries = retries
@@ -271,20 +277,33 @@ class RemoteBackend(ScorerBackend):
         )
 
     def _send(self, body: bytes) -> tuple[int, bytes]:
-        """POST on this thread's kept-alive connection: (status, response body)."""
-        conn = getattr(self._local, "conn", None)
-        if conn is None:
-            conn = self._local.conn = self._connect()
+        """POST on an idle kept-alive connection, or a new one: (status, response body)."""
+        with self._idle_lock:
+            conn = self._idle.pop() if self._idle else self._connect()
         reused = conn.sock is not None
         try:
             conn.request("POST", self._path, body, self._headers)
             response = conn.getresponse()
             return response.status, response.read()
-        except (OSError, HTTPException) as exc:
-            conn.close()  # the next request reconnects
-            if reused and isinstance(exc, ConnectionError):
-                return self._send(body)  # closed by the server while idle: not a retry
-            raise
+        except BaseException as exc:
+            conn.close()  # its next request reconnects
+            if not (reused and isinstance(exc, ConnectionError)):
+                raise
+        finally:
+            with self._idle_lock:
+                self._idle.append(conn)
+        return self._send(body)  # closed by the server while idle: not a retry
+
+    def close(self) -> None:
+        """Close every idle kept-alive connection; a later request reconnects.
+
+        A connection whose request is still in flight is not reached; call
+        this once scoring is done.
+        """
+        with self._idle_lock:
+            idle, self._idle = self._idle, []
+        for conn in idle:
+            conn.close()
 
     def _post(self, body: bytes) -> bytes:
         last_error: Exception | None = None

@@ -163,8 +163,9 @@ def _score_from_args(args: argparse.Namespace):
     task, prompts = load_catalog(args.catalog)
     examples = load_examples(args.examples, task)
     backend = _make_backend(args, task, prompts, examples)
-    cache = ScoreCache(args.cache) if args.cache else None
+    cache = None
     try:
+        cache = ScoreCache(args.cache) if args.cache else None
         tensor = score_all(
             task,
             prompts,
@@ -176,6 +177,7 @@ def _score_from_args(args: argparse.Namespace):
             jobs=args.jobs,
         )
     finally:
+        backend.close()
         if cache is not None:
             cache.close()
     return task, prompts, examples, tensor, cache
@@ -292,8 +294,9 @@ def cmd_score(args: argparse.Namespace) -> int:
         raise ValidationError("score needs --cache to have somewhere to warm")
     _, prompts, examples, tensor, cache = _score_from_args(args)
     p, n, c = tensor.shape
+    # The cache counts cells; the report counts values, c per cell.
     print(f"scored {p * n * c} values over {p} prompts x {n} examples; "
-          f"cache {args.cache}: {cache.hits} hits, {cache.misses} misses")
+          f"cache {args.cache}: {cache.hits * c} hits, {cache.misses * c} misses")
     return 0
 
 

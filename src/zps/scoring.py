@@ -27,7 +27,7 @@ import numpy as np
 from .backends import ScoreRequest, ScorerBackend
 from .cache import ScoreCache, make_cache_key
 from .catalog import Prompt, TaskSpec, UnlabeledExample, candidate_phrases, render
-from .errors import BackendError, ScoringFailedError, ValidationError
+from .errors import BackendError, CacheCorruptionError, ScoringFailedError, ValidationError
 
 logger = logging.getLogger(__name__)
 
@@ -233,11 +233,11 @@ def score_all(
 ) -> ScoreTensor:
     """Fill the full p x n x c score tensor.
 
-    Cells present in the cache are served without backend calls; newly
-    computed cells are appended to the cache with one ``put_many`` per scored
-    chunk. If any cell cannot be scored after the backend's bounded retries,
-    the failing (prompt_id, example_id) coordinates are isolated and reported
-    together.
+    Each cell is hashed into one cache key; cells present in the cache are
+    served without backend calls, and newly computed cells are appended to
+    the cache with one ``put_many`` per scored chunk. If any cell cannot be
+    scored after the backend's bounded retries, the failing (prompt_id,
+    example_id) coordinates are isolated and reported together.
     """
     if not prompts or not examples:
         raise ValidationError("score_all needs at least one prompt and one example")
@@ -250,31 +250,39 @@ def score_all(
     choice_labels = task.choices
     raw = np.empty((len(prompts), len(examples), len(choice_labels)), dtype=np.float64)
 
-    # A pending cell carries its cache keys, so each is hashed once.
-    pending: list[tuple[int, int, ScoreRequest, list[str]]] = []
+    # A pending cell carries its cache key, so each is hashed once.
+    pending: list[tuple[int, int, ScoreRequest, str]] = []
+    model_id = backend.model_id
     for i, prompt in enumerate(prompts):
         phrases = candidate_phrases(task, prompt)
         for k, example in enumerate(examples):
+            text = render(prompt, example)
+            key = ""
+            if cache is not None:
+                coords = (None if caps.content_addressed
+                          else (prompt.prompt_id, example.example_id))
+                key = make_cache_key(model_id, text, phrases, length_norm, coords)
+                cached = cache.get(key)
+                if cached is not None:
+                    if len(cached) != len(phrases):
+                        raise CacheCorruptionError(
+                            f"cache {cache.path} holds {len(cached)} values for a cell "
+                            f"with {len(phrases)} candidates; delete or move the file "
+                            "to reset it"
+                        )
+                    raw[i, k, :] = cached
+                    continue
             req = ScoreRequest(
-                input=render(prompt, example),
+                input=text,
                 candidates=phrases,
                 prompt_id=prompt.prompt_id,
                 example_id=example.example_id,
                 choice_labels=choice_labels,
             )
-            keys: list[str] = []
-            if cache is not None:
-                coords = None if caps.content_addressed else (req.prompt_id, req.example_id)
-                keys = [make_cache_key(backend.model_id, req.input, cand, length_norm, coords)
-                        for cand in phrases]
-                cached = [cache.get(key) for key in keys]
-                if all(v is not None for v in cached):
-                    raw[i, k, :] = cached
-                    continue
-            pending.append((i, k, req, keys))
+            pending.append((i, k, req, key))
 
     def score_requests(
-        chunk: list[tuple[int, int, ScoreRequest, list[str]]]
+        chunk: list[tuple[int, int, ScoreRequest, str]]
     ) -> list[tuple[str, str]]:
         """Score one chunk in place; returns coordinates that failed."""
         reqs = [req for _, _, req, _ in chunk]
@@ -290,13 +298,13 @@ def score_all(
             for item in chunk:
                 failed.extend(score_requests([item]))
             return failed
-        scored: list[tuple[str, float]] = []
-        for (i, k, req, keys), scores in zip(chunk, results):
+        scored: list[tuple[str, list[float]]] = []
+        for (i, k, req, key), scores in zip(chunk, results):
             values = list(scores)
             if length_norm:
                 values = [v / _label_tokens(c) for v, c in zip(values, req.candidates)]
             raw[i, k, :] = values
-            scored.extend(zip(keys, values))
+            scored.append((key, values))
         if cache is not None:
             cache.put_many(scored)
         return []

@@ -1,5 +1,8 @@
 """Synthetic and remote scoring backends."""
 
+import gc
+import socket
+import warnings
 from collections import Counter
 
 import numpy as np
@@ -305,7 +308,41 @@ class TestRemoteBackend:
             for _ in range(5):
                 assert backend.score_batch(reqs) == expected
             assert len(stub.requests) == 5
+            backend.close()
         assert backend.retry_count == 0
+
+    def test_close_releases_every_threads_connection(self):
+        # A keep-alive server, so worker threads leave sockets open after score_all.
+        # Each score_all(jobs=3) runs its own threads; the next call reuses their
+        # connections instead of piling up more until close().
+        task = make_task(2)
+        prompts = [
+            Prompt(f"p{i}", PromptTemplate("{{text}}" + "?" * i),
+                   Verbalizer({lab: f"phrase {lab}" for lab in task.choices}))
+            for i in range(2)
+        ]
+        examples = make_examples(12)
+        reqs = requests_for(["p0"], ["e0"], ["0", "1"])
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            with StubScorer(drop_idle=True) as stub:
+                port = int(stub.url.split(":")[2].split("/")[0])
+                backend = RemoteBackend(endpoint=stub.url, model="m", max_batch_size=2)
+                backend.score_batch(reqs)
+                for _ in range(5):
+                    score_all(task, prompts, examples, backend, jobs=3)
+                    assert 1 <= open_client_sockets(port) <= 3
+                backend.close()
+                assert open_client_sockets(port) == 0
+                backend.score_batch(reqs)  # a request after close reconnects
+                backend.close()
+                backend.close()  # closing twice is harmless
+                assert open_client_sockets(port) == 0
+                assert len(stub.requests) == 1 + 5 * 12 + 1
+            del backend
+            gc.collect()
+        unclosed = [str(w.message) for w in caught if issubclass(w.category, ResourceWarning)]
+        assert unclosed == []
 
     def test_score_all_with_jobs_matches_serial_and_sends_each_item_once(self):
         task = make_task(3)
@@ -329,3 +366,16 @@ class TestRemoteBackend:
         assert len(sent[1]) == len(prompts) * len(examples)
         assert set(sent[1].values()) == {1}
         assert sent[1] == sent[0]
+
+
+def open_client_sockets(port: int) -> int:
+    """Open sockets of this process connected to ``port`` on the stub's host."""
+    gc.collect()
+    count = 0
+    for obj in gc.get_objects():
+        if isinstance(obj, socket.socket) and obj.fileno() != -1:
+            try:
+                count += obj.getpeername()[1] == port
+            except OSError:  # not connected, e.g. the listening socket
+                pass
+    return count

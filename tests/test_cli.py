@@ -10,7 +10,10 @@ from pathlib import Path
 import pytest
 
 import zps
+from zps import RemoteBackend
 from zps.cli import TOKEN_ENV, main
+
+from .helpers import StubScorer
 
 
 def test_import_loads_no_scipy():
@@ -298,6 +301,15 @@ class TestScore:
         assert main(self.score_args(workdir)) == 2
         assert "backend error" in capsys.readouterr().err
 
+    def test_older_cache_format_is_refused_not_rescored(self, workdir, capsys):
+        text = '{"key": "%s", "logprob": -1.0}\n' % ("0" * 64)
+        (workdir / "cache.jsonl").write_text(text, encoding="utf-8")
+        assert main(self.score_args(workdir)) == 2
+        err = capsys.readouterr().err
+        assert "older one-value-per-line format" in err
+        assert "delete or move" in err and "corrupt at line" not in err
+        assert (workdir / "cache.jsonl").read_text(encoding="utf-8") == text
+
 
 class TestRemoteErrors:
     def test_unreachable_endpoint_exits_two(self, workdir, capsys, monkeypatch):
@@ -317,6 +329,24 @@ class TestRemoteErrors:
         ]
         assert main(args) == 1
         assert "endpoint" in capsys.readouterr().err
+
+    def test_backend_is_closed_after_success_and_failure(self, workdir, monkeypatch):
+        monkeypatch.setattr("zps.backends.time.sleep", lambda s: None)
+        closed = []
+        close = RemoteBackend.close
+
+        def recorded(backend):
+            closed.append(backend.endpoint)
+            close(backend)
+
+        monkeypatch.setattr(RemoteBackend, "close", recorded)
+        dead = "http://127.0.0.1:1/score"
+        with StubScorer(drop_idle=True) as stub:
+            codes = [main(select_args(workdir) + ["--backend", "remote", "--endpoint", url,
+                                                  "--model", "m"])
+                     for url in (stub.url, dead)]
+        assert codes == [0, 2]
+        assert closed == [stub.url, dead]
 
     def test_remote_needs_endpoint_and_model(self, workdir, capsys):
         args = select_args(workdir) + ["--backend", "remote"]

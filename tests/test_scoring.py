@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 from scipy.special import log_softmax as scipy_log_softmax
 
+import zps.scoring
 from zps import (
+    CacheCorruptionError,
     PredictionMatrix,
     Prompt,
     PromptTemplate,
@@ -16,6 +18,8 @@ from zps import (
     SyntheticBackend,
     ValidationError,
     Verbalizer,
+    candidate_phrases,
+    make_cache_key,
     predict,
     score_all,
 )
@@ -179,6 +183,7 @@ class TestScoreAll:
         task, prompts, examples, backend, _ = synthetic_setup(p=3, n=5)
         with ScoreCache(tmp_path / "c.jsonl") as cache:
             first = score_all(task, prompts, examples, backend, cache)
+            assert (cache.hits, cache.misses) == (0, 3 * 5)
         fresh = SyntheticBackend(
             seed=backend.seed,
             prompt_quality=backend.prompt_quality,
@@ -186,7 +191,8 @@ class TestScoreAll:
         )
         with ScoreCache(tmp_path / "c.jsonl") as cache:
             second = score_all(task, prompts, examples, fresh, cache)
-            assert cache.hits == 3 * 5 * 2
+            # one lookup per cell
+            assert (cache.hits, cache.misses) == (3 * 5, 0)
         assert fresh.calls == 0
         assert np.array_equal(first.logprobs, second.logprobs)
 
@@ -204,13 +210,37 @@ class TestScoreAll:
         # 2 prompts x 2 new examples
         assert fresh.cells_scored == 4
 
+    def test_one_cache_key_per_cell(self, tmp_path, monkeypatch):
+        task, prompts, examples, backend, _ = synthetic_setup(p=3, n=5, c=3)
+        hashed = []
+
+        def counted(*args, **kwargs):
+            hashed.append(args)
+            return make_cache_key(*args, **kwargs)
+
+        monkeypatch.setattr(zps.scoring, "make_cache_key", counted)
+        for _ in range(2):  # cold, then warm
+            with ScoreCache(tmp_path / "c.jsonl") as cache:
+                score_all(task, prompts, examples, backend, cache)
+        assert len(hashed) == 2 * 3 * 5
+        assert all(len(args[2]) == 3 for args in hashed)  # every candidate in one key
+
+    def test_cached_cell_with_wrong_value_count_is_corruption(self, tmp_path):
+        task, prompts, examples, backend, _ = synthetic_setup(p=1, n=2, c=3)
+        key = make_cache_key(backend.model_id, "x1", candidate_phrases(task, prompts[0]),
+                             False, ("p00", "e0001"))
+        with ScoreCache(tmp_path / "c.jsonl") as cache:
+            cache.put(key, [-1.0, -2.0])
+            with pytest.raises(CacheCorruptionError, match="delete or move"):
+                score_all(task, prompts, examples, backend, cache)
+
     def test_cache_distinguishes_prompts_for_id_addressed_backend(self, tmp_path):
         # same rendered input for every prompt, but the synthetic backend is
         # keyed by ids, so each prompt's cells must be cached separately
         task, prompts, examples, backend, _ = synthetic_setup(p=2, n=2)
         with ScoreCache(tmp_path / "c.jsonl") as cache:
             tensor = score_all(task, prompts, examples, backend, cache, normalize="none")
-            assert len(cache) == 2 * 2 * 2
+            assert len(cache) == 2 * 2  # one entry per cell
         assert not np.array_equal(tensor.logprobs[0], tensor.logprobs[1])
 
     def test_failed_cells_reported_exactly(self):
@@ -255,7 +285,7 @@ class TestScoreAll:
             score_all(task, prompts, examples, backend, cache)
             assert backend.calls == 8  # 30 cells in chunks of 4
             assert handle.writes == handle.flushes == 8
-            assert len(cache) == 30 * 2
+            assert len(cache) == 30
 
     def test_parallel_jobs_write_the_same_cache(self, tmp_path):
         task = make_task(3)
@@ -274,7 +304,7 @@ class TestScoreAll:
             return path.read_text(encoding="utf-8").splitlines()
 
         serial, parallel = run(1), run(3)
-        assert len(serial) == 3 * 11 * 3
+        assert len(serial) == 3 * 11  # one line per cell
         assert sorted(parallel) == sorted(serial)
         with ScoreCache(tmp_path / "jobs1.jsonl") as a, \
                 ScoreCache(tmp_path / "jobs3.jsonl") as b:
@@ -294,9 +324,9 @@ class TestScoreAll:
         with ScoreCache(path) as cache:
             with pytest.raises(ScoringFailedError):
                 score_all(task, prompts, examples, backend, cache)
-        # the four good cells, from both chunks, two choices each
+        # the four good cells, from both chunks
         with ScoreCache(path) as cache:
-            assert len(cache) == 4 * 2
+            assert len(cache) == 4
 
     def test_length_norm_divides_by_token_count(self):
         task = make_task(2)
