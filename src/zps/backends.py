@@ -22,7 +22,6 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
-import math
 import threading
 import time
 from abc import ABC, abstractmethod
@@ -32,6 +31,7 @@ from http.client import HTTPConnection, HTTPException, HTTPSConnection
 from typing import Mapping, Sequence
 from urllib.parse import quote, urlsplit
 
+from .catalog import finite
 from .errors import BackendError, ProtocolError, ValidationError
 
 logger = logging.getLogger(__name__)
@@ -361,16 +361,13 @@ class RemoteBackend(ScorerBackend):
                     f"malformed scores for input of example {req.example_id!r}",
                     payload_excerpt=_excerpt(data),
                 )
-            values: list[float] = []
-            for value in scores:
-                if not isinstance(value, (int, float)) or isinstance(value, bool) \
-                        or not math.isfinite(value):
-                    raise ProtocolError(
-                        f"non-finite or non-numeric score {value!r} for example "
-                        f"{req.example_id!r}",
-                        payload_excerpt=_excerpt(data),
-                    )
-                values.append(float(value))
+            values = [finite(value) for value in scores]
+            if None in values:
+                raise ProtocolError(
+                    f"non-finite or non-numeric score {scores[values.index(None)]!r} "
+                    f"for example {req.example_id!r}",
+                    payload_excerpt=_excerpt(data),
+                )
             out.append(values)
         return out
 

@@ -23,12 +23,12 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
-import math
 import threading
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Iterable, Sequence
 
+from .catalog import finite
 from .errors import CacheCorruptionError, ValidationError
 
 logger = logging.getLogger(__name__)
@@ -189,20 +189,9 @@ def _checked(key: str, logprobs: Sequence[float]) -> tuple[float, ...]:
     if not isinstance(key, str):
         raise ValidationError(f"cache key must be a str, not {type(key).__name__}")
     if isinstance(logprobs, (list, tuple)) and logprobs:
-        values = tuple(map(_finite, logprobs))
+        values = tuple(map(finite, logprobs))
         if None not in values:
             return values
     raise ValidationError(f"cache values for {key!r} must be a non-empty list of finite "
                           f"numbers, not {logprobs!r}")
 
-
-def _finite(value) -> float | None:
-    """``value`` as a finite float, or None when it is not a finite int or float."""
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
-        try:
-            value = float(value)
-        except OverflowError:  # an int beyond the float range
-            return None
-        if math.isfinite(value):
-            return value
-    return None

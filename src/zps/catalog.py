@@ -4,18 +4,19 @@ A prompt is a pair of a template (text with ``{{name}}`` placeholders) and a
 verbalizer (label -> phrase map). Rendering fills an example's fields into
 the template; verbalizing maps a label id to the phrase the scorer will rate.
 
-Catalog files are JSON documents::
+The input-file section at the end reads and shape-checks every JSON file zps
+takes in. Catalog files are JSON documents (``?`` marks an optional key)::
 
     {
-      "task": {"task_id": ..., "fields": [...], "choices": [...],
-               "gold_label_field": ...},
-      "prompts": [{"prompt_id": ..., "template": ...,
-                   "verbalizer": {label: phrase, ...}}]
+      "task": {"task_id": label, "fields": [string, ...], "choices": [label, ...],
+               "gold_label_field"?: string},
+      "prompts": [{"prompt_id": label, "template": string,
+                   "verbalizer": {label: string, ...}}]
     }
 
 Example datasets are JSON Lines, one object per example::
 
-    {"example_id": ..., "fields": {...}, "gold_label": ...}
+    {"example_id": label, "fields": {name: value, ...}, "gold_label"?: label}
 
 All catalog types are immutable after load and safe to share across workers.
 Label ids are canonicalized to strings (JSON object keys are strings anyway,
@@ -25,10 +26,11 @@ so numeric labels like 0/1 become "0"/"1" everywhere).
 from __future__ import annotations
 
 import json
+import math
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Iterable, Mapping
+from typing import Any, Iterable, Iterator, Mapping
 
 from .errors import ValidationError
 
@@ -188,36 +190,88 @@ def candidate_phrases(task: TaskSpec, prompt: Prompt) -> tuple[str, ...]:
 
 
 # ---------------------------------------------------------------------------
-# catalog / dataset files
+# input files: one reader and one field check for every JSON file zps takes in.
+# Each failure is a ValidationError naming the file, the line of a JSON Lines
+# file, and the key. The score cache keeps its own line reader.
+
+# The kinds _is decides with one isinstance test; a label is anything canon_label
+# accepts.
+_TYPES = {"string": str, "label": (str, int, float), "list": list, "object": dict}
 
 
-def _parse_task(obj: Mapping[str, Any]) -> TaskSpec:
+def read_text(path: str | Path) -> str:
+    """The file's bytes, read once and decoded as UTF-8."""
     try:
-        return TaskSpec(
-            task_id=str(obj["task_id"]),
-            field_schema=tuple(str(f) for f in obj["fields"]),
-            choices=tuple(canon_label(c) for c in obj["choices"]),
-            gold_label_field=obj.get("gold_label_field"),
-        )
-    except KeyError as exc:
-        raise ValidationError(f"catalog task section misses key {exc}") from None
+        return Path(path).read_bytes().decode("utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ValidationError(f"cannot read {path}: {exc}") from None
 
 
-def _parse_prompt(obj: Mapping[str, Any]) -> Prompt:
+def _parse(text: str, where: str) -> Any:
     try:
-        prompt_id = str(obj["prompt_id"])
-    except KeyError:
-        raise ValidationError("prompt entry without prompt_id") from None
-    try:
-        return Prompt(
-            prompt_id=prompt_id,
-            template=PromptTemplate(str(obj["template"])),
-            verbalizer=Verbalizer(dict(obj["verbalizer"])),
-        )
-    except KeyError as exc:
-        raise ValidationError(f"prompt {prompt_id!r} misses key {exc}") from None
-    except ValidationError as exc:
-        raise ValidationError(f"prompt {prompt_id!r}: {exc}") from None
+        return json.loads(text)
+    except (ValueError, RecursionError) as exc:  # too many digits, too deeply nested
+        raise ValidationError(f"{where}: invalid JSON: {exc}") from None
+
+
+def read_json(path: str | Path) -> Any:
+    return _parse(read_text(path), str(path))
+
+
+def read_jsonl(path: str | Path) -> Iterator[tuple[str, Any]]:
+    """``("path:line", value)`` for each non-blank line of a JSON Lines file."""
+    for lineno, line in enumerate(read_text(path).splitlines(), start=1):
+        if line.strip():
+            where = f"{path}:{lineno}"
+            yield where, _parse(line, where)
+
+
+def check_fields(obj: Any, where: str, required: Mapping[str, str],
+                 optional: Mapping[str, str] | None = None) -> dict:
+    """``obj``, checked to be an object whose keys hold values of the given kinds.
+
+    A kind is ``string``, ``number`` (a finite int or float, not a bool), ``label``,
+    ``list``, ``object``, or ``list of K`` / ``object of K`` for one whose every
+    element or value is of kind K. An absent or null optional key passes.
+    """
+    if not isinstance(obj, dict):
+        raise ValidationError(f"{where}: expected an object, got {obj!r:.40}")
+    for key, kind in required.items():
+        if key not in obj:
+            raise ValidationError(
+                f"{where}: missing key {key!r} (expected keys {sorted(required)})")
+        _check(obj[key], kind, where, key)
+    for key, kind in (optional or {}).items():
+        if obj.get(key) is not None:
+            _check(obj[key], kind, where, key)
+    return obj
+
+
+def _check(value: Any, kind: str, where: str, key: str) -> None:
+    container, _, element = kind.partition(" of ")
+    if not _is(value, container):
+        raise ValidationError(f"{where}: malformed {key!r}: expected {kind}, got {value!r:.40}")
+    if element:
+        for at, item in value.items() if container == "object" else enumerate(value):
+            if not _is(item, element):
+                raise ValidationError(f"{where}: malformed {key!r}: expected {kind}, "
+                                      f"got {item!r:.40} at {at!r}")
+
+
+def _is(value: Any, kind: str) -> bool:
+    return finite(value) is not None if kind == "number" else isinstance(value, _TYPES[kind])
+
+
+def finite(value: Any) -> float | None:
+    """``value`` as a finite float, or None when it is not a finite int or float
+    (a bool is not a number, nor is an int beyond the float range)."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            value = float(value)
+        except OverflowError:
+            return None
+        return value if math.isfinite(value) else None
+    return None
 
 
 def load_catalog(path: str | Path) -> tuple[TaskSpec, list[Prompt]]:
@@ -227,28 +281,33 @@ def load_catalog(path: str | Path) -> tuple[TaskSpec, list[Prompt]]:
     coverage, verbalizer totality and injectivity, unique ids) is checked
     here so downstream code can trust the objects.
     """
-    path = Path(path)
-    try:
-        doc = json.loads(path.read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise ValidationError(f"cannot read catalog {path}: {exc}") from None
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"catalog {path} is not valid JSON: {exc}") from None
-    if not isinstance(doc, dict) or "task" not in doc or "prompts" not in doc:
-        raise ValidationError(f"catalog {path} must have 'task' and 'prompts' sections")
-
-    task = _parse_task(doc["task"])
-    prompts = [_parse_prompt(p) for p in doc["prompts"]]
+    doc = check_fields(read_json(path), str(path), {"task": "object", "prompts": "list"})
+    spec = check_fields(
+        doc["task"], f"{path}: task",
+        {"task_id": "label", "fields": "list of string", "choices": "list of label"},
+        {"gold_label_field": "string"})
+    task = TaskSpec(
+        task_id=str(spec["task_id"]),
+        field_schema=tuple(spec["fields"]),
+        choices=tuple(map(canon_label, spec["choices"])),
+        gold_label_field=spec.get("gold_label_field"),
+    )
+    prompts: dict[str, Prompt] = {}
+    for k, entry in enumerate(doc["prompts"]):
+        check_fields(entry, f"{path}: prompts[{k}]", {
+            "prompt_id": "label", "template": "string", "verbalizer": "object of string"})
+        prompt_id = str(entry["prompt_id"])
+        if prompt_id in prompts:
+            raise ValidationError(f"duplicate prompt_id {prompt_id!r}")
+        try:
+            verbalizer = Verbalizer(entry["verbalizer"])
+        except ValidationError as exc:
+            raise ValidationError(f"prompt {prompt_id!r}: {exc}") from None
+        prompts[prompt_id] = Prompt(prompt_id, PromptTemplate(entry["template"]), verbalizer)
+        validate_prompt(task, prompts[prompt_id])
     if not prompts:
         raise ValidationError(f"catalog {path} contains no prompts")
-
-    seen: set[str] = set()
-    for prompt in prompts:
-        if prompt.prompt_id in seen:
-            raise ValidationError(f"duplicate prompt_id {prompt.prompt_id!r}")
-        seen.add(prompt.prompt_id)
-        validate_prompt(task, prompt)
-    return task, prompts
+    return task, list(prompts.values())
 
 
 def serialize_catalog(task: TaskSpec, prompts: Iterable[Prompt]) -> str:
@@ -276,44 +335,35 @@ def serialize_catalog(task: TaskSpec, prompts: Iterable[Prompt]) -> str:
     return json.dumps(doc, ensure_ascii=False, sort_keys=True, indent=2) + "\n"
 
 
+_EXAMPLE_KEYS = {"example_id": "label", "fields": "object"}
+_EXAMPLE_GOLD = {"gold_label": "label"}
+
+
 def load_examples(path: str | Path, task: TaskSpec | None = None) -> list[UnlabeledExample]:
     """Load a JSON Lines example file.
 
     Gold labels come from an explicit ``gold_label`` key, or, when the task
     declares ``gold_label_field``, from that field of the example.
     """
-    path = Path(path)
-    try:
-        lines = path.read_text(encoding="utf-8").splitlines()
-    except OSError as exc:
-        raise ValidationError(f"cannot read examples {path}: {exc}") from None
-
-    examples: list[UnlabeledExample] = []
-    seen: set[str] = set()
-    for lineno, line in enumerate(lines, start=1):
-        if not line.strip():
-            continue
-        try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise ValidationError(f"{path}:{lineno}: not valid JSON: {exc}") from None
-        try:
-            example_id = str(obj["example_id"])
-            fields = {str(k): str(v) for k, v in obj["fields"].items()}
-        except (KeyError, AttributeError, TypeError):
-            raise ValidationError(
-                f"{path}:{lineno}: example needs 'example_id' and 'fields'"
-            ) from None
+    gold_field = task.gold_label_field if task is not None else None
+    examples: dict[str, UnlabeledExample] = {}
+    for where, obj in read_jsonl(path):
+        check_fields(obj, where, _EXAMPLE_KEYS, _EXAMPLE_GOLD)
+        example_id = str(obj["example_id"])
+        fields = obj["fields"]
         gold = obj.get("gold_label")
-        if gold is None and task is not None and task.gold_label_field:
-            gold = obj["fields"].get(task.gold_label_field)
-        if example_id in seen:
-            raise ValidationError(f"{path}:{lineno}: duplicate example_id {example_id!r}")
-        seen.add(example_id)
-        examples.append(UnlabeledExample(example_id=example_id, fields=fields, gold_label=gold))
+        if gold is None and gold_field:
+            gold = check_fields(fields, where, {}, {gold_field: "label"}).get(gold_field)
+        if example_id in examples:
+            raise ValidationError(f"{where}: duplicate example_id {example_id!r}")
+        examples[example_id] = UnlabeledExample(
+            example_id=example_id,
+            fields={k: str(v) for k, v in fields.items()},
+            gold_label=gold,
+        )
     if not examples:
         raise ValidationError(f"examples file {path} is empty")
-    return examples
+    return list(examples.values())
 
 
 def gold_label_map(examples: Iterable[UnlabeledExample]) -> dict[str, str]:

@@ -6,7 +6,9 @@ to a presence flag), content hashes of the input files, and the seed, and is
 written via a temp file plus atomic rename so failed runs leave no partial
 output behind.
 
-Exit codes: 0 success, 1 bad input, 2 backend or cache trouble, 3 internal
+Exit codes: 0 success, 1 bad input (including an unreadable or malformed
+input file) and any other OSError, such as an unusable --cache or --out
+path, a full disk or a closed stdout; 2 backend or cache trouble; 3 internal
 error. Auth tokens are read from the ZPS_API_TOKEN environment variable
 only, never from flags.
 """
@@ -23,7 +25,8 @@ from pathlib import Path
 
 from .backends import RemoteBackend, ScorerBackend, SyntheticBackend, derived_profile
 from .cache import ScoreCache
-from .catalog import canon_label, gold_label_map, load_catalog, load_examples
+from .catalog import (canon_label, check_fields, gold_label_map, load_catalog, load_examples,
+                      read_json, read_text)
 from .errors import BackendError, CacheCorruptionError, ValidationError, ZpsError
 from .evalsim import (
     compare_strategies,
@@ -47,44 +50,24 @@ from .selection import STRATEGIES, EnsembleConfig, select
 TOKEN_ENV = "ZPS_API_TOKEN"
 
 
-# (argparse attribute, config key): the options an artifact's "config" block
-# records. An option the subcommand lacks, or left unset, is omitted;
-# --length-norm on/off is recorded as a bool.
-_CONFIG_FIELDS = (
-    ("catalog", "catalog"), ("examples", "examples"), ("backend", "backend"),
-    ("endpoint", "endpoint"), ("model", "model"), ("cache", "cache"),
-    ("strategy", "strategy"), ("normalize", "normalize"),
-    ("length_norm", "length_norm"), ("no_filter", "no_filter"),
-    ("score_all_prompts", "score_all_prompts"), ("jobs", "jobs"), ("size", "size"),
-    ("spec", "spec_path"), ("checkpoints", "checkpoints"),
-    ("pseudo_val", "pseudo_val"), ("synthetic_profile", "synthetic_profile"),
-    ("out", "out"),
-)
 # Options whose input file is content-hashed into the config block.
 _HASHED_INPUTS = ("catalog", "examples", "synthetic_profile", "spec", "checkpoints",
                   "pseudo_val")
 
 
-def _hash_file(path: str | Path) -> str:
-    try:
-        return hashlib.sha256(Path(path).read_bytes()).hexdigest()
-    except OSError as exc:
-        raise ValidationError(f"cannot read {path}: {exc}") from None
-
-
 def _run_config(args: argparse.Namespace) -> dict:
-    """Everything needed to audit a run, minus the secret itself."""
+    """Everything needed to audit a run, minus the secret itself: every option
+    set, by its argparse name (``--spec`` as ``spec_path``)."""
     config = {
-        "command": args.command,
-        "seed": args.seed,
         "api_token_present": TOKEN_ENV in os.environ,
-        "input_hashes": {name: _hash_file(getattr(args, name))
-                         for name in _HASHED_INPUTS if getattr(args, name, None)},
+        # Decoding as UTF-8 and encoding back gives each file's bytes unchanged.
+        "input_hashes": {name: hashlib.sha256(read_text(path).encode("utf-8")).hexdigest()
+                         for name in _HASHED_INPUTS if (path := getattr(args, name, None))},
     }
-    for attr, key in _CONFIG_FIELDS:
-        value = getattr(args, attr, None)
-        if value is not None:
-            config[key] = value == "on" if attr == "length_norm" else value
+    for name, value in vars(args).items():
+        if value is not None and name != "func":
+            key = "spec_path" if name == "spec" else name
+            config[key] = value == "on" if name == "length_norm" else value
     return config
 
 
@@ -108,20 +91,6 @@ def _dump(doc: dict) -> str:
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
-def _load_synthetic_profile(path: str) -> dict:
-    try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise ValidationError(f"cannot read profile {path}: {exc}") from None
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"profile {path} is not valid JSON: {exc}") from None
-    if not isinstance(doc, dict) or "qualities" not in doc or "planted_labels" not in doc:
-        raise ValidationError(
-            f"profile {path} must be an object with 'qualities' and 'planted_labels'"
-        )
-    return doc
-
-
 def _make_backend(args: argparse.Namespace, task, prompts, examples) -> ScorerBackend:
     if args.backend == "remote":
         if not args.endpoint or not args.model:
@@ -138,15 +107,16 @@ def _make_backend(args: argparse.Namespace, task, prompts, examples) -> ScorerBa
     prompt_ids = [p.prompt_id for p in prompts]
     example_ids = [e.example_id for e in examples]
     if args.synthetic_profile:
-        doc = _load_synthetic_profile(args.synthetic_profile)
-        qualities = {str(k): float(v) for k, v in doc["qualities"].items()}
-        planted = {str(k): canon_label(v) for k, v in doc["planted_labels"].items()}
+        doc = check_fields(read_json(args.synthetic_profile), args.synthetic_profile,
+                           {"qualities": "object of number", "planted_labels": "object of label"},
+                           {"default_quality": "number", "miss_margin_scale": "number"})
+        scale = doc.get("miss_margin_scale")
         return SyntheticBackend(
             seed=args.seed,
-            prompt_quality=qualities,
-            planted_labels=planted,
+            prompt_quality={k: float(v) for k, v in doc["qualities"].items()},
+            planted_labels={k: canon_label(v) for k, v in doc["planted_labels"].items()},
             default_quality=doc.get("default_quality"),
-            miss_margin_scale=float(doc.get("miss_margin_scale", 0.35)),
+            miss_margin_scale=0.35 if scale is None else float(scale),
         )
     qualities, planted = derived_profile(
         args.seed, prompt_ids, example_ids, task.choices
@@ -394,6 +364,9 @@ def main(argv: list[str] | None = None) -> int:
     except ZpsError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 3
+    except OSError as exc:  # --cache/--out paths, a full disk, a closed stdout
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     except Exception as exc:  # noqa: BLE001 - last-resort exit-code mapping
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3

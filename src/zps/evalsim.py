@@ -11,7 +11,6 @@ is what matters, not the mechanism of badness.
 
 from __future__ import annotations
 
-import json
 import statistics
 from dataclasses import dataclass, field
 from itertools import product
@@ -21,7 +20,8 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .backends import SyntheticBackend
-from .catalog import Prompt, PromptTemplate, TaskSpec, UnlabeledExample, Verbalizer
+from .catalog import (Prompt, PromptTemplate, TaskSpec, UnlabeledExample, Verbalizer,
+                      check_fields, read_json)
 from .errors import ValidationError
 from .scoring import PredictionMatrix, ScoreTensor, label_indices, predict, score_all
 from .selection import STRATEGIES, EnsembleConfig, SelectionReport, pseudo_accuracy, select
@@ -136,6 +136,12 @@ def evaluate(
     )
 
 
+def _whole(name: str, value) -> int:
+    if int(value) != value:
+        raise ValidationError(f"{name} must be whole numbers, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class RobustnessSpec:
     """Synthetic population for the adversarial-prompt simulations."""
@@ -152,7 +158,9 @@ class RobustnessSpec:
         object.__setattr__(self, "base_qualities", tuple(float(q) for q in self.base_qualities))
         object.__setattr__(self, "adversarial_quality", tuple(float(q) for q in self.adversarial_quality))
         object.__setattr__(self, "ratios", tuple(float(r) for r in self.ratios))
-        object.__setattr__(self, "seeds", tuple(int(s) for s in self.seeds))
+        object.__setattr__(self, "seeds", tuple(_whole("seeds", s) for s in self.seeds))
+        object.__setattr__(self, "n_examples", _whole("n_examples", self.n_examples))
+        object.__setattr__(self, "choices", _whole("choices", self.choices))
         if not self.base_qualities:
             raise ValidationError("base_qualities must not be empty")
         if any(not 0.0 <= q <= 1.0 for q in self.base_qualities):
@@ -196,36 +204,20 @@ def default_robustness_spec() -> RobustnessSpec:
     )
 
 
+_SPEC_KEYS = {"base_qualities": "list of number", "adversarial_quality": "list of number",
+              "ratios": "list of number", "seeds": "list of number", "n_examples": "number"}
+_SPEC_OPTIONAL = {"strategy": "string", "choices": "number"}
+
+
 def load_robustness_spec(path: str | Path) -> RobustnessSpec:
-    path = Path(path)
-    try:
-        doc = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"{path}: invalid JSON: {exc}") from None
-    if not isinstance(doc, dict):
-        raise ValidationError(f"{path}: spec must be a JSON object")
-    allowed = {
-        "base_qualities", "adversarial_quality", "ratios", "seeds",
-        "n_examples", "strategy", "choices",
-    }
-    unknown = set(doc) - allowed
+    doc = check_fields(read_json(path), str(path), {})
+    unknown = doc.keys() - _SPEC_KEYS.keys() - _SPEC_OPTIONAL.keys()
     if unknown:
         raise ValidationError(f"{path}: unknown spec fields {sorted(unknown)}")
-    required = {"base_qualities", "adversarial_quality", "ratios", "seeds", "n_examples"}
-    absent = required - set(doc)
-    if absent:
-        raise ValidationError(f"{path}: missing spec fields {sorted(absent)}")
+    check_fields(doc, str(path), _SPEC_KEYS, _SPEC_OPTIONAL)
     try:
-        return RobustnessSpec(
-            base_qualities=tuple(doc["base_qualities"]),
-            adversarial_quality=tuple(doc["adversarial_quality"]),
-            ratios=tuple(doc["ratios"]),
-            seeds=tuple(doc["seeds"]),
-            n_examples=int(doc["n_examples"]),
-            strategy=doc.get("strategy", "logprob_mean"),
-            choices=int(doc.get("choices", 2)),
-        )
-    except (TypeError, ValueError) as exc:
+        return RobustnessSpec(**{key: value for key, value in doc.items() if value is not None})
+    except (ValueError, ValidationError) as exc:  # ValueError: adversarial_quality not a pair
         raise ValidationError(f"{path}: malformed spec: {exc}") from None
 
 

@@ -17,7 +17,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .catalog import canon_label
+from .catalog import canon_label, check_fields, read_jsonl
 from .errors import ValidationError
 from .scoring import PredictionMatrix, ScoreTensor, label_indices, top2_gap
 from .selection import EnsembleConfig, ensemble_vote, pseudo_accuracy
@@ -72,23 +72,12 @@ class PseudoLabeledSet:
 
 
 def load_pseudo_labeled(path: str | Path) -> PseudoLabeledSet:
-    path = Path(path)
+    """Read a pseudo-val JSON Lines file as written by ``PseudoLabeledSet.save``."""
     entries = []
-    for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
-        if not line.strip():
-            continue
-        try:
-            row = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise ValidationError(f"{path}:{lineno}: invalid JSON: {exc}") from None
-        if not isinstance(row, dict) or not {"example_id", "label", "gap"} <= row.keys():
-            raise ValidationError(
-                f"{path}:{lineno}: expected keys example_id, label, gap"
-            )
-        if not isinstance(row["gap"], (int, float)) or isinstance(row["gap"], bool):
-            raise ValidationError(f"{path}:{lineno}: gap must be a number")
+    for where, row in read_jsonl(path):
+        check_fields(row, where, {"example_id": "label", "label": "label", "gap": "number"})
         entries.append((str(row["example_id"]), canon_label(row["label"]), float(row["gap"])))
-    return PseudoLabeledSet(entries=tuple(entries), provenance=f"file:{path.name}")
+    return PseudoLabeledSet(entries=tuple(entries), provenance=f"file:{Path(path).name}")
 
 
 def _ranked_entries(
@@ -160,20 +149,12 @@ def load_checkpoint_predictions(
     Checkpoints appear in file order (assumed to be training order). Every
     checkpoint must cover the identical example list in identical order.
     """
-    path = Path(path)
     choices = tuple(canon_label(c) for c in choices)
     # checkpoint -> prompt -> [(example_id, predicted label)]
     rows: dict[str, dict[str, list[tuple[str, str]]]] = {}
-    for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
-        if not line.strip():
-            continue
-        try:
-            row = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise ValidationError(f"{path}:{lineno}: invalid JSON: {exc}") from None
-        needed = {"checkpoint_id", "prompt_id", "example_id", "pred"}
-        if not isinstance(row, dict) or not needed <= row.keys():
-            raise ValidationError(f"{path}:{lineno}: expected keys {sorted(needed)}")
+    for where, row in read_jsonl(path):
+        check_fields(row, where, dict.fromkeys(
+            ("checkpoint_id", "prompt_id", "example_id", "pred"), "label"))
         ckpt = str(row["checkpoint_id"])
         prompt = str(row["prompt_id"])
         per_prompt = rows.setdefault(ckpt, {}).setdefault(prompt, [])

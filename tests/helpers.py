@@ -176,3 +176,73 @@ class StubScorer:
     def __exit__(self, *exc):
         self._server.shutdown()
         self._server.server_close()
+
+
+# Input files: one valid document per file kind, and the malformed variants every
+# loader must reject with a ValidationError naming the file (and, for JSON Lines,
+# the line). A JSON Lines variant is written as line 2, after a valid line 1.
+# "wrong-container" puts a string where a list, an object or a number belongs,
+# or a list where a string belongs; no loader may iterate or convert it.
+GOOD_CATALOG = {
+    "task": {"task_id": "t", "fields": ["text"], "choices": ["0", "1"]},
+    "prompts": [{"prompt_id": "p", "template": "{{text}}",
+                 "verbalizer": {"0": "no", "1": "yes"}}],
+}
+GOOD_SPEC = {"base_qualities": [0.7, 0.8], "adversarial_quality": [0.4, 0.5],
+             "ratios": [0.5], "seeds": [0], "n_examples": 10}
+INPUT_FILES = {
+    # kind: (JSON Lines?, valid document or line, {case: malformed document or line})
+    "catalog": (False, GOOD_CATALOG, {
+        "top-level": [GOOD_CATALOG],
+        "field-kind": {**GOOD_CATALOG, "prompts": 5},
+        "wrong-container": {**GOOD_CATALOG, "task": {**GOOD_CATALOG["task"], "choices": "01"}},
+    }),
+    "examples": (True, {"example_id": "e0", "fields": {"text": "a"}}, {
+        "top-level": ["e1"],
+        "field-kind": {"example_id": "e1", "fields": {"text": "b"}, "gold_label": [1]},
+        "wrong-container": {"example_id": "e1", "fields": "text"},
+    }),
+    "pseudo_val": (True, {"example_id": "e0", "label": "0", "gap": 0.5}, {
+        "top-level": 0.5,
+        "field-kind": {"example_id": "e1", "label": {"0": 1}, "gap": 0.5},
+        "wrong-container": {"example_id": "e1", "label": "0", "gap": "0.5"},
+    }),
+    "checkpoints": (True, {"checkpoint_id": "c", "prompt_id": "p", "example_id": "e0",
+                           "pred": "0"}, {
+        "top-level": "c",
+        "field-kind": {"checkpoint_id": "c", "prompt_id": "p", "example_id": "e1",
+                       "pred": None},
+        "wrong-container": {"checkpoint_id": ["c"], "prompt_id": "p", "example_id": "e1",
+                           "pred": "0"},
+    }),
+    "profile": (False, {"qualities": {"p": 0.9}, "planted_labels": {"e0": "0"}}, {
+        "top-level": "profile",
+        "field-kind": {"qualities": {"p": "0.9"}, "planted_labels": {"e0": "0"}},
+        "wrong-container": {"qualities": "p", "planted_labels": {"e0": "0"}},
+    }),
+    "spec": (False, GOOD_SPEC, {
+        "top-level": 5,
+        "field-kind": {**GOOD_SPEC, "n_examples": True},
+        "wrong-container": {**GOOD_SPEC, "seeds": "12"},
+    }),
+}
+BAD_INPUT_CASES = ("missing", "directory", "non-utf8", "invalid-json", "top-level",
+                   "field-kind", "wrong-container")
+
+
+def write_bad_input(path, kind, case):
+    """Write the malformed ``kind`` file for ``case`` at ``path``; returns the
+    location its error must name: the path, plus ``:2`` for a JSON Lines line."""
+    lines, good, variants = INPUT_FILES[kind]
+    if case == "missing":
+        return str(path)
+    if case == "directory":
+        path.mkdir()
+        return str(path)
+    head = json.dumps(good) + "\n" if lines else ""
+    if case == "non-utf8":
+        path.write_bytes(head.encode() + b'{"text": "caf\xe9"}\n')
+        return str(path)
+    bad = "{not json" if case == "invalid-json" else json.dumps(variants[case])
+    path.write_text(head + bad + "\n", encoding="utf-8")
+    return f"{path}:2" if lines else str(path)

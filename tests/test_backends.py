@@ -260,6 +260,7 @@ class TestRemoteBackend:
             {"results": [{"scores": [True, -1.0]}, {"scores": [-1.0, -2.0]}]},
             {"results": [0.5, {"scores": [-1.0, -2.0]}]},
             [{"scores": [-1.0, -2.0]}, {"scores": [-1.0, -2.0]}],
+            {"results": [{"scores": [10**400, -1.0]}, {"scores": [-1.0, -2.0]}]},
         ],
     )
     def test_malformed_payloads_raise_protocol_error(self, body):

@@ -1,5 +1,6 @@
-"""Tasks, templates, verbalizers and the catalog/examples file formats."""
+"""Tasks, templates, verbalizers and the input file formats."""
 
+import argparse
 import json
 import re
 
@@ -24,6 +25,11 @@ from zps import (
     validate_prompt,
     verbalize,
 )
+from zps import cli
+from zps.evalsim import load_robustness_spec
+from zps.fewshot import load_checkpoint_predictions, load_pseudo_labeled
+
+from .helpers import BAD_INPUT_CASES, GOOD_CATALOG, GOOD_SPEC, INPUT_FILES, write_bad_input
 
 REVIEW_TEMPLATE = (
     "Based on this review, would the user recommend this product? "
@@ -168,7 +174,7 @@ def test_load_catalog_rejects_duplicates_and_junk(tmp_path):
         load_catalog(path)
 
     path.write_text("{not json", encoding="utf-8")
-    with pytest.raises(ValidationError, match="not valid JSON"):
+    with pytest.raises(ValidationError, match="invalid JSON"):
         load_catalog(path)
 
     with pytest.raises(ValidationError):
@@ -293,3 +299,66 @@ def test_render_matches_regex_oracle(pieces, values):
     else:
         assert render(prompt, example) == expected
     assert prompt.template.placeholders() == oracle_names(prompt.template.template_text)
+
+
+def load_profile(path):
+    args = argparse.Namespace(backend="synthetic", synthetic_profile=str(path), seed=0)
+    return cli._make_backend(args, None, [], [])
+
+
+LOADERS = {
+    "catalog": load_catalog,
+    "examples": load_examples,
+    "pseudo_val": load_pseudo_labeled,
+    "checkpoints": lambda path: load_checkpoint_predictions(path, ["0", "1"]),
+    "profile": load_profile,
+    "spec": load_robustness_spec,
+}
+
+
+@pytest.mark.parametrize("kind", sorted(INPUT_FILES))
+def test_every_loader_reads_its_valid_file(tmp_path, kind):
+    lines, good, _ = INPUT_FILES[kind]
+    path = tmp_path / "input"
+    path.write_text(json.dumps(good) + ("\n" if lines else ""), encoding="utf-8")
+    assert LOADERS[kind](path)
+
+
+@pytest.mark.parametrize("case", BAD_INPUT_CASES)
+@pytest.mark.parametrize("kind", sorted(INPUT_FILES))
+def test_every_loader_names_the_file_of_bad_input(tmp_path, kind, case):
+    path = tmp_path / "input"
+    where = write_bad_input(path, kind, case)
+    with pytest.raises(ValidationError) as excinfo:
+        LOADERS[kind](path)
+    assert where in str(excinfo.value)
+
+
+GOOD_PROMPT = GOOD_CATALOG["prompts"][0]
+GOOD_PROFILE = INPUT_FILES["profile"][1]
+
+
+@pytest.mark.parametrize(
+    "kind,doc,match",
+    [
+        ("catalog", {**GOOD_CATALOG, "prompts": ["p"]}, r"prompts\[0\]: expected an object"),
+        ("catalog", {**GOOD_CATALOG, "task": []}, "malformed 'task'"),
+        ("catalog", {**GOOD_CATALOG, "prompts": [{**GOOD_PROMPT, "verbalizer": 5}]},
+         "malformed 'verbalizer'"),
+        ("catalog",
+         {**GOOD_CATALOG, "prompts": [{**GOOD_PROMPT, "verbalizer": {"0": "n", "1": 1}}]},
+         "expected object of string, got 1 at '1'"),
+        ("profile", {**GOOD_PROFILE, "qualities": 5}, "malformed 'qualities'"),
+        ("profile", {**GOOD_PROFILE, "miss_margin_scale": "x"}, "malformed 'miss_margin_scale'"),
+        ("profile", {**GOOD_PROFILE, "planted_labels": {"e0": None}}, "at 'e0'"),
+        ("spec", {**GOOD_SPEC, "ratios": "0"}, "malformed 'ratios'"),
+        ("spec", {**GOOD_SPEC, "seeds": [0, 1e400]}, "got inf at 1"),
+        ("spec", {**GOOD_SPEC, "seeds": [0.5]}, "seeds must be whole numbers, got 0.5"),
+    ],
+)
+def test_shape_errors_name_file_and_key(tmp_path, kind, doc, match):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    with pytest.raises(ValidationError, match=match) as excinfo:
+        LOADERS[kind](path)
+    assert str(path) in str(excinfo.value)

@@ -13,7 +13,7 @@ import zps
 from zps import RemoteBackend
 from zps.cli import TOKEN_ENV, main
 
-from .helpers import StubScorer
+from .helpers import BAD_INPUT_CASES, INPUT_FILES, StubScorer, write_bad_input
 
 
 def test_import_loads_no_scipy():
@@ -136,6 +136,14 @@ class TestSelect:
         args[args.index("--catalog") + 1] = str(workdir / "nope.json")
         assert main(args) == 1
         assert "error:" in capsys.readouterr().err
+
+    def test_out_path_that_is_a_directory_is_input_error(self, workdir, capsys):
+        args = select_args(workdir)
+        args[args.index("--out") + 1] = str(workdir)
+        assert main(args) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and str(workdir) in err
+        assert list(workdir.parent.glob(f".{workdir.name}.*")) == []
 
     def test_unknown_flag_is_input_error(self, workdir, capsys):
         assert main(select_args(workdir, "--frobnicate")) == 1
@@ -296,6 +304,13 @@ class TestScore:
         assert main(args) == 1
         assert "--cache" in capsys.readouterr().err
 
+    def test_cache_path_that_is_a_directory_is_input_error(self, workdir, capsys):
+        args = self.score_args(workdir)
+        args[args.index("--cache") + 1] = str(workdir)
+        assert main(args) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and str(workdir) in err
+
     def test_corrupt_cache_is_backend_trouble(self, workdir, capsys):
         (workdir / "cache.jsonl").write_text("garbage\n", encoding="utf-8")
         assert main(self.score_args(workdir)) == 2
@@ -403,6 +418,30 @@ class TestSimulate:
         path.write_text('{"base_qualities": [0.7], "surprise": true}', encoding="utf-8")
         assert main(["simulate", "--spec", str(path)]) == 1
         assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("case", BAD_INPUT_CASES)
+@pytest.mark.parametrize("kind", sorted(INPUT_FILES))
+def test_bad_input_file_exits_one_naming_it(workdir, capsys, kind, case):
+    for name, good in (("ckpts.jsonl", "checkpoints"), ("pv.jsonl", "pseudo_val")):
+        (workdir / name).write_text(json.dumps(INPUT_FILES[good][1]) + "\n", encoding="utf-8")
+    bad = workdir / "bad_input"
+    where = write_bad_input(bad, kind, case)
+    flag = {"catalog": "--catalog", "examples": "--examples", "profile": "--synthetic-profile",
+            "checkpoints": "--checkpoints", "pseudo_val": "--pseudo-val", "spec": "--spec"}[kind]
+    if kind == "spec":
+        args = ["simulate", "--spec", str(bad)]
+    elif kind in ("checkpoints", "pseudo_val"):
+        args = ["select-checkpoint", "--catalog", str(workdir / "catalog.json"),
+                "--checkpoints", str(workdir / "ckpts.jsonl"),
+                "--pseudo-val", str(workdir / "pv.jsonl")]
+        args[args.index(flag) + 1] = str(bad)
+    else:
+        args = select_args(workdir)
+        args[args.index(flag) + 1] = str(bad)
+    assert main(args) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and where in err
 
 
 def test_readme_simulation_example_matches_output(capsys):

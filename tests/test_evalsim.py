@@ -262,6 +262,17 @@ class TestLoadRobustnessSpec:
         spec = load_robustness_spec(path)
         assert spec.strategy == "majority_vote" and spec.choices == 3
 
+    def test_null_optional_keys_take_defaults(self, tmp_path):
+        path = tmp_path / "spec.json"
+        doc = {"base_qualities": [0.7, 0.8], "adversarial_quality": [0.4, 0.5],
+               "ratios": [0.5], "seeds": [0.0], "n_examples": 25.0,
+               "strategy": None, "choices": None}
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        spec = load_robustness_spec(path)
+        assert spec.strategy == "logprob_mean" and spec.choices == 2
+        assert spec.seeds == (0,) and spec.n_examples == 25
+        assert type(spec.n_examples) is int
+
     @pytest.mark.parametrize(
         "doc,match",
         [
