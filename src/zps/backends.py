@@ -28,8 +28,10 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from functools import partial
 from http.client import HTTPConnection, HTTPException, HTTPSConnection
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 from urllib.parse import quote, urlsplit
+
+import numpy as np
 
 from .catalog import finite
 from .errors import BackendError, ProtocolError, ValidationError
@@ -88,10 +90,27 @@ class ScorerBackend(ABC):
         """Release held resources such as connections; the default holds none."""
 
 
-def _hash01(*parts: str) -> float:
-    """Deterministic uniform float in [0, 1) from string parts."""
-    digest = hashlib.sha256("\x1f".join(parts).encode("utf-8")).digest()
-    return int.from_bytes(digest[:8], "big") / 2**64
+# Every synthetic draw hashes "<seed>\x1f<tag>\x1f<id>[\x1f<id>...]"; ids may not
+# contain the separator, so no two draws hash the same text.
+_SEP = "\x1f"
+
+
+def _uniforms(prefix: str, tails: Sequence[bytes]) -> np.ndarray:
+    """One uniform float in [0, 1) per tail: the first 8 bytes of
+    sha256(prefix + tail), read big-endian, over 2**64 (correctly rounded)."""
+    seeded = hashlib.sha256(prefix.encode("utf-8"))
+    digests = []
+    for tail in tails:
+        h = seeded.copy()  # cheaper than hashing the prefix again
+        h.update(tail)
+        digests.append(h.digest())
+    return np.frombuffer(b"".join(digests), ">u8")[::4] / 2.0**64
+
+
+def _check_ids(kind: str, ids: Iterable[str], error: type[Exception]) -> None:
+    for key in ids:
+        if _SEP in key:
+            raise error(f"{kind} id {key!r} contains the separator '\\x1f'")
 
 
 class SyntheticBackend(ScorerBackend):
@@ -101,7 +120,7 @@ class SyntheticBackend(ScorerBackend):
     with probability ``prompt_quality[i]``; whether that happens, which wrong
     label wins otherwise, and all score margins are pure functions of
     (seed, prompt_id, example_id), so identical inputs always produce
-    identical scores.
+    identical scores. Prompt and example ids may not contain ``\\x1f``.
 
     Margins model a calibrated scorer: they grow with prompt quality, and
     shrink (by ``miss_margin_scale``) on cells where the prompt is wrong.
@@ -121,6 +140,8 @@ class SyntheticBackend(ScorerBackend):
                 raise ValidationError(f"quality for prompt {pid!r} out of [0,1]: {q}")
         if default_quality is not None and not 0.0 <= default_quality <= 1.0:
             raise ValidationError(f"default_quality out of [0,1]: {default_quality}")
+        _check_ids("prompt", prompt_quality, ValidationError)
+        _check_ids("example", planted_labels, ValidationError)
         self.seed = seed
         self.prompt_quality = dict(prompt_quality)
         self.planted_labels = dict(planted_labels)
@@ -151,50 +172,83 @@ class SyntheticBackend(ScorerBackend):
         if prompt_id in self.prompt_quality:
             return self.prompt_quality[prompt_id]
         if self.default_quality is not None:
+            _check_ids("prompt", [prompt_id], BackendError)
             return self.default_quality
         raise BackendError(f"no quality configured for prompt {prompt_id!r}")
 
-    def _score_cell(self, req: ScoreRequest) -> list[float]:
-        pid, eid = req.prompt_id, req.example_id
-        labels = req.choice_labels
-        planted = self.planted_labels.get(eid)
-        if planted is None:
-            raise BackendError(f"no planted label for example {eid!r}")
-        if planted not in labels:
-            raise BackendError(
-                f"planted label {planted!r} for example {eid!r} not among choices {labels}"
-            )
-        quality = self._quality(pid)
-        s = str(self.seed)
+    def _cell_terms(self, batch: Sequence[ScoreRequest]) -> tuple[list[float], list[int]]:
+        """Each request's prompt quality and its planted label's position among
+        its choices; raises on the first request, in order, that has neither."""
+        qualities: dict[str, float] = {}
+        positions: dict[tuple[str, ...], dict[str, int]] = {}
+        quality, planted_at = [], []
+        for req in batch:
+            eid, labels = req.example_id, tuple(req.choice_labels)
+            planted = self.planted_labels.get(eid)
+            if planted is None:
+                raise BackendError(f"no planted label for example {eid!r}")
+            position = positions.get(labels)
+            if position is None:
+                if len(labels) < 2:
+                    raise BackendError(f"fewer than two choice labels {labels}")
+                if len(set(labels)) != len(labels):
+                    raise BackendError(f"duplicate choice labels {labels}")
+                position = positions[labels] = {lab: j for j, lab in enumerate(labels)}
+            if planted not in position:
+                raise BackendError(
+                    f"planted label {planted!r} for example {eid!r} not among choices {labels}"
+                )
+            planted_at.append(position[planted])
+            q = qualities.get(req.prompt_id)
+            if q is None:
+                q = qualities[req.prompt_id] = self._quality(req.prompt_id)
+            quality.append(q)
+        return quality, planted_at
 
-        correct = _hash01(s, "flip", pid, eid) < quality
-        if correct:
-            winner = labels.index(planted)
-        else:
-            others = [j for j in range(len(labels)) if labels[j] != planted]
-            winner = others[int(_hash01(s, "wrong", pid, eid) * len(others))]
+    def score_batch(self, batch: Sequence[ScoreRequest]) -> list[list[float]]:
+        """Every cell's scores from one set of array operations over the batch."""
+        self.calls += 1
+        self.cells_scored += len(batch)
+        quality_list, planted_list = self._cell_terms(batch)
+        if not batch:
+            return []
+        s = str(self.seed)
+        tails = [f"{req.prompt_id}{_SEP}{req.example_id}".encode("utf-8") for req in batch]
+        quality = np.asarray(quality_list, dtype=np.float64)
+        planted = np.asarray(planted_list, dtype=np.int64)
+        width = np.asarray([len(req.choice_labels) for req in batch], dtype=np.int64)
+
+        # The planted label wins with probability `quality`; otherwise the
+        # pick-th of the other labels, in choice order.
+        correct = _uniforms(f"{s}{_SEP}flip{_SEP}", tails) < quality
+        winner = planted.copy()
+        missed = np.flatnonzero(~correct)
+        pick = (_uniforms(f"{s}{_SEP}wrong{_SEP}", [tails[n] for n in missed.tolist()])
+                * (width[missed] - 1)).astype(np.int64)
+        winner[missed] = pick + (pick >= planted[missed])
 
         # Margin grows with quality and with a per-cell confidence wobble;
         # wrong cells get a damped margin (calibration).
-        wobble = 0.25 + 0.75 * _hash01(s, "conf", pid, eid)
+        wobble = 0.25 + 0.75 * _uniforms(f"{s}{_SEP}conf{_SEP}", tails)
         margin = 0.2 + 3.0 * quality * wobble
-        if not correct:
-            margin *= self.miss_margin_scale
+        margin = np.where(correct, margin, margin * self.miss_margin_scale)
+        base = -(0.5 + 2.5 * _uniforms(f"{s}{_SEP}base{_SEP}", tails))
 
-        base = -(0.5 + 2.5 * _hash01(s, "base", pid, eid))
-        scores = []
-        for j in range(len(labels)):
-            if j == winner:
-                scores.append(base)
-            else:
-                extra = 0.05 + 0.5 * _hash01(s, "loser", pid, eid, str(j))
-                scores.append(base - margin - extra)
-        return scores
-
-    def score_batch(self, batch: Sequence[ScoreRequest]) -> list[list[float]]:
-        self.calls += 1
-        self.cells_scored += len(batch)
-        return [self._score_cell(req) for req in batch]
+        # One slot per (cell, choice), cells in order: the winner scores `base`,
+        # each loser `base - margin` less its own draw.
+        ends = np.cumsum(width)
+        starts = ends - width
+        cell = np.repeat(np.arange(len(batch)), width)
+        choice = np.arange(ends[-1]) - starts[cell]
+        losers = np.flatnonzero(choice != winner[cell])
+        suffix = [f"{_SEP}{j}".encode("utf-8") for j in range(int(width.max()))]
+        loser_tails = [tails[n] + suffix[j]
+                       for n, j in zip(cell[losers].tolist(), choice[losers].tolist())]
+        extra = 0.05 + 0.5 * _uniforms(f"{s}{_SEP}loser{_SEP}", loser_tails)
+        scores = base[cell]
+        scores[losers] = (base - margin)[cell[losers]] - extra
+        values = scores.tolist()
+        return [values[a:b] for a, b in zip(starts.tolist(), ends.tolist())]
 
 
 def derived_profile(
@@ -204,13 +258,19 @@ def derived_profile(
     choices: Sequence[str],
     quality_range: tuple[float, float] = (0.55, 0.95),
 ) -> tuple[dict[str, float], dict[str, str]]:
-    """Seed-derived qualities and planted labels for ad-hoc synthetic runs."""
+    """Seed-derived qualities and planted labels for ad-hoc synthetic runs.
+
+    Ids may not contain ``\\x1f``.
+    """
+    _check_ids("prompt", prompt_ids, ValidationError)
+    _check_ids("example", example_ids, ValidationError)
     lo, hi = quality_range
     s = str(seed)
-    qualities = {pid: lo + (hi - lo) * _hash01(s, "q", pid) for pid in prompt_ids}
-    planted = {
-        eid: choices[int(_hash01(s, "y", eid) * len(choices))] for eid in example_ids
-    }
+    u = _uniforms(f"{s}{_SEP}q{_SEP}", [pid.encode("utf-8") for pid in prompt_ids])
+    qualities = dict(zip(prompt_ids, (lo + (hi - lo) * u).tolist()))
+    u = _uniforms(f"{s}{_SEP}y{_SEP}", [eid.encode("utf-8") for eid in example_ids])
+    picks = (u * len(choices)).astype(np.int64).tolist()
+    planted = {eid: choices[j] for eid, j in zip(example_ids, picks)}
     return qualities, planted
 
 

@@ -168,14 +168,15 @@ def render(prompt: Prompt, example: UnlabeledExample) -> str:
     Raises listing every absent placeholder if the example is incomplete.
     """
     fields = example.fields
-    missing = [p for p in prompt.template.placeholders() if p not in fields]
-    if missing:
+    out = list(prompt.template.parts)
+    try:
+        out[1::2] = [str(fields[name]) for name in out[1::2]]
+    except KeyError:
+        missing = [p for p in prompt.template.placeholders() if p not in fields]
         raise ValidationError(
             f"prompt {prompt.prompt_id!r}, example {example.example_id!r}: "
             f"missing fields {missing}"
-        )
-    out = list(prompt.template.parts)
-    out[1::2] = [str(fields[name]) for name in out[1::2]]
+        ) from None
     return "".join(out)
 
 
@@ -294,17 +295,22 @@ def load_catalog(path: str | Path) -> tuple[TaskSpec, list[Prompt]]:
     )
     prompts: dict[str, Prompt] = {}
     for k, entry in enumerate(doc["prompts"]):
-        check_fields(entry, f"{path}: prompts[{k}]", {
+        where = f"{path}: prompts[{k}]"
+        check_fields(entry, where, {
             "prompt_id": "label", "template": "string", "verbalizer": "object of string"})
         prompt_id = str(entry["prompt_id"])
         if prompt_id in prompts:
-            raise ValidationError(f"duplicate prompt_id {prompt_id!r}")
+            raise ValidationError(f"{where}: duplicate prompt_id {prompt_id!r}")
         try:
-            verbalizer = Verbalizer(entry["verbalizer"])
+            prompt = Prompt(prompt_id, PromptTemplate(entry["template"]),
+                            Verbalizer(entry["verbalizer"]))
         except ValidationError as exc:
-            raise ValidationError(f"prompt {prompt_id!r}: {exc}") from None
-        prompts[prompt_id] = Prompt(prompt_id, PromptTemplate(entry["template"]), verbalizer)
-        validate_prompt(task, prompts[prompt_id])
+            raise ValidationError(f"{where}: prompt {prompt_id!r}: {exc}") from None
+        try:
+            validate_prompt(task, prompt)
+        except ValidationError as exc:
+            raise ValidationError(f"{where}: {exc}") from None
+        prompts[prompt_id] = prompt
     if not prompts:
         raise ValidationError(f"catalog {path} contains no prompts")
     return task, list(prompts.values())

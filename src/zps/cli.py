@@ -111,13 +111,16 @@ def _make_backend(args: argparse.Namespace, task, prompts, examples) -> ScorerBa
                            {"qualities": "object of number", "planted_labels": "object of label"},
                            {"default_quality": "number", "miss_margin_scale": "number"})
         scale = doc.get("miss_margin_scale")
-        return SyntheticBackend(
-            seed=args.seed,
-            prompt_quality={k: float(v) for k, v in doc["qualities"].items()},
-            planted_labels={k: canon_label(v) for k, v in doc["planted_labels"].items()},
-            default_quality=doc.get("default_quality"),
-            miss_margin_scale=0.35 if scale is None else float(scale),
-        )
+        try:
+            return SyntheticBackend(
+                seed=args.seed,
+                prompt_quality={k: float(v) for k, v in doc["qualities"].items()},
+                planted_labels={k: canon_label(v) for k, v in doc["planted_labels"].items()},
+                default_quality=doc.get("default_quality"),
+                miss_margin_scale=0.35 if scale is None else float(scale),
+            )
+        except ValidationError as exc:  # a quality outside [0, 1], an id with \x1f
+            raise ValidationError(f"{args.synthetic_profile}: {exc}") from None
     qualities, planted = derived_profile(
         args.seed, prompt_ids, example_ids, task.choices
     )

@@ -77,7 +77,10 @@ def load_pseudo_labeled(path: str | Path) -> PseudoLabeledSet:
     for where, row in read_jsonl(path):
         check_fields(row, where, {"example_id": "label", "label": "label", "gap": "number"})
         entries.append((str(row["example_id"]), canon_label(row["label"]), float(row["gap"])))
-    return PseudoLabeledSet(entries=tuple(entries), provenance=f"file:{Path(path).name}")
+    try:
+        return PseudoLabeledSet(entries=tuple(entries), provenance=f"file:{Path(path).name}")
+    except ValidationError as exc:  # a negative gap or a repeated example id
+        raise ValidationError(f"{path}: {exc}") from None
 
 
 def _ranked_entries(

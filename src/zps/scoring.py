@@ -87,7 +87,8 @@ class ScoreTensor:
     ``predictions`` (the argmax ``PredictionMatrix``) and ``confidences``
     (each prompt's summed top-1 minus top-2 choice probability). Both are
     read-only and depend on ``logprobs`` alone, which never changes, so every
-    caller may share them; ``restrict`` builds a new tensor with neither.
+    caller may share them; ``restrict`` carries over the rows of whichever
+    has been computed.
     """
 
     prompt_ids: tuple[str, ...]
@@ -141,9 +142,12 @@ class ScoreTensor:
         """Sub-tensor over the given prompts, in the given order.
 
         Its rows are a fresh copy of this validated tensor's, so they are not
-        checked or copied again. It starts with no memoised views.
+        checked or copied again. The views this tensor has already computed
+        are carried over row by row; both are per-prompt, so the rows equal
+        what the sub-tensor would compute.
         """
-        logprobs = self.logprobs[prompt_rows(self.prompt_ids, prompt_ids)]
+        rows = prompt_rows(self.prompt_ids, prompt_ids)
+        logprobs = self.logprobs[rows]
         logprobs.flags.writeable = False
         sub = object.__new__(type(self))
         sub.__dict__.update(
@@ -153,6 +157,13 @@ class ScoreTensor:
             logprobs=logprobs,
             normalized=self.normalized,
         )
+        memo = vars(self)
+        if "predictions" in memo:
+            sub.__dict__["predictions"] = memo["predictions"].restrict(prompt_ids)
+        if "confidences" in memo:
+            confidences = memo["confidences"][rows]
+            confidences.flags.writeable = False
+            sub.__dict__["confidences"] = confidences
         return sub
 
 

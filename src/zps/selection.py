@@ -278,9 +278,10 @@ def select(
     else:
         report = filter_prompts(tensor.prompt_ids, conf)
 
+    # Predictions first, so the kept sub-tensor carries their rows.
+    preds = predict(tensor)
     kept_tensor = tensor.restrict(report.kept)
     pseudo_idx = ensemble_predict(kept_tensor, config)
-    preds = predict(tensor)
     scored = list(report.kept) + (list(report.discarded) if score_all_prompts else [])
     acc = pseudo_accuracy(preds, pseudo_idx, prompt_ids=scored)
 

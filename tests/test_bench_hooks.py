@@ -12,6 +12,9 @@ from pathlib import Path
 
 import zps.backends
 import zps.cli
+from zps import ScoreCache, SyntheticBackend, score_all
+
+from .helpers import make_examples, make_prompts, make_task, plant_labels
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -38,3 +41,30 @@ def test_every_tracing_hook_resolves():
 def test_worker_probe_targets_exist():
     assert callable(zps.cli.score_all)
     assert callable(zps.backends.SyntheticBackend.score_batch)
+
+
+def test_traced_counts_match_the_work_done(tmp_path):
+    # The per-layer counts come from wrapping names zps calls through: one
+    # render and one cache key per cell, one backend call per chunk.
+    tracing = load_tracing()
+    task = make_task(3)
+    prompts, examples = make_prompts(task, 4), make_examples(30)
+    backend = SyntheticBackend(seed=0, prompt_quality={p.prompt_id: 0.8 for p in prompts},
+                               planted_labels=plant_labels(task, examples),
+                               max_batch_size=16)
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        tracer.start_op(0)
+        with ScoreCache(tmp_path / "cache.jsonl") as cache:
+            score_all(task, prompts, examples, backend, cache)
+    finally:
+        tracer.uninstall()
+    metrics = tracing.layer_metrics(tracing.op_layer_stats(tracer.spans)[0], {})
+    cells, chunks = 4 * 30, -(-4 * 30 // 16)
+    assert metrics["catalog.render_calls"] == cells
+    assert metrics["cache.key_calls"] == cells
+    assert metrics["cache.get_calls"] == cells
+    assert metrics["scoring.chunks"] == chunks
+    assert metrics["backends.requests"] == chunks == backend.calls
+    assert metrics["backends.cells"] == cells == backend.cells_scored

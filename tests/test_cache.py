@@ -94,6 +94,32 @@ def test_key_sensitivity():
     assert make_cache_key(**{**base, "candidates": ["a", "b"]}) == key
 
 
+_UNICODE_INPUT = "Film: é ünïcode ☃ 文字"
+
+
+@pytest.mark.parametrize(
+    "args, expected",
+    [
+        (("m", "input", ("yes",), False, None),
+         "dcadc815112b5ea5da59bde5c28b007a728da8e158336808e23b0a67031f9542"),
+        (("m", "input", ("yes",), True, ("p0", "e0")),
+         "251ed7ac42709b52af1888e8cfa6cbc66cf21bcd5367adef71f5c158b372edc7"),
+        (("gpt-x", _UNICODE_INPUT, ("great", "bad", "so-so"), False, None),
+         "d96a61b1e0c95b5d5039d4c615400e8734edc0843092f0d221d96c76ee6f0f23"),
+        (("gpt-x", _UNICODE_INPUT, ("great", "bad", "so-so"), True, None),
+         "ff8c6a47d5b3a9795b4d8493c6a38c1a40f94ec269cefb2b16c00bec6d606522"),
+        (("gpt-x", _UNICODE_INPUT, ("great", "bad", "so-so"), False, ("prompt/é", "ex-7")),
+         "c7095c36552d47471ca7a8c0f9ac3df1edf00a04baabf343f7877fcf83d4f871"),
+        (("", "", ("", "", ""), True, ("", "")),
+         "81f91221fb7bb0f588bc846e03ebdad3ef5ece8a8342b23a584b2b76a1a603bf"),
+    ],
+)
+def test_key_bytes_are_pinned(args, expected):
+    # Keys written by earlier versions must keep hitting: any change to the
+    # hashed text silently turns every existing cache into misses.
+    assert make_cache_key(*args) == expected
+
+
 @pytest.mark.parametrize(
     "left, right",
     [

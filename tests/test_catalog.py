@@ -362,3 +362,32 @@ def test_shape_errors_name_file_and_key(tmp_path, kind, doc, match):
     with pytest.raises(ValidationError, match=match) as excinfo:
         LOADERS[kind](path)
     assert str(path) in str(excinfo.value)
+
+
+GOOD_PSEUDO_LINE = INPUT_FILES["pseudo_val"][1]
+
+
+@pytest.mark.parametrize(
+    "kind,docs,match",
+    [
+        ("catalog", [{**GOOD_CATALOG, "prompts": [GOOD_PROMPT, GOOD_PROMPT]}],
+         r"prompts\[1\]: duplicate prompt_id 'p'"),
+        ("catalog",
+         [{**GOOD_CATALOG, "prompts": [{**GOOD_PROMPT, "verbalizer": {"0": "n", "1": "n"}}]}],
+         r"prompts\[0\]: prompt 'p': verbalizer is not injective"),
+        ("catalog", [{**GOOD_CATALOG, "prompts": [{**GOOD_PROMPT, "template": "{{nope}}"}]}],
+         r"prompts\[0\]: prompt 'p': placeholders \['nope'\] not in task schema"),
+        ("profile", [{**GOOD_PROFILE, "qualities": {"p": 1.5}}],
+         r"quality for prompt 'p' out of \[0,1\]"),
+        ("profile", [{**GOOD_PROFILE, "default_quality": -0.1}], r"default_quality out of"),
+        ("profile", [{**GOOD_PROFILE, "qualities": {"p\x1fq": 0.5}}], "separator"),
+        ("pseudo_val", [{**GOOD_PSEUDO_LINE, "gap": -0.5}], "must be finite and >= 0"),
+        ("pseudo_val", [GOOD_PSEUDO_LINE, GOOD_PSEUDO_LINE], "duplicate example_id 'e0'"),
+    ],
+)
+def test_semantic_errors_start_with_the_file(tmp_path, kind, docs, match):
+    path = tmp_path / "input"
+    path.write_text("".join(json.dumps(doc) + "\n" for doc in docs), encoding="utf-8")
+    with pytest.raises(ValidationError, match=match) as excinfo:
+        LOADERS[kind](path)
+    assert str(excinfo.value).startswith(f"{path}: ")

@@ -23,7 +23,6 @@ from zps import (
     predict,
     score_all,
 )
-from zps.backends import _hash01
 from zps.scoring import log_softmax
 
 from .helpers import (
@@ -34,6 +33,7 @@ from .helpers import (
     raw_tensor,
     synthetic_setup,
 )
+from .synthetic_reference import hash01
 
 
 class _CountingHandle:
@@ -142,15 +142,15 @@ class TestScoreAll:
         tensor = score_all(task, prompts, examples, backend, normalize="none")
 
         s = "5"
-        correct = _hash01(s, "flip", "p00", "e0000") < quality
+        correct = hash01(s, "flip", "p00", "e0000") < quality
         winner = 1 if correct else 0
-        wobble = 0.25 + 0.75 * _hash01(s, "conf", "p00", "e0000")
+        wobble = 0.25 + 0.75 * hash01(s, "conf", "p00", "e0000")
         margin = 0.2 + 3.0 * quality * wobble
         if not correct:
             margin *= 0.35
-        base = -(0.5 + 2.5 * _hash01(s, "base", "p00", "e0000"))
+        base = -(0.5 + 2.5 * hash01(s, "base", "p00", "e0000"))
         loser = base - margin - (
-            0.05 + 0.5 * _hash01(s, "loser", "p00", "e0000", str(1 - winner))
+            0.05 + 0.5 * hash01(s, "loser", "p00", "e0000", str(1 - winner))
         )
         expected = [base, loser] if winner == 0 else [loser, base]
         assert tensor.logprobs[0, 0].tolist() == expected

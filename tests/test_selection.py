@@ -10,6 +10,7 @@ from zps import (
     EnsembleConfig,
     PredictionMatrix,
     STRATEGIES,
+    ScoreTensor,
     SelectionReport,
     ValidationError,
     confidence_scores,
@@ -90,16 +91,21 @@ class TestTensorViews:
         assert predict(tensor) is predict(tensor)
         assert predict(tensor) is tensor.predictions
 
-    def test_select_fills_the_memo_and_restrict_starts_empty(self):
+    def test_select_fills_the_memo_and_restrict_carries_it(self):
         tensor = varied_tensor(4, "softmax")
         assert not {"predictions", "confidences"} & vars(tensor).keys()
+        assert not {"predictions", "confidences"} & vars(tensor.restrict(["p01"])).keys()
         select(tensor)
         assert {"predictions", "confidences"} <= vars(tensor).keys()
         sub = tensor.restrict(["p03", "p01"])
-        assert not {"predictions", "confidences"} & vars(sub).keys()
+        assert {"predictions", "confidences"} <= vars(sub).keys()
+        fresh = ScoreTensor(sub.prompt_ids, sub.example_ids, sub.choices, sub.logprobs)
         assert predict(sub).prompt_ids == ("p03", "p01")
-        assert np.array_equal(predict(sub).indices, predict(tensor).indices[[3, 1]])
-        assert np.array_equal(confidence_scores(sub), confidence_scores(tensor)[[3, 1]])
+        assert predict(sub).example_ids == fresh.example_ids
+        assert np.array_equal(predict(sub).indices, predict(fresh).indices)
+        assert np.array_equal(confidence_scores(sub), confidence_scores(fresh))
+        with pytest.raises(ValueError):
+            confidence_scores(sub)[0] = 1.0
 
     def test_returned_confidences_cannot_be_changed(self):
         tensor = varied_tensor(2, "softmax")

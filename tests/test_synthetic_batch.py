@@ -1,0 +1,134 @@
+"""The batched synthetic scorer against its per-cell formula.
+
+``SyntheticBackend.score_batch`` computes a whole batch with array
+operations; ``tests/synthetic_reference.py`` holds the one-cell-at-a-time
+formula it must reproduce exactly, float for float.
+"""
+
+import hashlib
+import re
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from zps import BackendError, ScoreRequest, SyntheticBackend, ValidationError, derived_profile
+
+from .synthetic_reference import reference_profile, reference_scores
+
+# Any text UTF-8 can encode, without the draw separator.
+_ids = st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="\x1f"),
+               max_size=6)
+_seeds = st.one_of(st.integers(-10**9, 10**9), _ids)
+_qualities = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
+_label_sets = st.lists(_ids, min_size=2, max_size=5, unique=True)
+
+
+@st.composite
+def _batches(draw):
+    """A backend and a batch whose examples may carry different label sets."""
+    prompt_ids = draw(st.lists(_ids, min_size=1, max_size=4, unique=True))
+    example_ids = draw(st.lists(_ids, min_size=1, max_size=6, unique=True))
+    label_sets = draw(st.lists(_label_sets, min_size=1, max_size=3))
+    labels_of, planted = {}, {}
+    for eid in example_ids:
+        labels = draw(st.sampled_from(label_sets))
+        labels_of[eid] = tuple(labels)
+        planted[eid] = draw(st.sampled_from(labels))
+    qualities = {pid: draw(_qualities) for pid in prompt_ids}
+    default = draw(st.one_of(st.none(), _qualities))
+    if default is not None:  # a prompt the profile leaves out
+        qualities.pop(prompt_ids[0])
+    backend = SyntheticBackend(
+        seed=draw(_seeds),
+        prompt_quality=qualities,
+        planted_labels=planted,
+        default_quality=default,
+        miss_margin_scale=draw(st.sampled_from([0.35, 1.0, 0.0, 1.7])),
+    )
+    size = draw(st.one_of(st.sampled_from([0, 1, 300]), st.integers(0, 40)))
+    cells = [(prompt_ids[n % len(prompt_ids)],
+              example_ids[n // len(prompt_ids) % len(example_ids)]) for n in range(size)]
+    batch = [ScoreRequest(f"{pid}|{eid}", labels_of[eid], pid, eid, labels_of[eid])
+             for pid, eid in cells]
+    return backend, batch
+
+
+@settings(max_examples=80, deadline=None)
+@given(_batches())
+def test_batch_equals_the_per_cell_formula(case):
+    backend, batch = case
+    scores = backend.score_batch(batch)
+    assert scores == [reference_scores(backend, req) for req in batch]
+    assert all(type(v) is float for row in scores for v in row)
+    assert backend.calls == 1 and backend.cells_scored == len(batch)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_seeds, st.lists(_ids, max_size=8), st.lists(_ids, max_size=8), _label_sets)
+def test_derived_profile_equals_the_per_id_formula(seed, prompt_ids, example_ids, choices):
+    assert derived_profile(seed, prompt_ids, example_ids, choices) == \
+        reference_profile(seed, prompt_ids, example_ids, choices)
+
+
+GOLDEN_CHOICES = ("neg", "neu", "pos")
+
+
+def test_golden_grid_digest():
+    # sha256 of the raw scores of a fixed 8 x 50 x 3 grid, recorded from the
+    # per-cell scorer; any drift in the synthetic scores changes it.
+    prompt_ids = [f"p{i:02d}" for i in range(8)]
+    example_ids = [f"e{k:04d}" for k in range(50)]
+    backend = SyntheticBackend(
+        seed="golden",
+        prompt_quality={pid: i / 7 for i, pid in enumerate(prompt_ids)},
+        planted_labels={eid: GOLDEN_CHOICES[k % 3] for k, eid in enumerate(example_ids)},
+    )
+    reqs = [ScoreRequest(f"{pid} {eid}", GOLDEN_CHOICES, pid, eid, GOLDEN_CHOICES)
+            for pid in prompt_ids for eid in example_ids]
+    scores = backend.score_batch(reqs)
+    digest = hashlib.sha256(np.asarray(scores, dtype=np.float64).tobytes()).hexdigest()
+    assert digest == "831f06bdb8c88e6695dd06ce4a4e19b5131ce6c181edf9efdba590f50e3d81b2"
+    chunked = [row for n in range(0, len(reqs), 7) for row in backend.score_batch(reqs[n:n + 7])]
+    assert chunked == scores
+
+
+def _request(pid, eid, labels=("0", "1")):
+    return ScoreRequest(f"{pid}|{eid}", labels, pid, eid, labels)
+
+
+@pytest.mark.parametrize("req", [
+    _request("p", "unplanted"),
+    _request("p", "e", ("x", "y")),
+    _request("unknown", "e"),
+])
+def test_errors_keep_their_messages(req):
+    backend = SyntheticBackend(seed=0, prompt_quality={"p": 0.5}, planted_labels={"e": "1"})
+    with pytest.raises(BackendError) as expected:
+        reference_scores(backend, req)
+    # a good cell ahead of the bad one does not change which error is raised
+    with pytest.raises(BackendError, match=re.escape(str(expected.value))):
+        backend.score_batch([_request("p", "e"), req])
+
+
+def test_ids_with_the_separator_are_refused():
+    with pytest.raises(ValidationError, match=re.escape(repr("a\x1fb"))):
+        SyntheticBackend(seed=0, prompt_quality={"a\x1fb": 0.5}, planted_labels={})
+    with pytest.raises(ValidationError, match=re.escape(repr("b\x1fc"))):
+        SyntheticBackend(seed=0, prompt_quality={}, planted_labels={"b\x1fc": "0"})
+    backend = SyntheticBackend(seed=0, prompt_quality={}, planted_labels={"e": "0"},
+                               default_quality=0.5)
+    with pytest.raises(BackendError, match=re.escape(repr("a\x1fb"))):
+        backend.score_batch([_request("a\x1fb", "e")])
+    for prompt_ids, example_ids in ((["a\x1fb"], []), ([], ["b\x1fc"])):
+        with pytest.raises(ValidationError, match="separator"):
+            derived_profile(0, prompt_ids, example_ids, ("0", "1"))
+
+
+def test_duplicate_choice_labels_are_refused():
+    backend = SyntheticBackend(seed=0, prompt_quality={"p": 0.5}, planted_labels={"e": "1"})
+    with pytest.raises(BackendError, match="duplicate choice labels"):
+        backend.score_batch([_request("p", "e", ("0", "1", "0"))])
+    with pytest.raises(BackendError, match="fewer than two choice labels"):
+        backend.score_batch([_request("p", "e", ("1",))])
