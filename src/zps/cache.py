@@ -1,21 +1,26 @@
 """Persistent score cache.
 
-Append-only JSON Lines file, one entry per scored cell, that is per (model,
-length-norm flag, rendered input, ordered candidate phrases):
-``{"key": hex-hash, "logprobs": [float, ...]}``, one value per candidate in
-candidate order. Keys are content hashes, so a cache survives
+Append-only binary file (format v3) of segments, one per ``put_many`` call,
+each cell keyed by a content hash of (model, length-norm flag, rendered
+input, ordered candidate phrases) and holding one float64 value per
+candidate in candidate order. Keys are content hashes, so a cache survives
 prompt/catalog reordering and is shared across runs. Backends whose scores
 are addressed by ids rather than content (the synthetic one) get the ids
 mixed into the key.
 
+A segment is a fixed little-endian header -- magic ``ZPSC``, version, cell
+count ``b``, value count ``c``, payload length and the ``zlib.crc32`` of the
+payload -- followed by the payload: the ``b`` keys as raw 32-byte sha256
+digests, then the ``b x c`` values as little-endian float64.
+
 Reads are lock-free after load. Appends are serialized and made per chunk:
-``put_many`` writes all of a chunk's new lines with one write and one flush.
-A key keeps its first value, on load as on append. A malformed cache raises
-instead of being silently recomputed over; the one exception is an
-unparseable last line with no newline, the torn tail of a killed run, which
-is truncated with a warning. A file in the older one-value-per-line format
-(``"logprob"``, one entry per candidate phrase) is refused with its own
-message.
+``put_many`` writes its whole segment with one write to an unbuffered
+append-mode handle. A key keeps its first value, on load as on append. A
+damaged cache raises instead of being silently recomputed over; the one
+exception is a last segment that is cut short or fails its CRC, the torn
+tail of a killed run, which is truncated with a warning. A JSON Lines file
+of an earlier version (v2, ``"logprobs"``; v1, ``"logprob"``) is refused
+with its own message and never rewritten.
 """
 
 from __future__ import annotations
@@ -23,15 +28,24 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
+import struct
 import threading
-from json.encoder import encode_basestring_ascii
+import zlib
+from itertools import chain
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
-from .catalog import finite
+import numpy as np
+
 from .errors import CacheCorruptionError, ValidationError
 
 logger = logging.getLogger(__name__)
+
+_MAGIC = b"ZPSC"
+_VERSION = 3
+# magic, version, cells b, values per cell c, payload length, crc32 of the payload
+_HEADER = struct.Struct("<4sHIHQI")
+_DIGEST_SIZE = 32
 
 
 def make_cache_key(
@@ -68,67 +82,98 @@ class ScoreCache:
         self._lock = threading.Lock()
         self._entries: dict[str, tuple[float, ...]] = {}
         self._handle = None
-        # Written before the first append when the file's last entry lacks its newline.
-        self._prefix = ""
         self.hits = 0
         self.misses = 0
         self._load()
-        self._handle = open(self.path, "a", encoding="utf-8")
+        self._handle = open(self.path, "ab", buffering=0)
 
     def _load(self) -> None:
-        if not self.path.exists():
+        try:
+            data = self.path.read_bytes()
+        except FileNotFoundError:
             self.path.parent.mkdir(parents=True, exist_ok=True)
             return
-        entries = self._entries
-        line = b""
-        with open(self.path, "rb") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                try:
-                    obj = json.loads(line.decode("utf-8"))
-                    key = obj["key"]
-                    values = obj["logprobs"]
-                except (ValueError, KeyError, TypeError) as exc:
-                    if not line.strip():  # blank lines are tolerated
-                        continue
-                    # ValueError: bytes that are not UTF-8 or not JSON
-                    if isinstance(exc, ValueError) and not line.endswith(b"\n"):
-                        self._cut_torn_tail(fh.tell(), line, lineno)
-                        return
-                    if isinstance(exc, KeyError) and "key" in obj and "logprob" in obj:
-                        raise CacheCorruptionError(
-                            f"cache {self.path} uses the older one-value-per-line format, "
-                            "which this version does not read; delete or move the file "
-                            "to rescore"
-                        ) from None
-                    raise CacheCorruptionError(
-                        f"cache {self.path} is corrupt at line {lineno}; refusing to "
-                        "recompute silently -- delete or move the file to reset it"
-                    ) from None
-                try:
-                    values = _checked(key, values)
-                except ValidationError:
-                    raise CacheCorruptionError(
-                        f"cache {self.path} has an invalid entry at line {lineno}; "
-                        "delete or move the file to reset it"
-                    ) from None
-                if key not in entries:
-                    entries[key] = values
-        if line and not line.endswith(b"\n"):
-            self._prefix = "\n"
+        if data.startswith(b"{"):
+            self._refuse_json_lines(data)
+        keys: list[str] = []
+        rows: list[tuple[float, ...]] = []
+        for hex_keys, values in self._segments(data):
+            keys += [hex_keys[i : i + 64] for i in range(0, len(hex_keys), 64)]
+            rows += map(tuple, values.tolist())
+        # Built back to front, so that a key keeps the first of its values.
+        self._entries = dict(zip(reversed(keys), reversed(rows)))
 
-    def _cut_torn_tail(self, size: int, line: bytes, lineno: int) -> None:
-        """Cut off an unparseable last line that has no newline.
+    def _segments(self, data: bytes) -> Iterator[tuple[str, np.ndarray]]:
+        """Each sound segment's keys, as one hex string, and its (b, c) values.
+
+        A short or bad-CRC last segment is cut off; other damage raises.
+        """
+        view = memoryview(data)
+        size = len(data)
+        offset = segment = 0
+        while offset < size:
+            segment += 1
+            header = data[offset : offset + _HEADER.size]
+            if len(header) < _HEADER.size:
+                if not _MAGIC.startswith(header[: len(_MAGIC)]):
+                    raise self._corrupt(segment, offset)
+                self._cut_torn_tail(size, offset, segment)
+                return
+            magic, version, b, c, length, crc = _HEADER.unpack(header)
+            if (magic != _MAGIC or version != _VERSION or not b or not c
+                    or length != b * (_DIGEST_SIZE + 8 * c)):
+                raise self._corrupt(segment, offset)
+            start = offset + _HEADER.size
+            payload = view[start : start + length]
+            if len(payload) < length or zlib.crc32(payload) != crc:
+                if start + length < size:
+                    raise self._corrupt(segment, offset)
+                self._cut_torn_tail(size, offset, segment)
+                return
+            values = np.frombuffer(payload, "<f8", offset=b * _DIGEST_SIZE).reshape(b, c)
+            if not np.isfinite(values).all():
+                raise CacheCorruptionError(
+                    f"cache {self.path} holds a non-finite value in segment {segment}; "
+                    "delete or move the file to reset it"
+                )
+            yield payload[: b * _DIGEST_SIZE].hex(), values
+            offset = start + length
+
+    def _corrupt(self, segment: int, offset: int) -> CacheCorruptionError:
+        return CacheCorruptionError(
+            f"cache {self.path} is corrupt at segment {segment} (byte {offset}); refusing "
+            "to recompute silently -- delete or move the file to reset it"
+        )
+
+    def _refuse_json_lines(self, data: bytes) -> None:
+        """Raise for a JSON Lines cache of an earlier version; return for anything else."""
+        try:
+            first = json.loads(data.split(b"\n", 1)[0])
+        except ValueError:
+            return
+        if not (isinstance(first, dict) and "key" in first):
+            return
+        for field, name in (("logprob", "one-value-per-line format"),
+                            ("logprobs", "JSON Lines format (v2)")):
+            if field in first:
+                raise CacheCorruptionError(
+                    f"cache {self.path} uses the older {name}, which this version does "
+                    "not read; delete or move the file to rescore"
+                )
+
+    def _cut_torn_tail(self, size: int, offset: int, segment: int) -> None:
+        """Cut off the last segment, short or failing its CRC, from ``offset`` on.
 
         It is the torn tail of an append killed part-way, unless the file has
         grown past ``size`` since it was read: then another run is still
-        writing that line, and it is left to end it.
+        writing that segment, and it is left to end it.
         """
         with open(self.path, "r+b") as out:
             if out.seek(0, 2) != size:
                 return
-            out.truncate(size - len(line))
-        logger.warning("cache %s: dropped unterminated, unparseable line %d (%d bytes)",
-                       self.path, lineno, len(line))
+            out.truncate(offset)
+        logger.warning("cache %s: dropped torn last segment %d (%d bytes)",
+                       self.path, segment, size - offset)
 
     def get(self, key: str) -> tuple[float, ...] | None:
         """The cell's cached values in candidate order, or None."""
@@ -150,27 +195,36 @@ class ScoreCache:
         self.put_many([(key, logprobs)])
 
     def put_many(self, items: Iterable[tuple[str, Sequence[float]]]) -> None:
-        """Record cells with one append and one flush, so concurrent runs can share.
+        """Record cells as one segment with one write, so concurrent runs can share.
 
-        A key already present keeps its first value. Each new line holds the
-        bytes of ``json.dumps({"key": key, "logprobs": [float(v) for v in
-        logprobs]})``. A non-``str`` key, or values that are not a non-empty
-        sequence of finite ints and floats, raise ValidationError before
-        anything is written.
+        A key already present keeps its first value. A key that is not 64
+        lowercase hex characters (a ``make_cache_key`` digest), or values that
+        are not equally long, non-empty sequences of finite ints and floats,
+        raise ValidationError before anything is written.
         """
-        items = [(key, _checked(key, values)) for key, values in items]
+        items = list(items)
+        if not items:
+            return
+        keys = [key for key, _ in items]
+        digests = _digests(keys)
+        values = _values(items)
         with self._lock:
-            lines = []
-            for key, values in items:
-                if key in self._entries:
-                    continue
-                self._entries[key] = values
-                lines.append(f'{{"key": {encode_basestring_ascii(key)}, '
-                             f'"logprobs": [{", ".join(map(repr, values))}]}}\n')
-            if lines:
-                self._handle.write(self._prefix + "".join(lines))
-                self._handle.flush()
-                self._prefix = ""
+            fresh = []
+            for i, (key, row) in enumerate(zip(keys, values.tolist())):
+                if key not in self._entries:
+                    self._entries[key] = tuple(row)
+                    fresh.append(i)
+            if not fresh:
+                return
+            if len(fresh) < len(keys):
+                digests = b"".join(digests[_DIGEST_SIZE * i : _DIGEST_SIZE * (i + 1)]
+                                   for i in fresh)
+                values = values[fresh]
+            payload = digests + values.tobytes()
+            segment = _HEADER.pack(_MAGIC, _VERSION, len(fresh), values.shape[1],
+                                  len(payload), zlib.crc32(payload)) + payload
+            if self._handle.write(segment) != len(segment):
+                raise OSError(f"short write to cache {self.path}")
 
     def close(self) -> None:
         if self._handle is not None:
@@ -184,14 +238,38 @@ class ScoreCache:
         self.close()
 
 
-def _checked(key: str, logprobs: Sequence[float]) -> tuple[float, ...]:
-    """The floats a cache line stores for ``logprobs``; invalid entries raise."""
-    if not isinstance(key, str):
-        raise ValidationError(f"cache key must be a str, not {type(key).__name__}")
-    if isinstance(logprobs, (list, tuple)) and logprobs:
-        values = tuple(map(finite, logprobs))
-        if None not in values:
-            return values
-    raise ValidationError(f"cache values for {key!r} must be a non-empty list of finite "
-                          f"numbers, not {logprobs!r}")
+def _digests(keys: list[str]) -> bytes:
+    """The raw sha256 digests the hex ``keys`` stand for; any other key raises."""
+    try:
+        joined = "".join(keys)
+        digests = bytes.fromhex(joined)
+        valid = set(map(len, keys)) == {64} and digests.hex() == joined
+    except (TypeError, ValueError):
+        valid = False
+    if valid:
+        return digests
+    bad = next(k for k in keys if not (isinstance(k, str) and len(k) == 64
+                                       and set(k) <= set("0123456789abcdef")))
+    raise ValidationError(f"cache key must be 64 lowercase hex characters, not {bad!r}")
 
+
+def _values(items: list[tuple[str, Sequence[float]]]) -> np.ndarray:
+    """The items' values as a (b, c) little-endian float64 array, checked once for
+    the chunk."""
+    rows = [values for _, values in items]
+    try:
+        values = np.asarray(rows)
+    except (TypeError, ValueError, OverflowError):
+        values = None
+    if (values is not None and values.dtype.kind in "fiu" and values.ndim == 2
+            and values.shape[1] and bool not in set(map(type, chain.from_iterable(rows)))):
+        values = values.astype("<f8")
+        if np.isfinite(values).all():
+            return values
+    if len(items) > 1:
+        for item in items:
+            _values([item])  # raises naming the first bad item, if one is bad alone
+        raise ValidationError("cache values in one put_many must all have the same length")
+    key, row = items[0]
+    raise ValidationError(f"cache values for {key!r} must be a non-empty list of finite "
+                          f"numbers, not {row!r}")

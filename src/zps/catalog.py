@@ -349,17 +349,19 @@ def load_examples(path: str | Path, task: TaskSpec | None = None) -> list[Unlabe
     """Load a JSON Lines example file.
 
     Gold labels come from an explicit ``gold_label`` key, or, when the task
-    declares ``gold_label_field``, from that field of the example.
+    declares ``gold_label_field``, from that field of the example. Every other
+    field value must be a string.
     """
     gold_field = task.gold_label_field if task is not None else None
     examples: dict[str, UnlabeledExample] = {}
     for where, obj in read_jsonl(path):
         check_fields(obj, where, _EXAMPLE_KEYS, _EXAMPLE_GOLD)
         example_id = str(obj["example_id"])
-        fields = obj["fields"]
+        fields = check_fields(obj["fields"], where, {
+            key: "label" if key == gold_field else "string" for key in obj["fields"]})
         gold = obj.get("gold_label")
         if gold is None and gold_field:
-            gold = check_fields(fields, where, {}, {gold_field: "label"}).get(gold_field)
+            gold = fields.get(gold_field)
         if example_id in examples:
             raise ValidationError(f"{where}: duplicate example_id {example_id!r}")
         examples[example_id] = UnlabeledExample(

@@ -287,7 +287,7 @@ def _build_parser() -> argparse.ArgumentParser:
                          default="synthetic")
     scoring.add_argument("--endpoint", help="remote scorer URL")
     scoring.add_argument("--model", help="remote model identifier")
-    scoring.add_argument("--cache", help="score cache JSONL path")
+    scoring.add_argument("--cache", help="score cache file")
     scoring.add_argument("--normalize", choices=NORMALIZE_MODES, default="softmax")
     scoring.add_argument("--length-norm", choices=("on", "off"), default="off",
                          help="divide phrase scores by their token count")

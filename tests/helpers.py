@@ -4,8 +4,11 @@ from __future__ import annotations
 
 import hashlib
 import json
+import struct
 import threading
+import zlib
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from pathlib import Path
 
 import numpy as np
 from scipy.special import log_softmax
@@ -113,10 +116,16 @@ class StubScorer:
     so clients keep the connection alive, but closes it after every answer
     without a ``Connection: close`` header, like a server whose keep-alive
     timeout has run out.
+
+    ``hang_up``, when set, is called with each request's 1-based number once
+    the request is recorded; when it returns True the server closes the
+    connection without answering. It may block first, for instance until a
+    test has killed the client.
     """
 
     def __init__(self, script=None, drop_idle=False):
         self.script = list(script or [])
+        self.hang_up = None
         self.requests: list[dict] = []
         self.headers: list[dict] = []
         self.paths: list[str] = []
@@ -145,6 +154,10 @@ class StubScorer:
                     stub.headers.append({k: v for k, v in self.headers.items()})
                     stub.paths.append(self.path)
                     scripted = stub.script.pop(0) if stub.script else None
+                    number = len(stub.requests)
+                if stub.hang_up is not None and stub.hang_up(number):
+                    self.close_connection = True
+                    return
                 if scripted is not None:
                     status, doc = scripted
                     self.reply(status, doc if isinstance(doc, str) else json.dumps(doc))
@@ -246,3 +259,37 @@ def write_bad_input(path, kind, case):
     bad = "{not json" if case == "invalid-json" else json.dumps(variants[case])
     path.write_text(head + bad + "\n", encoding="utf-8")
     return f"{path}:2" if lines else str(path)
+
+
+# The score cache's format v3, restated here so that tests check zps's files
+# against an independent reader and build damaged files with an independent
+# writer: a header of magic, version, cell count b, value count c, payload
+# length and payload crc32, then b sha256 digests and b x c float64 values.
+CACHE_HEADER = struct.Struct("<4sHIHQI")
+
+
+def segment_bytes(cells):
+    """One v3 cache segment holding ``cells``, a list of (hex key, values)."""
+    c = len(cells[0][1])
+    payload = b"".join(bytes.fromhex(key) for key, _ in cells) + b"".join(
+        struct.pack(f"<{c}d", *values) for _, values in cells)
+    return CACHE_HEADER.pack(b"ZPSC", 3, len(cells), c, len(payload),
+                             zlib.crc32(payload)) + payload
+
+
+def read_segments(path):
+    """The segments of a v3 cache file, each a list of (hex key, values) cells;
+    asserts that every header and CRC is sound."""
+    data = Path(path).read_bytes()
+    segments, offset = [], 0
+    while offset < len(data):
+        magic, version, b, c, length, crc = CACHE_HEADER.unpack_from(data, offset)
+        offset += CACHE_HEADER.size
+        payload = data[offset : offset + length]
+        offset += length
+        assert (magic, version, length) == (b"ZPSC", 3, b * (32 + 8 * c))
+        assert len(payload) == length and zlib.crc32(payload) == crc
+        values = struct.unpack_from(f"<{b * c}d", payload, 32 * b)
+        segments.append([(payload[32 * i : 32 * i + 32].hex(), values[c * i : c * i + c])
+                         for i in range(b)])
+    return segments

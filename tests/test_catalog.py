@@ -206,6 +206,32 @@ def test_load_examples_gold_label_sources(tmp_path):
     assert load_examples(path, gold_task)[0].gold_label == "0"
 
 
+@pytest.mark.parametrize("value", [True, None, 7, 1.5, ["x"], {"x": "y"}],
+                         ids=["true", "null", "int", "float", "list", "object"])
+def test_load_examples_refuses_non_string_field_values(tmp_path, capsys, value):
+    # Before, each was stored as its Python str(): true as "True", null as "None".
+    path = tmp_path / "ex.jsonl"
+    rows = [{"example_id": "a", "fields": {"text": "x"}},
+            {"example_id": "b", "fields": {"text": "y", "note": value}}]
+    path.write_text("\n".join(json.dumps(r) for r in rows), encoding="utf-8")
+    where = re.escape(f"{path}:2: malformed 'note'")
+    with pytest.raises(ValidationError, match=where):
+        load_examples(path)
+    catalog = tmp_path / "catalog.json"
+    catalog.write_text(json.dumps(GOOD_CATALOG), encoding="utf-8")
+    argv = ["select", "--catalog", str(catalog), "--examples", str(path),
+            "--out", str(tmp_path / "out.json")]
+    assert cli.main(argv) == 1
+    assert re.search(where, capsys.readouterr().err)
+
+    # the task's gold-label field is a label, so it may hold a number
+    task = TaskSpec(task_id="t", field_schema=("text",), choices=("0", "1"),
+                    gold_label_field="note")
+    path.write_text(json.dumps({"example_id": "a", "fields": {"text": "x", "note": 1}}),
+                    encoding="utf-8")
+    assert load_examples(path, task)[0].gold_label == "1"
+
+
 def test_load_examples_rejects_duplicates_and_empty(tmp_path):
     path = tmp_path / "ex.jsonl"
     rows = [

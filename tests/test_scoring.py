@@ -1,7 +1,5 @@
 """Score tensor container and the batch scoring driver."""
 
-import json
-
 import numpy as np
 import pytest
 from scipy.special import log_softmax as scipy_log_softmax
@@ -31,6 +29,7 @@ from .helpers import (
     make_task,
     plant_labels,
     raw_tensor,
+    read_segments,
     synthetic_setup,
 )
 from .synthetic_reference import hash01
@@ -284,7 +283,8 @@ class TestScoreAll:
             handle = cache._handle = _CountingHandle(cache._handle)
             score_all(task, prompts, examples, backend, cache)
             assert backend.calls == 8  # 30 cells in chunks of 4
-            assert handle.writes == handle.flushes == 8
+            # one segment per chunk, each in one write to the unbuffered handle
+            assert (handle.writes, handle.flushes) == (8, 0)
             assert len(cache) == 30
 
     def test_parallel_jobs_write_the_same_cache(self, tmp_path):
@@ -301,14 +301,15 @@ class TestScoreAll:
             path = tmp_path / f"jobs{jobs}.jsonl"
             with ScoreCache(path) as cache:
                 score_all(task, prompts, examples, backend, cache, jobs=jobs)
-            return path.read_text(encoding="utf-8").splitlines()
+            return read_segments(path)
 
         serial, parallel = run(1), run(3)
-        assert len(serial) == 3 * 11  # one line per cell
+        assert len(serial) == 17  # one segment per chunk of 2
+        assert sum(map(len, serial)) == 3 * 11  # one cell per (prompt, example)
         assert sorted(parallel) == sorted(serial)
         with ScoreCache(tmp_path / "jobs1.jsonl") as a, \
                 ScoreCache(tmp_path / "jobs3.jsonl") as b:
-            keys = [json.loads(line)["key"] for line in serial]
+            keys = [key for segment in serial for key, _ in segment]
             assert [a.get(k) for k in keys] == [b.get(k) for k in keys]
 
     def test_isolated_cells_stay_cached_after_a_failure(self, tmp_path):
