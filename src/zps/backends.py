@@ -45,20 +45,6 @@ DEFAULT_BACKOFF = 0.5
 
 
 @dataclass(frozen=True)
-class BackendCapabilities:
-    """What a backend can do and how its scores are addressed.
-
-    Scores are summed token log-likelihoods of the whole candidate phrase.
-    ``content_addressed`` is True when a score depends only on the (input,
-    candidate) strings; the synthetic backend keys its scores by (prompt_id,
-    example_id) instead, and the cache layer respects that.
-    """
-
-    max_batch_size: int
-    content_addressed: bool = True
-
-
-@dataclass(frozen=True)
 class ScoreRequest:
     """One cell to score: a rendered input and its candidate phrases."""
 
@@ -70,17 +56,18 @@ class ScoreRequest:
 
 
 class ScorerBackend(ABC):
-    """Interface every scorer implements."""
+    """Interface every scorer implements.
 
-    @property
-    @abstractmethod
-    def model_id(self) -> str:
-        """Stable identifier of the scorer configuration (cache namespace)."""
+    ``model_id`` names the scorer configuration (the cache namespace), and
+    ``max_batch_size`` caps the requests in one ``score_batch`` call. Scores
+    are summed token log-likelihoods of the whole candidate phrase; they
+    depend on the (input, candidate) strings alone unless ``content_addressed``
+    is False, and then the cache keys hash (prompt_id, example_id) too.
+    """
 
-    @property
-    @abstractmethod
-    def capabilities(self) -> BackendCapabilities:
-        ...
+    model_id: str
+    max_batch_size: int
+    content_addressed: bool = True
 
     @abstractmethod
     def score_batch(self, batch: Sequence[ScoreRequest]) -> list[list[float]]:
@@ -126,6 +113,8 @@ class SyntheticBackend(ScorerBackend):
     shrink (by ``miss_margin_scale``) on cells where the prompt is wrong.
     """
 
+    content_addressed = False
+
     def __init__(
         self,
         seed: int | str,
@@ -147,7 +136,7 @@ class SyntheticBackend(ScorerBackend):
         self.planted_labels = dict(planted_labels)
         self.default_quality = default_quality
         self.miss_margin_scale = miss_margin_scale
-        self._max_batch_size = max_batch_size
+        self.max_batch_size = max_batch_size
         self.calls = 0  # score_batch invocations, for cache tests
         self.cells_scored = 0
         config = json.dumps(
@@ -155,18 +144,7 @@ class SyntheticBackend(ScorerBackend):
              default_quality, miss_margin_scale],
             sort_keys=True,
         )
-        self._model_id = "synthetic:" + hashlib.sha256(config.encode()).hexdigest()[:12]
-
-    @property
-    def model_id(self) -> str:
-        return self._model_id
-
-    @property
-    def capabilities(self) -> BackendCapabilities:
-        return BackendCapabilities(
-            max_batch_size=self._max_batch_size,
-            content_addressed=False,
-        )
+        self.model_id = "synthetic:" + hashlib.sha256(config.encode()).hexdigest()[:12]
 
     def _quality(self, prompt_id: str) -> float:
         if prompt_id in self.prompt_quality:
@@ -319,22 +297,11 @@ class RemoteBackend(ScorerBackend):
         self._idle: list[HTTPConnection] = []
         self._idle_lock = threading.Lock()
         self.endpoint = endpoint
-        self.model = model
+        self.model_id = model
         self.retries = retries
         self.backoff = backoff
-        self._max_batch_size = max_batch_size
+        self.max_batch_size = max_batch_size
         self.retry_count = 0
-
-    @property
-    def model_id(self) -> str:
-        return self.model
-
-    @property
-    def capabilities(self) -> BackendCapabilities:
-        return BackendCapabilities(
-            max_batch_size=self._max_batch_size,
-            content_addressed=True,
-        )
 
     def _send(self, body: bytes) -> tuple[int, bytes]:
         """POST on an idle kept-alive connection, or a new one: (status, response body)."""
@@ -396,7 +363,7 @@ class RemoteBackend(ScorerBackend):
 
     def score_batch(self, batch: Sequence[ScoreRequest]) -> list[list[float]]:
         payload = {
-            "model": self.model,
+            "model": self.model_id,
             "items": [
                 {"input": req.input, "candidates": list(req.candidates)} for req in batch
             ],

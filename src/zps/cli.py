@@ -117,7 +117,7 @@ def _make_backend(args: argparse.Namespace, task, prompts, examples) -> ScorerBa
                 prompt_quality={k: float(v) for k, v in doc["qualities"].items()},
                 planted_labels={k: canon_label(v) for k, v in doc["planted_labels"].items()},
                 default_quality=doc.get("default_quality"),
-                miss_margin_scale=0.35 if scale is None else float(scale),
+                **({} if scale is None else {"miss_margin_scale": float(scale)}),
             )
         except ValidationError as exc:  # a quality outside [0, 1], an id with \x1f
             raise ValidationError(f"{args.synthetic_profile}: {exc}") from None

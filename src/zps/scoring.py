@@ -27,7 +27,8 @@ import numpy as np
 from .backends import ScoreRequest, ScorerBackend
 from .cache import ScoreCache, make_cache_key
 from .catalog import Prompt, TaskSpec, UnlabeledExample, candidate_phrases, render
-from .errors import BackendError, CacheCorruptionError, ScoringFailedError, ValidationError
+from .errors import (BackendError, CacheCorruptionError, ProtocolError, ScoringFailedError,
+                     ValidationError)
 
 logger = logging.getLogger(__name__)
 
@@ -223,12 +224,21 @@ def log_softmax(raw: np.ndarray, axis: int) -> np.ndarray:
     return shifted - np.log(np.exp(shifted).sum(axis, keepdims=True))
 
 
-def _label_tokens(phrase: str) -> int:
-    return max(1, len(phrase.split()))
-
-
-def _chunk(seq: list, size: int) -> list[list]:
+def _chunk(seq: Sequence, size: int) -> list[Sequence]:
     return [seq[i : i + size] for i in range(0, len(seq), size)]
+
+
+def _reply_array(reply, b: int, c: int) -> np.ndarray:
+    """A backend's reply as a new (b, c) float64 array; a ProtocolError unless it
+    holds b rows of c finite numbers."""
+    try:
+        values = np.array(reply)
+    except (TypeError, ValueError):  # ragged rows
+        values = np.array(None)
+    if values.dtype.kind not in "fiu" or values.shape != (b, c) or not np.isfinite(values).all():
+        raise ProtocolError(f"scores are not {b} rows of {c} finite numbers",
+                            payload_excerpt=repr(reply)[:200])
+    return values.astype(np.float64, copy=False)
 
 
 def score_all(
@@ -246,9 +256,9 @@ def score_all(
 
     Each cell is hashed into one cache key; cells present in the cache are
     served without backend calls, and newly computed cells are appended to
-    the cache with one ``put_many`` per scored chunk. If any cell cannot be
-    scored after the backend's bounded retries, the failing (prompt_id,
-    example_id) coordinates are isolated and reported together.
+    the cache with one ``put_many`` per scored chunk. A chunk the backend
+    fails, or answers with other than c finite scores per cell, is retried cell
+    by cell; cells that still fail are reported by (prompt_id, example_id).
     """
     if not prompts or not examples:
         raise ValidationError("score_all needs at least one prompt and one example")
@@ -257,22 +267,23 @@ def score_all(
     if jobs < 1:
         raise ValidationError("jobs must be >= 1")
 
-    caps = backend.capabilities
-    choice_labels = task.choices
-    raw = np.empty((len(prompts), len(examples), len(choice_labels)), dtype=np.float64)
+    n, c = len(examples), len(task.choices)
+    raw = np.empty((len(prompts), n, c), dtype=np.float64)
+    tokens = np.empty((len(prompts), c))  # each phrase's whitespace token count
 
-    # A pending cell carries its cache key, so each is hashed once.
-    pending: list[tuple[int, int, ScoreRequest, str]] = []
-    model_id = backend.model_id
+    # Cells to score: request, row in raw's flat (p*n, c) view, cache key (hashed once).
+    requests: list[ScoreRequest] = []
+    rows: list[int] = []
+    keys: list[str] = []
     for i, prompt in enumerate(prompts):
         phrases = candidate_phrases(task, prompt)
+        tokens[i] = [max(1, len(phrase.split())) for phrase in phrases]
         for k, example in enumerate(examples):
             text = render(prompt, example)
-            key = ""
             if cache is not None:
-                coords = (None if caps.content_addressed
+                coords = (None if backend.content_addressed
                           else (prompt.prompt_id, example.example_id))
-                key = make_cache_key(model_id, text, phrases, length_norm, coords)
+                key = make_cache_key(backend.model_id, text, phrases, length_norm, coords)
                 cached = cache.get(key)
                 if cached is not None:
                     if len(cached) != len(phrases):
@@ -283,51 +294,52 @@ def score_all(
                         )
                     raw[i, k, :] = cached
                     continue
-            req = ScoreRequest(
+                keys.append(key)
+            requests.append(ScoreRequest(
                 input=text,
                 candidates=phrases,
                 prompt_id=prompt.prompt_id,
                 example_id=example.example_id,
-                choice_labels=choice_labels,
-            )
-            pending.append((i, k, req, key))
+                choice_labels=task.choices,
+            ))
+            rows.append(i * n + k)
+    flat = raw.reshape(-1, c)
+    at = np.asarray(rows, dtype=np.intp)
 
-    def score_requests(
-        chunk: list[tuple[int, int, ScoreRequest, str]]
-    ) -> list[tuple[str, str]]:
-        """Score one chunk in place; returns coordinates that failed."""
-        reqs = [req for _, _, req, _ in chunk]
+    def score(part: range) -> bool:
+        """Score cells into raw and the cache; False if the backend fails them."""
+        batch = requests[part.start : part.stop]
         try:
-            results = backend.score_batch(reqs)
+            values = _reply_array(backend.score_batch(batch), len(batch), c)
         except BackendError as exc:
-            if len(chunk) == 1:
+            if len(batch) == 1:
+                # str(exc): a kept record must not hold the traceback's frames alive.
                 logger.error("cell (%s, %s) failed: %s",
-                             reqs[0].prompt_id, reqs[0].example_id, exc)
-                return [(reqs[0].prompt_id, reqs[0].example_id)]
-            # Isolate the failing cells with per-item requests.
-            failed: list[tuple[str, str]] = []
-            for item in chunk:
-                failed.extend(score_requests([item]))
-            return failed
-        scored: list[tuple[str, list[float]]] = []
-        for (i, k, req, key), scores in zip(chunk, results):
-            values = list(scores)
-            if length_norm:
-                values = [v / _label_tokens(c) for v, c in zip(values, req.candidates)]
-            raw[i, k, :] = values
-            scored.append((key, values))
+                             batch[0].prompt_id, batch[0].example_id, str(exc))
+            return False
+        cells = at[part.start : part.stop]
+        if length_norm:
+            values /= tokens[cells // n]
+        flat[cells] = values
         if cache is not None:
-            cache.put_many(scored)
-        return []
+            cache.put_many(zip(keys[part.start : part.stop], values.tolist()))
+        return True
 
-    chunks = _chunk(pending, caps.max_batch_size)
+    def score_chunk(part: range) -> list[tuple[str, str]]:
+        """The coordinates of the chunk's cells that fail whole and then alone."""
+        if score(part):
+            return []
+        failed = [j for j in part if len(part) == 1 or not score(range(j, j + 1))]
+        return [(requests[j].prompt_id, requests[j].example_id) for j in failed]
+
+    chunks = _chunk(range(len(requests)), backend.max_batch_size)
     failed: list[tuple[str, str]] = []
     if jobs == 1 or len(chunks) <= 1:
         for chunk in chunks:
-            failed.extend(score_requests(chunk))
+            failed.extend(score_chunk(chunk))
     else:
         with ThreadPoolExecutor(max_workers=jobs) as pool:
-            for result in pool.map(score_requests, chunks):
+            for result in pool.map(score_chunk, chunks):
                 failed.extend(result)
     if failed:
         raise ScoringFailedError(failed)
@@ -336,7 +348,7 @@ def score_all(
     return ScoreTensor(
         prompt_ids=tuple(p.prompt_id for p in prompts),
         example_ids=tuple(e.example_id for e in examples),
-        choices=choice_labels,
+        choices=task.choices,
         logprobs=logprobs,
         normalized=normalize == "softmax",
     )

@@ -127,9 +127,8 @@ class TestSyntheticBackend:
         backend.score_batch(requests_for(["p0"], ["e0"], ["0", "1"]))
         assert backend.calls == 2
         assert backend.cells_scored == 3
-        caps = backend.capabilities
-        assert caps.content_addressed is False
-        assert caps.max_batch_size >= 1
+        assert backend.content_addressed is False
+        assert backend.max_batch_size >= 1
 
     def test_model_id_reflects_configuration(self):
         a = SyntheticBackend(seed=0, prompt_quality={"p0": 0.5}, planted_labels={"e0": "1"})
@@ -287,8 +286,8 @@ class TestRemoteBackend:
 
     def test_capabilities_and_validation(self):
         backend = RemoteBackend(endpoint="http://x/score", model="m", max_batch_size=8)
-        assert backend.capabilities.max_batch_size == 8
-        assert backend.capabilities.content_addressed is True
+        assert backend.max_batch_size == 8
+        assert backend.content_addressed is True
         assert backend.model_id == "m"
         with pytest.raises(ValidationError):
             RemoteBackend(endpoint="http://x/score", model="m", retries=0)

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from zps import (
     Prompt,
     PromptTemplate,
+    SyntheticBackend,
     TaskSpec,
     UnlabeledExample,
     ValidationError,
@@ -388,6 +389,25 @@ def test_shape_errors_name_file_and_key(tmp_path, kind, doc, match):
     with pytest.raises(ValidationError, match=match) as excinfo:
         LOADERS[kind](path)
     assert str(path) in str(excinfo.value)
+
+
+@pytest.mark.parametrize("keys,expected", [
+    ({}, {}),
+    ({"miss_margin_scale": None, "default_quality": None}, {}),
+    ({"miss_margin_scale": 1}, {"miss_margin_scale": 1.0}),
+    ({"miss_margin_scale": 0.2, "default_quality": 0.5},
+     {"miss_margin_scale": 0.2, "default_quality": 0.5}),
+])
+def test_profile_passes_only_the_keys_it_sets(tmp_path, keys, expected):
+    # An absent or null key leaves SyntheticBackend's own default in place.
+    path = tmp_path / "profile.json"
+    path.write_text(json.dumps({**GOOD_PROFILE, **keys}), encoding="utf-8")
+    backend = load_profile(path)
+    same = SyntheticBackend(seed=0, prompt_quality={"p": 0.9}, planted_labels={"e0": "0"},
+                            **expected)
+    assert backend.model_id == same.model_id
+    assert (backend.miss_margin_scale, backend.default_quality) == \
+        (same.miss_margin_scale, same.default_quality)
 
 
 GOOD_PSEUDO_LINE = INPUT_FILES["pseudo_val"][1]

@@ -188,6 +188,13 @@ class TestEvaluate:
         with pytest.raises(ValidationError, match="different examples"):
             evaluate(selection, other, {"e0000": "0", "e0001": "0", "e0002": "0"})
 
+    @pytest.mark.parametrize("pseudo_labels", [["0"], ["0", "1", "1"]])
+    def test_pseudo_labels_of_another_length_are_validation_error(self, pseudo_labels):
+        preds = matrix_from_rows([[0, 1]])
+        selection = report_with({"p00": 0.5}, preds, pseudo_labels=pseudo_labels)
+        with pytest.raises(ValidationError, match="different examples"):
+            evaluate(selection, preds, {"e0000": "0", "e0001": "1"})
+
     def test_pseudo_label_outside_choices_is_validation_error(self):
         preds = matrix_from_rows([[0, 1]])
         selection = report_with({"p00": 0.5}, preds, pseudo_labels=["0", "zebra"])

@@ -1,5 +1,9 @@
 """Score tensor container and the batch scoring driver."""
 
+import gc
+import weakref
+from contextlib import nullcontext
+
 import numpy as np
 import pytest
 from scipy.special import log_softmax as scipy_log_softmax
@@ -11,6 +15,7 @@ from zps import (
     Prompt,
     PromptTemplate,
     ScoreCache,
+    ScorerBackend,
     ScoreTensor,
     ScoringFailedError,
     SyntheticBackend,
@@ -359,3 +364,112 @@ class TestScoreAll:
             score_all(task, prompts, examples, backend, normalize="l2")
         with pytest.raises(ValidationError, match="jobs"):
             score_all(task, prompts, examples, backend, jobs=0)
+
+    def test_length_norm_divides_by_each_prompts_token_counts(self, tmp_path):
+        # chunks of 3 over 2 prompts x 4 examples span both prompts
+        task = make_task(2)
+        prompts = [Prompt("p00", PromptTemplate("{{text}}"),
+                          Verbalizer({"0": "no", "1": "definitely yes indeed"})),
+                   Prompt("p01", PromptTemplate("q: {{text}}"),
+                          Verbalizer({"0": "not at all", "1": "yes"}))]
+        examples = make_examples(4)
+        backend_kwargs = dict(seed=1, prompt_quality={"p00": 0.8, "p01": 0.6},
+                              planted_labels=plant_labels(task, examples), max_batch_size=3)
+        plain = score_all(task, prompts, examples, SyntheticBackend(**backend_kwargs),
+                          normalize="none").logprobs
+        expected = plain / np.array([[1, 3], [3, 1]])[:, None, :]
+        with ScoreCache(tmp_path / "c") as cache:
+            cold = score_all(task, prompts, examples, SyntheticBackend(**backend_kwargs),
+                             cache, normalize="none", length_norm=True)
+        with ScoreCache(tmp_path / "c") as cache:
+            warm = score_all(task, prompts, examples, SyntheticBackend(**backend_kwargs),
+                             cache, normalize="none", length_norm=True)
+        assert np.array_equal(cold.logprobs, expected)
+        assert np.array_equal(warm.logprobs, expected)
+
+
+class _SpoilingBackend(ScorerBackend):
+    """The synthetic scores, with some rows of each reply spoiled."""
+
+    content_addressed = False
+
+    def __init__(self, inner: SyntheticBackend, spoil):
+        self.inner, self.spoil = inner, spoil
+        self.model_id = inner.model_id
+        self.max_batch_size = inner.max_batch_size
+
+    def score_batch(self, batch):
+        rows = self.inner.score_batch(batch)
+        return [self.spoil(req.example_id, row) for req, row in zip(batch, rows)]
+
+
+# (spoil one reply row, the example ids whose cells fail)
+_SPOILS = {
+    "one score per cell": (lambda eid, row: row[:1], {"e0000", "e0001", "e0002"}),
+    "ragged rows": (lambda eid, row: row[:1] if eid == "e0001" else row, {"e0001"}),
+    "a string": (lambda eid, row: ["-1.0", *row[1:]] if eid == "e0001" else row, {"e0001"}),
+    "NaN": (lambda eid, row: [float("nan"), *row[1:]] if eid == "e0001" else row, {"e0001"}),
+    "infinity": (lambda eid, row: [*row[:-1], -float("inf")] if eid == "e0002" else row,
+                 {"e0002"}),
+}
+
+
+class TestMalformedReplies:
+    @pytest.mark.parametrize("jobs", [1, 2])
+    @pytest.mark.parametrize("cached", [False, True])
+    @pytest.mark.parametrize("spoil", sorted(_SPOILS))
+    def test_bad_cells_fail_and_stay_out_of_the_cache(self, tmp_path, spoil, cached, jobs):
+        spoil_row, bad = _SPOILS[spoil]
+        task, prompts, examples, _, planted = synthetic_setup(p=2, n=3)
+        inner = SyntheticBackend(seed=0, prompt_quality={p.prompt_id: 0.7 for p in prompts},
+                                 planted_labels=planted, max_batch_size=4)
+        backend = _SpoilingBackend(inner, spoil_row)
+        path = tmp_path / "c"
+        with ScoreCache(path) if cached else nullcontext() as cache:
+            with pytest.raises(ScoringFailedError) as excinfo:
+                score_all(task, prompts, examples, backend, cache, jobs=jobs)
+        assert excinfo.value.failed == sorted(
+            (p.prompt_id, eid) for p in prompts for eid in bad)
+        if cached:
+            # only the good cells, each with c values, and they read back warm
+            with ScoreCache(path) as cache:
+                assert len(cache) == 2 * (3 - len(bad))
+            assert all(len(values) == 2 for segment in read_segments(path)
+                       for _, values in segment)
+            good = [e for e in examples if e.example_id not in bad]
+            if good:
+                calls = inner.calls
+                with ScoreCache(path) as cache:
+                    warm = score_all(task, prompts, good, backend, cache, normalize="none")
+                assert inner.calls == calls
+                fresh = score_all(task, prompts, good, inner, normalize="none")
+                assert np.array_equal(warm.logprobs, fresh.logprobs)
+
+
+class TestNoReferenceCycle:
+    @pytest.mark.parametrize("jobs", [1, 2])
+    @pytest.mark.parametrize("fails", [False, True])
+    def test_cache_and_backend_die_with_their_last_reference(self, tmp_path, fails, jobs):
+        # With the cyclic collector off, only reference counting frees
+        # objects: a cycle through score_all's closures would keep them.
+        task = make_task(2)
+        prompts, examples = make_prompts(task, 2), make_examples(3)
+        planted = {"e0000": "0", "e0001": "intruder" if fails else "1", "e0002": "1"}
+        gc.collect()
+        gc.disable()
+        try:
+            backend = SyntheticBackend(seed=0, prompt_quality={p.prompt_id: 0.7 for p in prompts},
+                                       planted_labels=planted, max_batch_size=4)
+            cache = ScoreCache(tmp_path / "c")
+            refs = [weakref.ref(backend), weakref.ref(cache)]
+            try:
+                score_all(task, prompts, examples, backend, cache, jobs=jobs)
+                raised = False
+            except ScoringFailedError:
+                raised = True
+            assert raised == fails
+            cache.close()
+            del backend, cache
+            assert [ref() for ref in refs] == [None, None]
+        finally:
+            gc.enable()
