@@ -33,7 +33,7 @@ from urllib.parse import quote, urlsplit
 
 import numpy as np
 
-from .catalog import finite
+from .cache import score_matrix
 from .errors import BackendError, ProtocolError, ValidationError
 
 logger = logging.getLogger(__name__)
@@ -383,19 +383,14 @@ class RemoteBackend(ScorerBackend):
         out: list[list[float]] = []
         for req, result in zip(batch, results):
             scores = result.get("scores") if isinstance(result, dict) else None
-            if not isinstance(scores, list) or len(scores) != len(req.candidates):
+            values = score_matrix([scores])
+            if values is None or values.shape[1] != len(req.candidates):
                 raise ProtocolError(
-                    f"malformed scores for input of example {req.example_id!r}",
+                    f"scores for example {req.example_id!r} are not "
+                    f"{len(req.candidates)} finite numbers",
                     payload_excerpt=_excerpt(data),
                 )
-            values = [finite(value) for value in scores]
-            if None in values:
-                raise ProtocolError(
-                    f"non-finite or non-numeric score {scores[values.index(None)]!r} "
-                    f"for example {req.example_id!r}",
-                    payload_excerpt=_excerpt(data),
-                )
-            out.append(values)
+            out += values.tolist()
         return out
 
 

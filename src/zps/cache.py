@@ -33,7 +33,7 @@ import threading
 import zlib
 from itertools import chain
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -191,40 +191,42 @@ class ScoreCache:
         return len(self._entries)
 
     def put(self, key: str, logprobs: Sequence[float]) -> None:
-        """Record one cell's scores: a one-item ``put_many``."""
-        self.put_many([(key, logprobs)])
+        """Record one cell's scores: a one-row ``put_many``."""
+        self.put_many([key], [logprobs])
 
-    def put_many(self, items: Iterable[tuple[str, Sequence[float]]]) -> None:
+    def put_many(self, keys: Sequence[str],
+                 values: np.ndarray | Sequence[Sequence[float]]) -> None:
         """Record cells as one segment with one write, so concurrent runs can share.
 
-        A key already present keeps its first value. A key that is not 64
-        lowercase hex characters (a ``make_cache_key`` digest), or values that
-        are not equally long, non-empty sequences of finite ints and floats,
-        raise ValidationError before anything is written.
+        ``values`` holds one row per key, as a (b, c) array or a list of
+        rows. A key already present keeps its first value. A key that is not
+        64 lowercase hex characters (a ``make_cache_key`` digest), or rows
+        that ``score_matrix`` refuses, raise ValidationError before anything
+        is written. The cells are recorded only once the write has returned
+        in full.
         """
-        items = list(items)
-        if not items:
+        keys = list(keys)
+        if not keys:
             return
-        keys = [key for key, _ in items]
         digests = _digests(keys)
-        values = _values(items)
+        array = score_matrix(values)
+        if array is None or len(array) != len(keys):
+            raise _bad_values(keys, values)
         with self._lock:
-            fresh = []
-            for i, (key, row) in enumerate(zip(keys, values.tolist())):
-                if key not in self._entries:
-                    self._entries[key] = tuple(row)
-                    fresh.append(i)
+            fresh: dict[str, int] = {}
+            for i, key in enumerate(keys):
+                if key not in self._entries and key not in fresh:
+                    fresh[key] = i
             if not fresh:
                 return
-            if len(fresh) < len(keys):
-                digests = b"".join(digests[_DIGEST_SIZE * i : _DIGEST_SIZE * (i + 1)]
-                                   for i in fresh)
-                values = values[fresh]
-            payload = digests + values.tobytes()
-            segment = _HEADER.pack(_MAGIC, _VERSION, len(fresh), values.shape[1],
+            rows = list(fresh.values())
+            array = array[rows]
+            payload = digests[rows].tobytes() + array.tobytes()
+            segment = _HEADER.pack(_MAGIC, _VERSION, len(rows), array.shape[1],
                                   len(payload), zlib.crc32(payload)) + payload
             if self._handle.write(segment) != len(segment):
                 raise OSError(f"short write to cache {self.path}")
+            self._entries.update(zip(fresh, map(tuple, array.tolist())))
 
     def close(self) -> None:
         if self._handle is not None:
@@ -238,8 +240,9 @@ class ScoreCache:
         self.close()
 
 
-def _digests(keys: list[str]) -> bytes:
-    """The raw sha256 digests the hex ``keys`` stand for; any other key raises."""
+def _digests(keys: list[str]) -> np.ndarray:
+    """The raw sha256 digests the hex ``keys`` stand for, one 32-byte item each;
+    any other key raises."""
     try:
         joined = "".join(keys)
         digests = bytes.fromhex(joined)
@@ -247,29 +250,38 @@ def _digests(keys: list[str]) -> bytes:
     except (TypeError, ValueError):
         valid = False
     if valid:
-        return digests
+        return np.frombuffer(digests, f"V{_DIGEST_SIZE}")
     bad = next(k for k in keys if not (isinstance(k, str) and len(k) == 64
                                        and set(k) <= set("0123456789abcdef")))
     raise ValidationError(f"cache key must be 64 lowercase hex characters, not {bad!r}")
 
 
-def _values(items: list[tuple[str, Sequence[float]]]) -> np.ndarray:
-    """The items' values as a (b, c) little-endian float64 array, checked once for
-    the chunk."""
-    rows = [values for _, values in items]
+def score_matrix(rows) -> np.ndarray | None:
+    """``rows`` as a new (b, c) little-endian float64 array, or None unless they
+    are equally long, non-empty rows of finite ints and floats.
+
+    A bool is not a number. An ndarray's dtype decides; the values of a list
+    are also scanned for bools, which numpy would read as 0 and 1.
+    """
     try:
-        values = np.asarray(rows)
-    except (TypeError, ValueError, OverflowError):
-        values = None
-    if (values is not None and values.dtype.kind in "fiu" and values.ndim == 2
-            and values.shape[1] and bool not in set(map(type, chain.from_iterable(rows)))):
-        values = values.astype("<f8")
-        if np.isfinite(values).all():
-            return values
-    if len(items) > 1:
-        for item in items:
-            _values([item])  # raises naming the first bad item, if one is bad alone
-        raise ValidationError("cache values in one put_many must all have the same length")
-    key, row = items[0]
-    raise ValidationError(f"cache values for {key!r} must be a non-empty list of finite "
-                          f"numbers, not {row!r}")
+        values = np.array(rows)
+    except (TypeError, ValueError, OverflowError):  # ragged rows
+        return None
+    if values.dtype.kind not in "fiu" or values.ndim != 2 or not values.shape[1]:
+        return None
+    if not isinstance(rows, np.ndarray) and not {bool, np.bool_}.isdisjoint(
+            map(type, chain.from_iterable(rows))):
+        return None
+    values = values.astype("<f8", copy=False)
+    return values if np.isfinite(values).all() else None
+
+
+def _bad_values(keys: list[str], values) -> ValidationError:
+    """Why ``put_many`` refuses ``values``: the first bad row, or a count or
+    length mismatch."""
+    for key, row in zip(keys, values if np.iterable(values) else [values]):
+        if score_matrix([row]) is None:
+            return ValidationError(f"cache values for {key!r} must be a non-empty list of "
+                                   f"finite numbers, not {row!r}")
+    return ValidationError("cache values in one put_many must be one row per key, all of "
+                           "the same length")

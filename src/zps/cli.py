@@ -74,9 +74,8 @@ def _run_config(args: argparse.Namespace) -> dict:
 def _write_artifact(path: str | Path, text: str) -> None:
     """Write-then-rename: the output path never holds a partial file."""
     path = Path(path)
-    if path.parent and not path.parent.exists():
-        path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=str(path.parent or "."), prefix=f".{path.name}.")
+    path.parent.mkdir(parents=True, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             fh.write(text)

@@ -233,6 +233,8 @@ def checkpoint_agreements(
     candidate order."""
     if not candidates:
         raise ValidationError("checkpoint selection needs at least one candidate")
+    if len({c.checkpoint_id for c in candidates}) != len(candidates):
+        raise ValidationError("checkpoint ids must be unique")
     reference = candidates[0].preds.example_ids
     for cand in candidates[1:]:
         if cand.preds.example_ids != reference:
@@ -240,10 +242,7 @@ def checkpoint_agreements(
                 f"checkpoint {cand.checkpoint_id!r} covers a different example "
                 "list than the first candidate"
             )
-    agreements = {c.checkpoint_id: checkpoint_agreement(c, pseudo_val) for c in candidates}
-    if len(agreements) != len(candidates):
-        raise ValidationError("checkpoint ids must be unique")
-    return agreements
+    return {c.checkpoint_id: checkpoint_agreement(c, pseudo_val) for c in candidates}
 
 
 def select_checkpoint(

@@ -25,7 +25,7 @@ from typing import Sequence
 import numpy as np
 
 from .backends import ScoreRequest, ScorerBackend
-from .cache import ScoreCache, make_cache_key
+from .cache import ScoreCache, make_cache_key, score_matrix
 from .catalog import Prompt, TaskSpec, UnlabeledExample, candidate_phrases, render
 from .errors import (BackendError, CacheCorruptionError, ProtocolError, ScoringFailedError,
                      ValidationError)
@@ -228,19 +228,6 @@ def _chunk(seq: Sequence, size: int) -> list[Sequence]:
     return [seq[i : i + size] for i in range(0, len(seq), size)]
 
 
-def _reply_array(reply, b: int, c: int) -> np.ndarray:
-    """A backend's reply as a new (b, c) float64 array; a ProtocolError unless it
-    holds b rows of c finite numbers."""
-    try:
-        values = np.array(reply)
-    except (TypeError, ValueError):  # ragged rows
-        values = np.array(None)
-    if values.dtype.kind not in "fiu" or values.shape != (b, c) or not np.isfinite(values).all():
-        raise ProtocolError(f"scores are not {b} rows of {c} finite numbers",
-                            payload_excerpt=repr(reply)[:200])
-    return values.astype(np.float64, copy=False)
-
-
 def score_all(
     task: TaskSpec,
     prompts: Sequence[Prompt],
@@ -310,7 +297,11 @@ def score_all(
         """Score cells into raw and the cache; False if the backend fails them."""
         batch = requests[part.start : part.stop]
         try:
-            values = _reply_array(backend.score_batch(batch), len(batch), c)
+            reply = backend.score_batch(batch)
+            values = score_matrix(reply)
+            if values is None or values.shape != (len(batch), c):
+                raise ProtocolError(f"scores are not {len(batch)} rows of {c} finite numbers",
+                                    payload_excerpt=repr(reply)[:200])
         except BackendError as exc:
             if len(batch) == 1:
                 # str(exc): a kept record must not hold the traceback's frames alive.
@@ -322,7 +313,7 @@ def score_all(
             values /= tokens[cells // n]
         flat[cells] = values
         if cache is not None:
-            cache.put_many(zip(keys[part.start : part.stop], values.tolist()))
+            cache.put_many(keys[part.start : part.stop], values)
         return True
 
     def score_chunk(part: range) -> list[tuple[str, str]]:

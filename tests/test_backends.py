@@ -269,6 +269,25 @@ class TestRemoteBackend:
             with pytest.raises(ProtocolError):
                 backend.score_batch(reqs)
 
+    @pytest.mark.parametrize("bad", [2**64, 2**70, True, False, "-1", [-1.0]])
+    def test_bad_score_names_the_example(self, bad):
+        reqs = requests_for(["p0"], ["e0", "e1"], ["0", "1"])
+        body = {"results": [{"scores": [-1.0, -2.0]}, {"scores": [-1.0, bad]}]}
+        with StubScorer([(200, body)]) as stub:
+            backend = RemoteBackend(endpoint=stub.url, model="m", retries=1)
+            with pytest.raises(ProtocolError, match="example 'e1'") as excinfo:
+                backend.score_batch(reqs)
+        assert '"results"' in str(excinfo.value)
+
+    def test_integer_scores_come_back_as_floats(self):
+        reqs = requests_for(["p0"], ["e0"], ["0", "1", "2"])
+        body = {"results": [{"scores": [-1, 2**63, -2.5]}]}
+        with StubScorer([(200, body)]) as stub:
+            backend = RemoteBackend(endpoint=stub.url, model="m", retries=1)
+            scores = backend.score_batch(reqs)
+        assert scores == [[-1.0, float(2**63), -2.5]]
+        assert all(type(value) is float for value in scores[0])
+
     def test_non_json_body_raises_protocol_error(self):
         reqs = requests_for(["p0"], ["e0"], ["0", "1"])
         with StubScorer([(200, "<html>oops</html>")]) as stub:

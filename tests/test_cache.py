@@ -1,5 +1,6 @@
 """Persistent score cache: round-trips, counters, keys, corruption handling."""
 
+import errno
 import hashlib
 import logging
 import os
@@ -10,6 +11,7 @@ import tempfile
 import threading
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -65,7 +67,7 @@ def test_duplicate_put_keeps_first_value(tmp_path):
     with ScoreCache(path) as cache:
         cache.put(key, [-1.0, -2.0])
         cache.put(key, [-9.0, -9.0])
-        cache.put_many([(key, [-8.0, -8.0]), (A, [-3.0, -4.0]), (A, [-7.0, -7.0])])
+        cache.put_many([key, A, A], [[-8.0, -8.0], [-3.0, -4.0], [-7.0, -7.0]])
         assert cache.get(key) == (-1.0, -2.0)
         assert cache.get(A) == (-3.0, -4.0)
     # each cell once on disk, in the segments of the puts that brought it first
@@ -319,7 +321,7 @@ def test_file_format_is_pinned_bytes(tmp_path):
     k3 = "d96a61b1e0c95b5d5039d4c615400e8734edc0843092f0d221d96c76ee6f0f23"
     path = tmp_path / "c.cache"
     with ScoreCache(path) as cache:
-        cache.put_many([(k1, [-3.5, -0.25, -1]), (k2, [-0.0, 5e-324, -1.7976931348623157e308])])
+        cache.put_many([k1, k2], [[-3.5, -0.25, -1], [-0.0, 5e-324, -1.7976931348623157e308]])
         cache.put(k3, [-2.0])
     expected = bytes.fromhex(
         # "ZPSC", version 3, 2 cells, 3 values each, 112-byte payload, its crc32
@@ -378,7 +380,7 @@ def test_invalid_put_raises_and_writes_nothing(tmp_path, key, values):
             cache.put(key, values)
         # a bad item anywhere in a batch keeps the whole batch out
         with pytest.raises(ValidationError):
-            cache.put_many([(B, [-1.0]), (key, values)])
+            cache.put_many([B, key], [[-1.0], values])
         assert len(cache) == 0
     assert path.read_bytes() == b""
     with ScoreCache(path) as cache:
@@ -390,10 +392,70 @@ def test_one_put_many_needs_one_value_count(tmp_path):
     path = tmp_path / "c.cache"
     with ScoreCache(path) as cache:
         with pytest.raises(ValidationError, match="same length"):
-            cache.put_many([(A, [-1.0]), (B, [-1.0, -2.0])])
-        cache.put_many([(A, [-1.0])])
-        cache.put_many([(B, [-1.0, -2.0])])
+            cache.put_many([A, B], [[-1.0], [-1.0, -2.0]])
+        cache.put_many([A], [[-1.0]])
+        cache.put_many([B], [[-1.0, -2.0]])
     assert read_segments(path) == [[(A, (-1.0,))], [(B, (-1.0, -2.0))]]
+
+
+class _FailingHandle:
+    """Append handle stand-in whose first write fails: it raises ENOSPC, or it
+    writes only a 10-byte prefix and returns that length."""
+
+    def __init__(self, inner, short):
+        self.inner, self.short, self.failed = inner, short, False
+
+    def write(self, data):
+        if self.failed:
+            return self.inner.write(data)
+        self.failed = True
+        if self.short:
+            return self.inner.write(data[:10])
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    def close(self):
+        self.inner.close()
+
+
+def test_write_that_raises_records_nothing(tmp_path):
+    path = tmp_path / "c.cache"
+    with ScoreCache(path) as cache:
+        cache._handle = _FailingHandle(cache._handle, short=False)
+        with pytest.raises(OSError, match="No space"):
+            cache.put_many([A, B], [[-1.0, -0.5], [-2.0, -0.5]])
+        assert (A in cache, B in cache, len(cache)) == (False, False, 0)
+        cache.put(A, [-1.0, -0.5])  # the retry writes the cell
+    assert read_segments(path) == [[(A, (-1.0, -0.5))]]
+
+
+def test_short_write_records_nothing(tmp_path, caplog):
+    path = tmp_path / "c.cache"
+    with ScoreCache(path) as cache:
+        cache._handle = _FailingHandle(cache._handle, short=True)
+        with pytest.raises(OSError, match="short write"):
+            cache.put_many([A, B], [[-1.0, -0.5], [-2.0, -0.5]])
+        assert (A in cache, B in cache, len(cache)) == (False, False, 0)
+    assert len(path.read_bytes()) == 10
+    with caplog.at_level(logging.WARNING, logger="zps.cache"):
+        with ScoreCache(path) as cache:  # the prefix is a torn tail
+            assert len(cache) == 0
+            cache.put(A, [-1.0, -0.5])
+    assert "dropped torn last segment 1 (10 bytes)" in caplog.text
+    assert read_segments(path) == [[(A, (-1.0, -0.5))]]
+
+
+def test_put_many_takes_an_array_and_copies_it(tmp_path):
+    path = tmp_path / "c.cache"
+    values = np.array([[-1.0, -0.5], [-2.0, -0.25]])
+    with ScoreCache(path) as cache:
+        cache.put_many([A, B], values)
+        values[:] = 0.0
+        assert cache.get(A) == (-1.0, -0.5) and cache.get(B) == (-2.0, -0.25)
+        with pytest.raises(ValidationError, match=repr(C)):
+            cache.put_many([C, A], np.array([[True, False], [True, True]]))
+        with pytest.raises(ValidationError, match="one row per key"):
+            cache.put_many([C], values)
+    assert read_segments(path) == [[(A, (-1.0, -0.5)), (B, (-2.0, -0.25))]]
 
 
 def _three_segments():
@@ -489,7 +551,7 @@ def test_concurrent_put_many_writes_whole_lines(tmp_path):
     def worker():
         start.wait()
         for batch in batches:
-            cache.put_many(batch)
+            cache.put_many([k for k, _ in batch], [v for _, v in batch])
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -526,10 +588,10 @@ while not Path(path + ".ready-" + other).exists() and time.monotonic() < deadlin
     time.sleep(0.001)
 with ScoreCache(path) as cache:
     for b in range(chunks):
-        cache.put_many([(key(f"{tag}-{b}-{i}"), [-float(b), -float(i), -0.5])
-                        for i in range(size)])
-        cache.put_many([(key(f"shared-{b}-{i}"), [-float(b), -2.0, -float(i)])
-                        for i in range(size // 10)])
+        cache.put_many([key(f"{tag}-{b}-{i}") for i in range(size)],
+                       [[-float(b), -float(i), -0.5] for i in range(size)])
+        cache.put_many([key(f"shared-{b}-{i}") for i in range(size // 10)],
+                       [[-float(b), -2.0, -float(i)] for i in range(size // 10)])
 """
 
 
@@ -588,7 +650,7 @@ def test_put_many_round_trips_value_bits(chunks):
         path = Path(tmp) / "c.cache"
         with ScoreCache(path) as cache:
             for chunk in chunks:
-                cache.put_many(chunk)
+                cache.put_many([k for k, _ in chunk], [v for _, v in chunk])
         cells = [cell for segment in read_segments(path) for cell in segment]
         assert [k for k, _ in cells] == list(first)  # each key once, in first-put order
         assert all(_bits(values) == _bits(first[k]) for k, values in cells)

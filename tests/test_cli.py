@@ -145,6 +145,16 @@ class TestSelect:
         assert err.startswith("error:") and str(workdir) in err
         assert list(workdir.parent.glob(f".{workdir.name}.*")) == []
 
+    @pytest.mark.parametrize("out", ["new/deeper/report.json", "report.json"])
+    def test_out_into_a_new_directory_or_the_working_one(self, workdir, monkeypatch, out):
+        monkeypatch.chdir(workdir)
+        args = select_args(workdir)
+        args[args.index("--out") + 1] = out
+        assert main(args) == 0
+        assert json.loads((workdir / out).read_text())["report"]["selected"] == "p00"
+        assert [p.name for p in (workdir / out).parent.iterdir()
+                if p.name.startswith(".")] == []
+
     def test_unknown_flag_is_input_error(self, workdir, capsys):
         assert main(select_args(workdir, "--frobnicate")) == 1
 

@@ -13,6 +13,7 @@ from zps import (
     ValidationError,
     build_pseudo_val,
     checkpoint_agreement,
+    checkpoint_agreements,
     load_checkpoint_predictions,
     load_pseudo_labeled,
     predict,
@@ -319,3 +320,12 @@ class TestCheckpointSelection:
             select_checkpoint([a, b], self.pseudo_val(["0", "1"]))
         with pytest.raises(ValidationError, match="at least one"):
             select_checkpoint([], self.pseudo_val(["0"]))
+
+    def test_duplicate_ids_refused_before_scoring(self):
+        a = checkpoint_from_indices("a", [[0, 1]], ["e0", "e1"])
+        again = checkpoint_from_indices("a", [[1, 1]], ["e0", "e1"])
+        with pytest.raises(ValidationError, match="unique"):
+            checkpoint_agreements([a, again], self.pseudo_val(["0", "1"]))
+        # a pseudo-val set neither could be scored on: the ids are checked first
+        with pytest.raises(ValidationError, match="unique"):
+            checkpoint_agreements([a, again], self.pseudo_val(["0", "1", "1"]))

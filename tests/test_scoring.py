@@ -408,6 +408,7 @@ _SPOILS = {
     "one score per cell": (lambda eid, row: row[:1], {"e0000", "e0001", "e0002"}),
     "ragged rows": (lambda eid, row: row[:1] if eid == "e0001" else row, {"e0001"}),
     "a string": (lambda eid, row: ["-1.0", *row[1:]] if eid == "e0001" else row, {"e0001"}),
+    "a bool": (lambda eid, row: [True, *row[1:]] if eid == "e0001" else row, {"e0001"}),
     "NaN": (lambda eid, row: [float("nan"), *row[1:]] if eid == "e0001" else row, {"e0001"}),
     "infinity": (lambda eid, row: [*row[:-1], -float("inf")] if eid == "e0002" else row,
                  {"e0002"}),
