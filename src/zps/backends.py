@@ -4,10 +4,11 @@ A backend rates candidate phrases against a rendered input and returns one
 finite natural-log likelihood per candidate. Two implementations ship here:
 
 * ``RemoteBackend`` talks to any inference service over a small JSON wire
-  protocol with bounded exponential-backoff retries, over ``http.client``.
-  HTTPS checks certificates with ``ssl.create_default_context()`` (the system
-  CA store; ``SSL_CERT_FILE`` applies). Proxy variables, ``.netrc``, URL
-  credentials and ``REQUESTS_CA_BUNDLE`` are not read; 3xx is not followed.
+  protocol with bounded exponential-backoff retries, over ``http.client``
+  (imported when the first one is built). HTTPS checks certificates with
+  ``ssl.create_default_context()`` (the system CA store; ``SSL_CERT_FILE``
+  applies). Proxy variables, ``.netrc``, URL credentials and
+  ``REQUESTS_CA_BUNDLE`` are not read; 3xx is not followed.
 * ``SyntheticBackend`` is a seeded, closed-form stand-in for a real model,
   used for tests and simulations. Per prompt it is right about a planted
   label with a configured probability, and its score margins are calibrated:
@@ -25,16 +26,17 @@ import logging
 import threading
 import time
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
 from functools import partial
-from http.client import HTTPConnection, HTTPException, HTTPSConnection
-from typing import Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple, Sequence
 from urllib.parse import quote, urlsplit
 
 import numpy as np
 
 from .cache import score_matrix
 from .errors import BackendError, ProtocolError, ValidationError
+
+if TYPE_CHECKING:
+    from http.client import HTTPConnection
 
 logger = logging.getLogger(__name__)
 
@@ -44,9 +46,11 @@ DEFAULT_RETRIES = 3
 DEFAULT_BACKOFF = 0.5
 
 
-@dataclass(frozen=True)
-class ScoreRequest:
-    """One cell to score: a rendered input and its candidate phrases."""
+class ScoreRequest(NamedTuple):
+    """One cell to score: a rendered input and its candidate phrases.
+
+    An immutable tuple of these five fields, in this order.
+    """
 
     input: str
     candidates: tuple[str, ...]
@@ -70,8 +74,9 @@ class ScorerBackend(ABC):
     content_addressed: bool = True
 
     @abstractmethod
-    def score_batch(self, batch: Sequence[ScoreRequest]) -> list[list[float]]:
-        """Log-likelihood per candidate for each request, aligned with input order."""
+    def score_batch(self, batch: Sequence[ScoreRequest]) -> np.ndarray | list[list[float]]:
+        """Log-likelihood per candidate for each request, aligned with input order:
+        a (b, c) float array or one list of c numbers per request."""
 
     def close(self) -> None:
         """Release held resources such as connections; the default holds none."""
@@ -154,17 +159,19 @@ class SyntheticBackend(ScorerBackend):
             return self.default_quality
         raise BackendError(f"no quality configured for prompt {prompt_id!r}")
 
-    def _cell_terms(self, batch: Sequence[ScoreRequest]) -> tuple[list[float], list[int]]:
-        """Each request's prompt quality and its planted label's position among
-        its choices; raises on the first request, in order, that has neither."""
+    def _cell_terms(self, batch: Sequence[ScoreRequest]
+                    ) -> tuple[list[float], list[int], list[int]]:
+        """Each request's prompt quality, its planted label's position among its
+        choices, and its number of choices; raises on the first request, in
+        order, that lacks a quality or a planted label among its choices."""
         qualities: dict[str, float] = {}
         positions: dict[tuple[str, ...], dict[str, int]] = {}
-        quality, planted_at = [], []
-        for req in batch:
-            eid, labels = req.example_id, tuple(req.choice_labels)
+        quality, planted_at, width = [], [], []
+        for _, _, prompt_id, eid, labels in batch:
             planted = self.planted_labels.get(eid)
             if planted is None:
                 raise BackendError(f"no planted label for example {eid!r}")
+            labels = tuple(labels)
             position = positions.get(labels)
             if position is None:
                 if len(labels) < 2:
@@ -177,24 +184,29 @@ class SyntheticBackend(ScorerBackend):
                     f"planted label {planted!r} for example {eid!r} not among choices {labels}"
                 )
             planted_at.append(position[planted])
-            q = qualities.get(req.prompt_id)
+            width.append(len(labels))
+            q = qualities.get(prompt_id)
             if q is None:
-                q = qualities[req.prompt_id] = self._quality(req.prompt_id)
+                q = qualities[prompt_id] = self._quality(prompt_id)
             quality.append(q)
-        return quality, planted_at
+        return quality, planted_at, width
 
-    def score_batch(self, batch: Sequence[ScoreRequest]) -> list[list[float]]:
-        """Every cell's scores from one set of array operations over the batch."""
+    def score_batch(self, batch: Sequence[ScoreRequest]) -> np.ndarray | list[list[float]]:
+        """Every cell's scores from one set of array operations over the batch.
+
+        A batch whose cells all have c choices gets a (b, c) float64 array;
+        one that mixes choice counts gets a list of floats per cell.
+        """
         self.calls += 1
         self.cells_scored += len(batch)
-        quality_list, planted_list = self._cell_terms(batch)
+        quality_list, planted_list, width_list = self._cell_terms(batch)
         if not batch:
             return []
         s = str(self.seed)
-        tails = [f"{req.prompt_id}{_SEP}{req.example_id}".encode("utf-8") for req in batch]
+        tails = [f"{prompt_id}{_SEP}{eid}".encode("utf-8") for _, _, prompt_id, eid, _ in batch]
         quality = np.asarray(quality_list, dtype=np.float64)
         planted = np.asarray(planted_list, dtype=np.int64)
-        width = np.asarray([len(req.choice_labels) for req in batch], dtype=np.int64)
+        width = np.asarray(width_list, dtype=np.int64)
 
         # The planted label wins with probability `quality`; otherwise the
         # pick-th of the other labels, in choice order.
@@ -225,6 +237,8 @@ class SyntheticBackend(ScorerBackend):
         extra = 0.05 + 0.5 * _uniforms(f"{s}{_SEP}loser{_SEP}", loser_tails)
         scores = base[cell]
         scores[losers] = (base - margin)[cell[losers]] - extra
+        if (width == width[0]).all():
+            return scores.reshape(len(batch), -1)
         values = scores.tolist()
         return [values[a:b] for a, b in zip(starts.tolist(), ends.tolist())]
 
@@ -284,8 +298,12 @@ class RemoteBackend(ScorerBackend):
             url, port = urlsplit(""), None
         if url.scheme not in ("http", "https") or not url.hostname:
             raise ValidationError(f"endpoint is not an http(s) URL with a host: {endpoint!r}")
-        connection = HTTPSConnection if url.scheme == "https" else HTTPConnection
+        import http.client  # here, not at module level: it imports ssl, email and socket
+
+        connection = (http.client.HTTPSConnection if url.scheme == "https"
+                      else http.client.HTTPConnection)
         self._connect = partial(connection, url.hostname, port, timeout=timeout)
+        self._transport_errors = (OSError, http.client.HTTPException)
         path = (url.path or "/") + (f"?{url.query}" if url.query else "")
         # Spaces, control and non-ASCII characters are percent-encoded; escapes stay.
         self._path = quote(path, safe="!#$%&'()*+,/:;=?@[]~")
@@ -345,7 +363,7 @@ class RemoteBackend(ScorerBackend):
                 time.sleep(delay)
             try:
                 status, data = self._send(body)
-            except (OSError, HTTPException) as exc:
+            except self._transport_errors as exc:
                 last_error = exc
                 continue
             if status >= 500:
@@ -380,9 +398,15 @@ class RemoteBackend(ScorerBackend):
                 f"{len(results) if isinstance(results, list) else type(results).__name__}",
                 payload_excerpt=_excerpt(data),
             )
+        rows = [result.get("scores") if isinstance(result, dict) else None
+                for result in results]
+        values = score_matrix(rows)
+        if values is not None and all(len(req.candidates) == values.shape[1] for req in batch):
+            return values.tolist()
+        # A batch that mixes candidate counts, or a bad row: check row by row,
+        # naming the first bad one.
         out: list[list[float]] = []
-        for req, result in zip(batch, results):
-            scores = result.get("scores") if isinstance(result, dict) else None
+        for req, scores in zip(batch, rows):
             values = score_matrix([scores])
             if values is None or values.shape[1] != len(req.candidates):
                 raise ProtocolError(

@@ -82,6 +82,7 @@ class ScoreCache:
         self._lock = threading.Lock()
         self._entries: dict[str, tuple[float, ...]] = {}
         self._handle = None
+        self._torn = False  # a short write left bytes that could not be cut off
         self.hits = 0
         self.misses = 0
         self._load()
@@ -168,12 +169,18 @@ class ScoreCache:
         grown past ``size`` since it was read: then another run is still
         writing that segment, and it is left to end it.
         """
+        if self._truncate(size, offset):
+            logger.warning("cache %s: dropped torn last segment %d (%d bytes)",
+                           self.path, segment, size - offset)
+
+    def _truncate(self, size: int, offset: int) -> bool:
+        """Cut the file back to ``offset`` bytes if it still has ``size``;
+        False, leaving it as it is, if another writer has grown it since."""
         with open(self.path, "r+b") as out:
             if out.seek(0, 2) != size:
-                return
+                return False
             out.truncate(offset)
-        logger.warning("cache %s: dropped torn last segment %d (%d bytes)",
-                       self.path, segment, size - offset)
+        return True
 
     def get(self, key: str) -> tuple[float, ...] | None:
         """The cell's cached values in candidate order, or None."""
@@ -203,7 +210,9 @@ class ScoreCache:
         64 lowercase hex characters (a ``make_cache_key`` digest), or rows
         that ``score_matrix`` refuses, raise ValidationError before anything
         is written. The cells are recorded only once the write has returned
-        in full.
+        in full. A short write raises OSError; the part it wrote is cut off
+        while it is still the file's last bytes, and otherwise this cache
+        refuses every later append, which would land behind the torn part.
         """
         keys = list(keys)
         if not keys:
@@ -224,7 +233,16 @@ class ScoreCache:
             payload = digests[rows].tobytes() + array.tobytes()
             segment = _HEADER.pack(_MAGIC, _VERSION, len(rows), array.shape[1],
                                   len(payload), zlib.crc32(payload)) + payload
-            if self._handle.write(segment) != len(segment):
+            if self._torn:
+                raise OSError(f"cache {self.path} ends in a torn segment that this handle "
+                              "could not cut off; reopen the cache to append to it")
+            written = self._handle.write(segment)
+            if written != len(segment):
+                try:
+                    end = self._handle.tell()
+                    self._torn = not self._truncate(end, end - written)
+                except OSError:
+                    self._torn = True
                 raise OSError(f"short write to cache {self.path}")
             self._entries.update(zip(fresh, map(tuple, array.tolist())))
 

@@ -256,41 +256,43 @@ def score_all(
 
     n, c = len(examples), len(task.choices)
     raw = np.empty((len(prompts), n, c), dtype=np.float64)
+    flat = raw.reshape(-1, c)  # row i * n + k is cell (i, k)
     tokens = np.empty((len(prompts), c))  # each phrase's whitespace token count
+    model_id, choices = backend.model_id, task.choices
+    content_addressed = backend.content_addressed
 
-    # Cells to score: request, row in raw's flat (p*n, c) view, cache key (hashed once).
+    # Cells to score: request, row in flat, cache key (hashed once). Cache hits:
+    # row in flat and values.
     requests: list[ScoreRequest] = []
     rows: list[int] = []
     keys: list[str] = []
+    hit_rows: list[int] = []
+    hits: list[tuple[float, ...]] = []
     for i, prompt in enumerate(prompts):
+        prompt_id = prompt.prompt_id
         phrases = candidate_phrases(task, prompt)
         tokens[i] = [max(1, len(phrase.split())) for phrase in phrases]
-        for k, example in enumerate(examples):
+        for row, example in enumerate(examples, i * n):
             text = render(prompt, example)
+            example_id = example.example_id
             if cache is not None:
-                coords = (None if backend.content_addressed
-                          else (prompt.prompt_id, example.example_id))
-                key = make_cache_key(backend.model_id, text, phrases, length_norm, coords)
+                key = make_cache_key(model_id, text, phrases, length_norm,
+                                     None if content_addressed else (prompt_id, example_id))
                 cached = cache.get(key)
                 if cached is not None:
-                    if len(cached) != len(phrases):
+                    if len(cached) != c:
                         raise CacheCorruptionError(
                             f"cache {cache.path} holds {len(cached)} values for a cell "
-                            f"with {len(phrases)} candidates; delete or move the file "
-                            "to reset it"
+                            f"with {c} candidates; delete or move the file to reset it"
                         )
-                    raw[i, k, :] = cached
+                    hit_rows.append(row)
+                    hits.append(cached)
                     continue
                 keys.append(key)
-            requests.append(ScoreRequest(
-                input=text,
-                candidates=phrases,
-                prompt_id=prompt.prompt_id,
-                example_id=example.example_id,
-                choice_labels=task.choices,
-            ))
-            rows.append(i * n + k)
-    flat = raw.reshape(-1, c)
+            requests.append(ScoreRequest(text, phrases, prompt_id, example_id, choices))
+            rows.append(row)
+    if hits:
+        flat[hit_rows] = hits
     at = np.asarray(rows, dtype=np.intp)
 
     def score(part: range) -> bool:

@@ -8,6 +8,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+import zps.backends
 from zps import (
     BackendError,
     Prompt,
@@ -21,6 +22,8 @@ from zps import (
     derived_profile,
     score_all,
 )
+from zps.cache import score_matrix
+
 from .helpers import StubScorer, make_examples, make_task, stub_score
 
 
@@ -39,6 +42,20 @@ def requests_for(prompt_ids, example_ids, choices):
     ]
 
 
+def test_score_request_is_an_immutable_tuple():
+    fields = ("in", ("a", "b"), "p0", "e0", ("0", "1"))
+    req = ScoreRequest(*fields)
+    assert req == ScoreRequest(input="in", candidates=("a", "b"), prompt_id="p0",
+                               example_id="e0", choice_labels=("0", "1"))
+    assert tuple(req) == fields
+    assert ScoreRequest._fields == ("input", "candidates", "prompt_id", "example_id",
+                                    "choice_labels")
+    with pytest.raises(AttributeError):
+        req.input = "other"
+    with pytest.raises(AttributeError):
+        req.extra = 1
+
+
 class TestSyntheticBackend:
     def test_deterministic_across_instances(self):
         kwargs = dict(
@@ -47,14 +64,18 @@ class TestSyntheticBackend:
             planted_labels={"e0": "1", "e1": "0"},
         )
         reqs = requests_for(["p0"], ["e0", "e1"], ["0", "1"])
-        assert SyntheticBackend(**kwargs).score_batch(reqs) == \
-            SyntheticBackend(**kwargs).score_batch(reqs)
+        first = SyntheticBackend(**kwargs).score_batch(reqs)
+        second = SyntheticBackend(**kwargs).score_batch(reqs)
+        assert first.dtype == np.float64 and first.shape == (2, 2)
+        assert first.tobytes() == second.tobytes()
 
     def test_seed_changes_scores(self):
         reqs = requests_for(["p0"], ["e0"], ["0", "1"])
         a = SyntheticBackend(seed=1, prompt_quality={"p0": 0.8}, planted_labels={"e0": "1"})
         b = SyntheticBackend(seed=2, prompt_quality={"p0": 0.8}, planted_labels={"e0": "1"})
-        assert a.score_batch(reqs) != b.score_batch(reqs)
+        scores_a, scores_b = a.score_batch(reqs), b.score_batch(reqs)
+        assert scores_a.shape == scores_b.shape == (1, 2)
+        assert (scores_a != scores_b).all()
         assert a.model_id != b.model_id
 
     @pytest.mark.parametrize("quality,expect", [(1.0, 1.0), (0.0, 0.0)])
@@ -278,6 +299,32 @@ class TestRemoteBackend:
             with pytest.raises(ProtocolError, match="example 'e1'") as excinfo:
                 backend.score_batch(reqs)
         assert '"results"' in str(excinfo.value)
+
+    def test_a_good_reply_is_checked_once(self, monkeypatch):
+        checked = []
+
+        def counted(rows):
+            checked.append(rows)
+            return score_matrix(rows)
+
+        monkeypatch.setattr(zps.backends, "score_matrix", counted)
+        reqs = requests_for(["p0"], ["e0", "e1", "e2"], ["0", "1"])
+        with StubScorer() as stub:
+            scores = RemoteBackend(endpoint=stub.url, model="m").score_batch(reqs)
+        assert scores == [[stub_score(r.input, cand) for cand in r.candidates] for r in reqs]
+        assert len(checked) == 1
+
+    def test_mixed_candidate_counts_are_checked_row_by_row(self):
+        reqs = [*requests_for(["p0"], ["e0"], ["0", "1"]),
+                *requests_for(["p0"], ["e1"], ["0", "1", "2"])]
+        with StubScorer() as stub:
+            scores = RemoteBackend(endpoint=stub.url, model="m").score_batch(reqs)
+        assert scores == [[stub_score(r.input, cand) for cand in r.candidates] for r in reqs]
+        body = {"results": [{"scores": [-1.0, -2.0]}, {"scores": [-1.0, -2.0]}]}
+        with StubScorer([(200, body)]) as stub:
+            backend = RemoteBackend(endpoint=stub.url, model="m", retries=1)
+            with pytest.raises(ProtocolError, match="example 'e1' are not 3 finite"):
+                backend.score_batch(reqs)
 
     def test_integer_scores_come_back_as_floats(self):
         reqs = requests_for(["p0"], ["e0"], ["0", "1", "2"])

@@ -400,21 +400,24 @@ def test_one_put_many_needs_one_value_count(tmp_path):
 
 class _FailingHandle:
     """Append handle stand-in whose first write fails: it raises ENOSPC, or it
-    writes only a 10-byte prefix and returns that length."""
+    writes only a 10-byte prefix and returns that length, after running
+    ``then`` (another writer's append, say)."""
 
-    def __init__(self, inner, short):
-        self.inner, self.short, self.failed = inner, short, False
+    def __init__(self, inner, short, then=lambda: None):
+        self.inner, self.short, self.then, self.failed = inner, short, then, False
 
     def write(self, data):
         if self.failed:
             return self.inner.write(data)
         self.failed = True
         if self.short:
-            return self.inner.write(data[:10])
+            written = self.inner.write(data[:10])
+            self.then()
+            return written
         raise OSError(errno.ENOSPC, "No space left on device")
 
-    def close(self):
-        self.inner.close()
+    def __getattr__(self, name):  # tell, close, ...
+        return getattr(self.inner, name)
 
 
 def test_write_that_raises_records_nothing(tmp_path):
@@ -428,20 +431,45 @@ def test_write_that_raises_records_nothing(tmp_path):
     assert read_segments(path) == [[(A, (-1.0, -0.5))]]
 
 
-def test_short_write_records_nothing(tmp_path, caplog):
+def test_short_write_records_nothing(tmp_path):
     path = tmp_path / "c.cache"
     with ScoreCache(path) as cache:
         cache._handle = _FailingHandle(cache._handle, short=True)
         with pytest.raises(OSError, match="short write"):
             cache.put_many([A, B], [[-1.0, -0.5], [-2.0, -0.5]])
         assert (A in cache, B in cache, len(cache)) == (False, False, 0)
-    assert len(path.read_bytes()) == 10
+        assert path.read_bytes() == b""  # the 10-byte prefix is cut off
+
+
+def test_retry_after_a_short_write_leaves_a_sound_file(tmp_path, caplog):
+    path = tmp_path / "c.cache"
+    with ScoreCache(path) as cache:
+        cache.put(A, [-3.0, -0.25])
+        cache._handle = _FailingHandle(cache._handle, short=True)
+        with pytest.raises(OSError, match="short write"):
+            cache.put(B, [-1.0, -0.5])
+        cache.put(B, [-1.0, -0.5])  # the same handle, retried
     with caplog.at_level(logging.WARNING, logger="zps.cache"):
-        with ScoreCache(path) as cache:  # the prefix is a torn tail
-            assert len(cache) == 0
+        with ScoreCache(path) as cache:
+            assert cache.get(A) == (-3.0, -0.25) and cache.get(B) == (-1.0, -0.5)
+    assert caplog.records == []
+    assert read_segments(path) == [[(A, (-3.0, -0.25))], [(B, (-1.0, -0.5))]]
+
+
+def test_short_write_behind_another_append_stops_the_handle(tmp_path):
+    path = tmp_path / "c.cache"
+    with ScoreCache(path) as cache, ScoreCache(path) as other:
+        # Another writer appends between the short write and its clean-up.
+        cache._handle = _FailingHandle(cache._handle, short=True,
+                                       then=lambda: other.put(C, [-2.0, -1.0]))
+        with pytest.raises(OSError, match="short write"):
             cache.put(A, [-1.0, -0.5])
-    assert "dropped torn last segment 1 (10 bytes)" in caplog.text
-    assert read_segments(path) == [[(A, (-1.0, -0.5))]]
+        size = path.stat().st_size
+        with pytest.raises(OSError, match="reopen the cache"):
+            cache.put(B, [-1.0, -0.5])
+        assert path.stat().st_size == size and B not in cache
+    with pytest.raises(CacheCorruptionError, match="corrupt at segment 1 "):
+        ScoreCache(path)  # the torn part sits ahead of the other writer's segment
 
 
 def test_put_many_takes_an_array_and_copies_it(tmp_path):

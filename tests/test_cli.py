@@ -28,6 +28,20 @@ def test_import_loads_no_scipy():
     assert out.stdout.strip() == "[]"
 
 
+def test_import_loads_no_http_stack():
+    # http.client (and the ssl, email and socket it pulls in) is imported only
+    # when a RemoteBackend is built.
+    code = (
+        "import sys, zps, zps.cli; print(sorted(m for m in ('http.client', 'ssl') "
+        "if m in sys.modules)); zps.RemoteBackend('http://localhost:9/score', 'm'); "
+        "print(sorted(m for m in ('http.client', 'ssl') if m in sys.modules))"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(zps.__file__).resolve().parent.parent))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=60)
+    assert out.stdout.split("\n")[:2] == ["[]", "['http.client', 'ssl']"]
+
+
 @pytest.fixture(autouse=True)
 def no_ambient_token(monkeypatch):
     monkeypatch.delenv(TOKEN_ENV, raising=False)

@@ -24,6 +24,7 @@ from zps import (
     candidate_phrases,
     make_cache_key,
     predict,
+    render,
     score_all,
 )
 from zps.scoring import log_softmax
@@ -213,6 +214,34 @@ class TestScoreAll:
             score_all(task, prompts, examples, fresh, cache)
         # 2 prompts x 2 new examples
         assert fresh.cells_scored == 4
+
+    @pytest.mark.parametrize("normalize", ["none", "softmax"])
+    def test_every_other_cell_cached_gives_the_uncached_tensor(self, tmp_path, monkeypatch,
+                                                               normalize):
+        task, prompts, examples, backend, _ = synthetic_setup(p=3, n=7, c=3)
+        raw = score_all(task, prompts, examples, backend, normalize="none").logprobs
+        plain = score_all(task, prompts, examples, backend, normalize=normalize)
+        cells = [(i, k) for i in range(len(prompts)) for k in range(len(examples))]
+        with ScoreCache(tmp_path / "c") as cache:
+            for i, k in cells[::2]:
+                prompt, example = prompts[i], examples[k]
+                key = make_cache_key(backend.model_id, render(prompt, example),
+                                     candidate_phrases(task, prompt), False,
+                                     (prompt.prompt_id, example.example_id))
+                cache.put(key, raw[i, k])
+        asked = []
+
+        def recorded(batch):
+            asked.extend((req.prompt_id, req.example_id) for req in batch)
+            return SyntheticBackend.score_batch(backend, batch)
+
+        monkeypatch.setattr(backend, "score_batch", recorded)
+        with ScoreCache(tmp_path / "c") as cache:
+            mixed = score_all(task, prompts, examples, backend, cache, normalize=normalize)
+            assert (cache.hits, cache.misses) == (len(cells[::2]), len(cells[1::2]))
+        assert mixed.logprobs.tobytes() == plain.logprobs.tobytes()
+        assert asked == [(prompts[i].prompt_id, examples[k].example_id)
+                         for i, k in cells[1::2]]
 
     def test_one_cache_key_per_cell(self, tmp_path, monkeypatch):
         task, prompts, examples, backend, _ = synthetic_setup(p=3, n=5, c=3)

@@ -60,9 +60,30 @@ def _batches(draw):
 def test_batch_equals_the_per_cell_formula(case):
     backend, batch = case
     scores = backend.score_batch(batch)
-    assert scores == [reference_scores(backend, req) for req in batch]
-    assert all(type(v) is float for row in scores for v in row)
+    expected = [reference_scores(backend, req) for req in batch]
+    widths = {len(req.choice_labels) for req in batch}
+    if len(widths) == 1:  # one choice count: one (b, c) array, bit-equal to the formula
+        assert isinstance(scores, np.ndarray) and scores.dtype == np.float64
+        assert scores.shape == (len(batch), *widths)
+        assert scores.tobytes() == np.asarray(expected, dtype=np.float64).tobytes()
+    else:  # mixed choice counts (or no cells): a list of Python floats per cell
+        assert scores == expected
+        assert type(scores) is list and all(type(row) is list for row in scores)
+        assert all(type(v) is float for row in scores for v in row)
     assert backend.calls == 1 and backend.cells_scored == len(batch)
+
+
+def test_mixed_choice_counts_get_lists_of_floats():
+    backend = SyntheticBackend(seed=5, prompt_quality={"p": 0.6},
+                               planted_labels={"e0": "a", "e1": "b"})
+    batch = [ScoreRequest("x", ("a", "b"), "p", "e0", ("a", "b")),
+             ScoreRequest("y", ("a", "b", "c"), "p", "e1", ("a", "b", "c"))]
+    scores = backend.score_batch(batch)
+    assert type(scores) is list and [len(row) for row in scores] == [2, 3]
+    assert all(type(v) is float for row in scores for v in row)
+    assert scores == [reference_scores(backend, req) for req in batch]
+    uniform = backend.score_batch(batch[:1])
+    assert uniform.tobytes() == np.asarray(scores[:1]).tobytes()
 
 
 @settings(max_examples=40, deadline=None)
@@ -88,10 +109,13 @@ def test_golden_grid_digest():
     reqs = [ScoreRequest(f"{pid} {eid}", GOLDEN_CHOICES, pid, eid, GOLDEN_CHOICES)
             for pid in prompt_ids for eid in example_ids]
     scores = backend.score_batch(reqs)
+    assert isinstance(scores, np.ndarray) and scores.dtype == np.float64
+    assert scores.shape == (len(reqs), len(GOLDEN_CHOICES))
     digest = hashlib.sha256(np.asarray(scores, dtype=np.float64).tobytes()).hexdigest()
     assert digest == "831f06bdb8c88e6695dd06ce4a4e19b5131ce6c181edf9efdba590f50e3d81b2"
-    chunked = [row for n in range(0, len(reqs), 7) for row in backend.score_batch(reqs[n:n + 7])]
-    assert chunked == scores
+    chunked = np.concatenate([backend.score_batch(reqs[n:n + 7])
+                              for n in range(0, len(reqs), 7)])
+    assert chunked.tobytes() == scores.tobytes()
 
 
 def _request(pid, eid, labels=("0", "1")):
