@@ -84,21 +84,19 @@ def load_pseudo_labeled(path: str | Path) -> PseudoLabeledSet:
 
 
 def _ranked_entries(
-    tensor: ScoreTensor, config: EnsembleConfig
+    tensor: ScoreTensor, config: EnsembleConfig, size: int | None
 ) -> list[tuple[str, str, float]]:
-    """All examples pseudo-labeled, in descending ensemble-gap order.
+    """The ``size`` (default: all) examples with the largest ensemble gap,
+    pseudo-labeled, in descending gap order.
 
     The sort is stable with ties kept in original example order, so any
     prefix of the ranking is reproducible and top-k sets nest.
     """
     scores, pseudo_idx = ensemble_vote(tensor, config)
     gaps = top2_gap(scores)
-    order = np.argsort(-gaps, kind="stable")
-    labels, gap_values = pseudo_idx.tolist(), gaps.tolist()
-    return [
-        (tensor.example_ids[k], tensor.choices[labels[k]], gap_values[k])
-        for k in order.tolist()
-    ]
+    order = np.argsort(-gaps, kind="stable")[:size]
+    rows = zip(order.tolist(), pseudo_idx[order].tolist(), gaps[order].tolist())
+    return [(tensor.example_ids[k], tensor.choices[j], g) for k, j, g in rows]
 
 
 def build_pseudo_val(
@@ -110,12 +108,9 @@ def build_pseudo_val(
     to the `size` most confident ones."""
     config = config or EnsembleConfig()
     n = len(tensor.example_ids)
-    if size is not None:
-        if not 1 <= size <= n:
-            raise ValidationError(f"size must be in [1, {n}], got {size}")
-    entries = _ranked_entries(tensor, config)
-    if size is not None:
-        entries = entries[:size]
+    if size is not None and not 1 <= size <= n:
+        raise ValidationError(f"size must be in [1, {n}], got {size}")
+    entries = _ranked_entries(tensor, config, size)
     return PseudoLabeledSet(
         entries=tuple(entries),
         provenance=f"pseudo_val:strategy={config.strategy};size={len(entries)}",

@@ -47,15 +47,23 @@ def label_indices(labels: Sequence[str], choices: Sequence[str]) -> np.ndarray:
 
 
 def prompt_rows(prompt_ids: Sequence[str], wanted: Sequence[str]) -> list[int]:
-    """Row of each wanted prompt id (its first occurrence in ``prompt_ids``);
-    an unknown id is a ValidationError."""
-    lookup: dict[str, int] = {}
-    for i, pid in enumerate(prompt_ids):
-        lookup.setdefault(pid, i)
+    """Row of each wanted prompt id in ``prompt_ids``; an unknown id is a
+    ValidationError."""
+    lookup = {pid: i for i, pid in enumerate(prompt_ids)}
     try:
         return [lookup[pid] for pid in wanted]
     except KeyError as exc:
         raise ValidationError(f"unknown prompt_id {exc.args[0]!r}") from None
+
+
+def _refuse_duplicate_ids(axes: Sequence[Sequence[str]]) -> None:
+    """Refuse prompt, example or choice ids (in that order) that repeat one,
+    naming the first repeat."""
+    for name, ids in zip(("prompt_id", "example_id", "choice"), axes):
+        if len(set(ids)) < len(ids):
+            seen: set[str] = set()
+            repeat = next(i for i in ids if i in seen or seen.add(i))
+            raise ValidationError(f"duplicate {name} {repeat!r}")
 
 
 def top2_gap(values: np.ndarray) -> np.ndarray:
@@ -82,7 +90,8 @@ class ScoreTensor:
     Axis order matches the catalog's prompt order, the dataset's example
     order, and the task's choice order. When ``normalized`` is True the
     per-cell scores are log-probabilities over the choice set (all <= 0).
-    Immutable after construction; safe to share across workers.
+    No axis repeats an id. Immutable after construction; safe to share
+    across workers.
 
     Two derived views are computed on first use and kept on the instance:
     ``predictions`` (the argmax ``PredictionMatrix``) and ``confidences``
@@ -113,6 +122,7 @@ class ScoreTensor:
         object.__setattr__(self, "prompt_ids", tuple(self.prompt_ids))
         object.__setattr__(self, "example_ids", tuple(self.example_ids))
         object.__setattr__(self, "choices", tuple(self.choices))
+        _refuse_duplicate_ids((self.prompt_ids, self.example_ids, self.choices))
 
     @property
     def shape(self) -> tuple[int, int, int]:
@@ -147,6 +157,7 @@ class ScoreTensor:
         are carried over row by row; both are per-prompt, so the rows equal
         what the sub-tensor would compute.
         """
+        _refuse_duplicate_ids((prompt_ids,))
         rows = prompt_rows(self.prompt_ids, prompt_ids)
         logprobs = self.logprobs[rows]
         logprobs.flags.writeable = False
@@ -190,6 +201,7 @@ class PredictionMatrix:
         object.__setattr__(self, "prompt_ids", tuple(self.prompt_ids))
         object.__setattr__(self, "example_ids", tuple(self.example_ids))
         object.__setattr__(self, "choices", tuple(self.choices))
+        _refuse_duplicate_ids((self.prompt_ids, self.example_ids, self.choices))
 
     def row(self, prompt_id: str) -> np.ndarray:
         return self.indices[prompt_rows(self.prompt_ids, [prompt_id])[0]]

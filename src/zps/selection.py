@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -182,49 +182,62 @@ def filter_prompts(
     )
 
 
-def _ordered_by_prompt_id(tensor: ScoreTensor) -> ScoreTensor:
-    ordered = tuple(sorted(tensor.prompt_ids))
-    return tensor if ordered == tensor.prompt_ids else tensor.restrict(ordered)
-
-
-def ensemble_scores(tensor: ScoreTensor, config: EnsembleConfig) -> np.ndarray:
-    """The n x c ensemble score matrix s(x_k, y) for the configured strategy."""
-    if not tensor.prompt_ids:
+def _ensemble_rows(tensor: ScoreTensor, prompt_ids: Sequence[str] | None) -> list[int]:
+    """Rows of the given prompts (default: all) in ascending prompt_id order."""
+    ids = tensor.prompt_ids if prompt_ids is None else prompt_ids
+    if not ids:
         raise ValidationError("ensemble needs at least one prompt")
-    tensor = _ordered_by_prompt_id(tensor)
+    return prompt_rows(tensor.prompt_ids, sorted(ids))
+
+
+def _row_sum(rows: Iterator[np.ndarray]) -> np.ndarray:
+    """``np.sum(axis=0)`` over the rows' stack, in its order and rounding, with no
+    stack (numpy reduces the first row too, which sets the sign of its zeros)."""
+    total = np.add.reduce(next(rows)[np.newaxis], axis=0)
+    for row in rows:
+        total += row
+    return total
+
+
+def ensemble_scores(tensor: ScoreTensor, config: EnsembleConfig,
+                    prompt_ids: Sequence[str] | None = None) -> np.ndarray:
+    """The n x c ensemble score matrix s(x_k, y) of the given prompts (default:
+    all) for the configured strategy, read from the tensor's rows in place."""
+    rows = _ensemble_rows(tensor, prompt_ids)
+    logprobs = tensor.logprobs
     if config.strategy == "logprob_mean":
-        return tensor.logprobs.mean(axis=0)
+        return _row_sum(logprobs[r] for r in rows) / len(rows)
     if config.strategy == "prob_mean":
-        return np.exp(tensor.logprobs).mean(axis=0)
-    # majority_vote: per-prompt argmax predictions, counted per choice
-    preds = predict(tensor).indices
-    votes = [(preds == j).sum(axis=0) for j in range(len(tensor.choices))]
-    return np.stack(votes, axis=1).astype(np.float64)
+        return _row_sum(np.exp(logprobs[r]) for r in rows) / len(rows)
+    # majority_vote: each prompt's argmax prediction is one vote for its choice
+    preds, c = predict(tensor).indices, len(tensor.choices)
+    votes = np.zeros(preds.shape[1] * c)
+    cells = np.arange(0, votes.size, c)
+    for r in rows:
+        votes[cells + preds[r]] += 1.0
+    return votes.reshape(-1, c)
 
 
-def ensemble_vote(
-    tensor: ScoreTensor, config: EnsembleConfig
-) -> tuple[np.ndarray, np.ndarray]:
+def ensemble_vote(tensor: ScoreTensor, config: EnsembleConfig,
+                  prompt_ids: Sequence[str] | None = None) -> tuple[np.ndarray, np.ndarray]:
     """The ensemble score matrix and the pseudo-label index per example it gives.
 
     Score ties resolve to the earliest choice in task order; majority-vote
     ties are first broken by summed per-prompt log-probability.
     """
-    tensor = _ordered_by_prompt_id(tensor)
-    scores = ensemble_scores(tensor, config)
+    scores = ensemble_scores(tensor, config, prompt_ids)
     if config.strategy != "majority_vote":
         return scores, np.argmax(scores, axis=1)
 
-    sum_logp = tensor.logprobs.sum(axis=0)
-    top = scores.max(axis=1, keepdims=True)
-    tie_scores = np.where(scores == top, sum_logp, -np.inf)
+    sum_logp = _row_sum(tensor.logprobs[r] for r in _ensemble_rows(tensor, prompt_ids))
+    tie_scores = np.where(scores == scores.max(axis=1, keepdims=True), sum_logp, -np.inf)
     return scores, np.argmax(tie_scores, axis=1)
 
 
-def ensemble_predict(tensor: ScoreTensor, config: EnsembleConfig) -> np.ndarray:
-    """Pseudo-label indices, one per example, from the prompt ensemble
-    (the labels of ``ensemble_vote``)."""
-    return ensemble_vote(tensor, config)[1]
+def ensemble_predict(tensor: ScoreTensor, config: EnsembleConfig,
+                     prompt_ids: Sequence[str] | None = None) -> np.ndarray:
+    """The pseudo-label index per example that ``ensemble_vote`` gives."""
+    return ensemble_vote(tensor, config, prompt_ids)[1]
 
 
 def pseudo_accuracy(
@@ -251,9 +264,10 @@ def pseudo_accuracy(
         )
     if not targets.size:
         raise ValidationError("agreement needs at least one labeled example")
-    ids = list(prompt_ids) if prompt_ids is not None else list(preds.prompt_ids)
-    agreement = (preds.indices[prompt_rows(preds.prompt_ids, ids)] == targets).mean(axis=1)
-    return {pid: float(a) for pid, a in zip(ids, agreement)}
+    # Exact agreement counts over every row, so the shares equal a bool mean.
+    agreement = np.count_nonzero(preds.indices == targets, axis=1) / targets.size
+    ids = preds.prompt_ids if prompt_ids is None else prompt_ids
+    return dict(zip(ids, agreement[prompt_rows(preds.prompt_ids, ids)].tolist()))
 
 
 def select(
@@ -273,22 +287,13 @@ def select(
     """
     config = config or EnsembleConfig()
     conf = confidence_scores(tensor)
-    if no_filter:
-        report = _keep_all(tensor.prompt_ids, conf)
-    else:
-        report = filter_prompts(tensor.prompt_ids, conf)
+    report = (_keep_all if no_filter else filter_prompts)(tensor.prompt_ids, conf)
 
-    # Predictions first, so the kept sub-tensor carries their rows.
-    preds = predict(tensor)
-    kept_tensor = tensor.restrict(report.kept)
-    pseudo_idx = ensemble_predict(kept_tensor, config)
+    pseudo_idx = ensemble_predict(tensor, config, prompt_ids=report.kept)
     scored = list(report.kept) + (list(report.discarded) if score_all_prompts else [])
-    acc = pseudo_accuracy(preds, pseudo_idx, prompt_ids=scored)
+    acc = pseudo_accuracy(predict(tensor), pseudo_idx, prompt_ids=scored)
 
-    selected = min(
-        report.kept,
-        key=lambda pid: (-acc[pid], -report.confidences[pid], pid),
-    )
+    selected = min(report.kept, key=lambda pid: (-acc[pid], -report.confidences[pid], pid))
     return SelectionReport(
         confidence=report,
         pseudo_labels=tuple(tensor.choices[j] for j in pseudo_idx.tolist()),

@@ -8,13 +8,16 @@ misses them would otherwise only show up as a failed ``perfbench/run.py
 """
 
 import importlib.util
+from collections import Counter
 from pathlib import Path
 
 import zps.backends
 import zps.cli
-from zps import ScoreCache, SyntheticBackend, score_all
+import zps.fewshot
+import zps.selection
+from zps import STRATEGIES, EnsembleConfig, ScoreCache, SyntheticBackend, score_all
 
-from .helpers import make_examples, make_prompts, make_task, plant_labels
+from .helpers import make_examples, make_prompts, make_task, plant_labels, synthetic_tensor
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -68,3 +71,27 @@ def test_traced_counts_match_the_work_done(tmp_path):
     assert metrics["scoring.chunks"] == chunks
     assert metrics["backends.requests"] == chunks == backend.calls
     assert metrics["backends.cells"] == cells == backend.cells_scored
+
+
+def test_traced_selection_records_one_span_per_stage():
+    # select must reach each stage through the zps.selection module globals,
+    # or the per-layer selection metrics silently read zero.
+    tracing = load_tracing()
+    tensor = synthetic_tensor(p=6, n=40, c=3, seed=1)[0]
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        tracer.start_op(0)
+        for strategy in STRATEGIES:
+            zps.selection.select(tensor, EnsembleConfig(strategy), score_all_prompts=True)
+        zps.fewshot.build_pseudo_val(tensor, size=10)
+    finally:
+        tracer.uninstall()
+    counts = Counter(span[3] for span in tracer.spans)
+    stages = ("selection.select", "selection.confidence_scores", "selection.filter_prompts",
+              "selection.ensemble_predict", "selection.pseudo_accuracy")
+    assert {name: counts[name] for name in stages} == dict.fromkeys(stages, len(STRATEGIES))
+    assert counts["fewshot.build_pseudo_val"] == 1
+    metrics = tracing.layer_metrics(tracing.op_layer_stats(tracer.spans)[0], {})
+    assert metrics["selection.select_calls"] == len(STRATEGIES)
+    assert metrics["selection.ensemble_s"] > 0 and metrics["fewshot.pseudo_val_s"] > 0

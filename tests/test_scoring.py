@@ -90,6 +90,23 @@ class TestScoreTensor:
         with pytest.raises(ValidationError, match="p99"):
             tensor.restrict(["p99"])
 
+    @pytest.mark.parametrize("axis", ["prompt_id", "example_id", "choice"])
+    def test_duplicate_ids_refused_naming_the_first_repeat(self, axis):
+        ids = {"prompt_id": ("a", "b"), "example_id": ("e0", "e1"), "choice": ("0", "1")}
+        ids[axis] = ("a", "b", "b", "a")
+        shape = tuple(len(v) for v in ids.values())
+        with pytest.raises(ValidationError, match=f"duplicate {axis} 'b'"):
+            ScoreTensor(*ids.values(), np.zeros(shape), normalized=False)
+        with pytest.raises(ValidationError, match=f"duplicate {axis} 'b'"):
+            PredictionMatrix(*ids.values(), np.zeros(shape[:2], dtype=np.int64))
+
+    def test_restrict_refuses_a_repeated_prompt(self):
+        tensor = raw_tensor(np.zeros((2, 1, 2)))
+        with pytest.raises(ValidationError, match="duplicate prompt_id 'p01'"):
+            tensor.restrict(["p01", "p00", "p01"])
+        with pytest.raises(ValidationError, match="duplicate prompt_id 'p00'"):
+            predict(tensor).restrict(["p00", "p00"])
+
 
 class TestPredictionMatrix:
     def test_index_range_checked(self):
