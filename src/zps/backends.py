@@ -63,10 +63,11 @@ class ScorerBackend(ABC):
     """Interface every scorer implements.
 
     ``model_id`` names the scorer configuration (the cache namespace), and
-    ``max_batch_size`` caps the requests in one ``score_batch`` call. Scores
-    are summed token log-likelihoods of the whole candidate phrase; they
-    depend on the (input, candidate) strings alone unless ``content_addressed``
-    is False, and then the cache keys hash (prompt_id, example_id) too.
+    ``max_batch_size`` caps the requests in one ``score_batch`` call. The
+    requests in one call share one set of choice labels. Scores are summed
+    token log-likelihoods of the whole candidate phrase; they depend on the
+    (input, candidate) strings alone unless ``content_addressed`` is False,
+    and then the cache keys hash (prompt_id, example_id) too.
     """
 
     model_id: str
@@ -159,54 +160,48 @@ class SyntheticBackend(ScorerBackend):
             return self.default_quality
         raise BackendError(f"no quality configured for prompt {prompt_id!r}")
 
-    def _cell_terms(self, batch: Sequence[ScoreRequest]
-                    ) -> tuple[list[float], list[int], list[int]]:
-        """Each request's prompt quality, its planted label's position among its
-        choices, and its number of choices; raises on the first request, in
-        order, that lacks a quality or a planted label among its choices."""
+    def _cell_terms(self, batch: Sequence[ScoreRequest]) -> tuple[list[float], list[int], int]:
+        """Each request's prompt quality, its planted label's position among the
+        batch's choices, and the number of choices. Raises if the requests mix
+        choice labels, else on the first request, in order, that lacks a
+        quality or a planted label among the choices."""
+        labels = batch[0].choice_labels
+        if any(req.choice_labels != labels for req in batch):
+            raise BackendError("the requests in one batch must share one set of choice labels")
+        if len(labels) < 2:
+            raise BackendError(f"fewer than two choice labels {labels}")
+        if len(set(labels)) != len(labels):
+            raise BackendError(f"duplicate choice labels {labels}")
+        position = {lab: j for j, lab in enumerate(labels)}
         qualities: dict[str, float] = {}
-        positions: dict[tuple[str, ...], dict[str, int]] = {}
-        quality, planted_at, width = [], [], []
-        for _, _, prompt_id, eid, labels in batch:
+        quality, planted_at = [], []
+        for _, _, prompt_id, eid, _ in batch:
             planted = self.planted_labels.get(eid)
             if planted is None:
                 raise BackendError(f"no planted label for example {eid!r}")
-            labels = tuple(labels)
-            position = positions.get(labels)
-            if position is None:
-                if len(labels) < 2:
-                    raise BackendError(f"fewer than two choice labels {labels}")
-                if len(set(labels)) != len(labels):
-                    raise BackendError(f"duplicate choice labels {labels}")
-                position = positions[labels] = {lab: j for j, lab in enumerate(labels)}
             if planted not in position:
                 raise BackendError(
                     f"planted label {planted!r} for example {eid!r} not among choices {labels}"
                 )
             planted_at.append(position[planted])
-            width.append(len(labels))
             q = qualities.get(prompt_id)
             if q is None:
                 q = qualities[prompt_id] = self._quality(prompt_id)
             quality.append(q)
-        return quality, planted_at, width
+        return quality, planted_at, len(labels)
 
-    def score_batch(self, batch: Sequence[ScoreRequest]) -> np.ndarray | list[list[float]]:
-        """Every cell's scores from one set of array operations over the batch.
-
-        A batch whose cells all have c choices gets a (b, c) float64 array;
-        one that mixes choice counts gets a list of floats per cell.
-        """
+    def score_batch(self, batch: Sequence[ScoreRequest]) -> np.ndarray:
+        """Every cell's scores, as one (b, c) float64 array, from one set of
+        array operations over the batch."""
         self.calls += 1
         self.cells_scored += len(batch)
-        quality_list, planted_list, width_list = self._cell_terms(batch)
         if not batch:
-            return []
+            return np.empty((0, 0))
+        quality_list, planted_list, c = self._cell_terms(batch)
         s = str(self.seed)
         tails = [f"{prompt_id}{_SEP}{eid}".encode("utf-8") for _, _, prompt_id, eid, _ in batch]
         quality = np.asarray(quality_list, dtype=np.float64)
         planted = np.asarray(planted_list, dtype=np.int64)
-        width = np.asarray(width_list, dtype=np.int64)
 
         # The planted label wins with probability `quality`; otherwise the
         # pick-th of the other labels, in choice order.
@@ -214,7 +209,7 @@ class SyntheticBackend(ScorerBackend):
         winner = planted.copy()
         missed = np.flatnonzero(~correct)
         pick = (_uniforms(f"{s}{_SEP}wrong{_SEP}", [tails[n] for n in missed.tolist()])
-                * (width[missed] - 1)).astype(np.int64)
+                * (c - 1)).astype(np.int64)
         winner[missed] = pick + (pick >= planted[missed])
 
         # Margin grows with quality and with a per-cell confidence wobble;
@@ -224,23 +219,15 @@ class SyntheticBackend(ScorerBackend):
         margin = np.where(correct, margin, margin * self.miss_margin_scale)
         base = -(0.5 + 2.5 * _uniforms(f"{s}{_SEP}base{_SEP}", tails))
 
-        # One slot per (cell, choice), cells in order: the winner scores `base`,
-        # each loser `base - margin` less its own draw.
-        ends = np.cumsum(width)
-        starts = ends - width
-        cell = np.repeat(np.arange(len(batch)), width)
-        choice = np.arange(ends[-1]) - starts[cell]
-        losers = np.flatnonzero(choice != winner[cell])
-        suffix = [f"{_SEP}{j}".encode("utf-8") for j in range(int(width.max()))]
-        loser_tails = [tails[n] + suffix[j]
-                       for n, j in zip(cell[losers].tolist(), choice[losers].tolist())]
+        # The winner scores `base`, each loser `base - margin` less its own
+        # draw; the losers are drawn in (cell, choice) order.
+        cell, choice = np.nonzero(np.arange(c) != winner[:, None])
+        suffix = [f"{_SEP}{j}".encode("utf-8") for j in range(c)]
+        loser_tails = [tails[n] + suffix[j] for n, j in zip(cell.tolist(), choice.tolist())]
         extra = 0.05 + 0.5 * _uniforms(f"{s}{_SEP}loser{_SEP}", loser_tails)
-        scores = base[cell]
-        scores[losers] = (base - margin)[cell[losers]] - extra
-        if (width == width[0]).all():
-            return scores.reshape(len(batch), -1)
-        values = scores.tolist()
-        return [values[a:b] for a, b in zip(starts.tolist(), ends.tolist())]
+        scores = np.repeat(base[:, None], c, axis=1)
+        scores[cell, choice] = (base - margin)[cell] - extra
+        return scores
 
 
 def derived_profile(

@@ -109,6 +109,8 @@ def evaluate(
     if (tuple(selection.example_ids) != tuple(preds.example_ids)
             or len(selection.pseudo_labels) != len(preds.example_ids)):
         raise ValidationError("selection and predictions cover different examples")
+    if selection.selected not in preds.prompt_ids:
+        raise ValidationError(f"selected prompt {selection.selected!r} has no predictions")
     missing = [e for e in preds.example_ids if e not in gold_labels]
     if missing:
         raise ValidationError(f"gold labels missing for examples: {missing[:5]}")

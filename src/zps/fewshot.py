@@ -19,7 +19,8 @@ import numpy as np
 
 from .catalog import canon_label, check_fields, read_jsonl
 from .errors import ValidationError
-from .scoring import PredictionMatrix, ScoreTensor, label_indices, top2_gap
+from .scoring import (PredictionMatrix, ScoreTensor, _refuse_duplicate_ids, label_indices,
+                      top2_gap)
 from .selection import EnsembleConfig, ensemble_vote, pseudo_accuracy
 
 
@@ -40,11 +41,8 @@ class PseudoLabeledSet:
             "entries",
             tuple((str(e), str(lab), float(g)) for e, lab, g in self.entries),
         )
-        seen = set()
+        _refuse_duplicate_ids(example_id=self.example_ids)
         for example_id, _, gap in self.entries:
-            if example_id in seen:
-                raise ValidationError(f"duplicate example_id {example_id!r}")
-            seen.add(example_id)
             if not math.isfinite(gap) or gap < 0:
                 raise ValidationError(
                     f"confidence gap for {example_id!r} must be finite and >= 0, got {gap}"

@@ -56,10 +56,10 @@ def prompt_rows(prompt_ids: Sequence[str], wanted: Sequence[str]) -> list[int]:
         raise ValidationError(f"unknown prompt_id {exc.args[0]!r}") from None
 
 
-def _refuse_duplicate_ids(axes: Sequence[Sequence[str]]) -> None:
-    """Refuse prompt, example or choice ids (in that order) that repeat one,
-    naming the first repeat."""
-    for name, ids in zip(("prompt_id", "example_id", "choice"), axes):
+def _refuse_duplicate_ids(**axes: Sequence[str]) -> None:
+    """Refuse an axis of ids that repeats one, naming the axis and its first
+    repeat; axes are checked in the order given."""
+    for name, ids in axes.items():
         if len(set(ids)) < len(ids):
             seen: set[str] = set()
             repeat = next(i for i in ids if i in seen or seen.add(i))
@@ -97,8 +97,7 @@ class ScoreTensor:
     ``predictions`` (the argmax ``PredictionMatrix``) and ``confidences``
     (each prompt's summed top-1 minus top-2 choice probability). Both are
     read-only and depend on ``logprobs`` alone, which never changes, so every
-    caller may share them; ``restrict`` carries over the rows of whichever
-    has been computed.
+    caller may share them.
     """
 
     prompt_ids: tuple[str, ...]
@@ -122,7 +121,8 @@ class ScoreTensor:
         object.__setattr__(self, "prompt_ids", tuple(self.prompt_ids))
         object.__setattr__(self, "example_ids", tuple(self.example_ids))
         object.__setattr__(self, "choices", tuple(self.choices))
-        _refuse_duplicate_ids((self.prompt_ids, self.example_ids, self.choices))
+        _refuse_duplicate_ids(prompt_id=self.prompt_ids, example_id=self.example_ids,
+                              choice=self.choices)
 
     @property
     def shape(self) -> tuple[int, int, int]:
@@ -150,33 +150,10 @@ class ScoreTensor:
         return scores
 
     def restrict(self, prompt_ids: Sequence[str]) -> "ScoreTensor":
-        """Sub-tensor over the given prompts, in the given order.
-
-        Its rows are a fresh copy of this validated tensor's, so they are not
-        checked or copied again. The views this tensor has already computed
-        are carried over row by row; both are per-prompt, so the rows equal
-        what the sub-tensor would compute.
-        """
-        _refuse_duplicate_ids((prompt_ids,))
+        """Sub-tensor over the given prompts, in the given order."""
         rows = prompt_rows(self.prompt_ids, prompt_ids)
-        logprobs = self.logprobs[rows]
-        logprobs.flags.writeable = False
-        sub = object.__new__(type(self))
-        sub.__dict__.update(
-            prompt_ids=tuple(prompt_ids),
-            example_ids=self.example_ids,
-            choices=self.choices,
-            logprobs=logprobs,
-            normalized=self.normalized,
-        )
-        memo = vars(self)
-        if "predictions" in memo:
-            sub.__dict__["predictions"] = memo["predictions"].restrict(prompt_ids)
-        if "confidences" in memo:
-            confidences = memo["confidences"][rows]
-            confidences.flags.writeable = False
-            sub.__dict__["confidences"] = confidences
-        return sub
+        return ScoreTensor(tuple(prompt_ids), self.example_ids, self.choices,
+                           self.logprobs[rows], self.normalized)
 
 
 @dataclass(frozen=True)
@@ -201,7 +178,8 @@ class PredictionMatrix:
         object.__setattr__(self, "prompt_ids", tuple(self.prompt_ids))
         object.__setattr__(self, "example_ids", tuple(self.example_ids))
         object.__setattr__(self, "choices", tuple(self.choices))
-        _refuse_duplicate_ids((self.prompt_ids, self.example_ids, self.choices))
+        _refuse_duplicate_ids(prompt_id=self.prompt_ids, example_id=self.example_ids,
+                              choice=self.choices)
 
     def row(self, prompt_id: str) -> np.ndarray:
         return self.indices[prompt_rows(self.prompt_ids, [prompt_id])[0]]

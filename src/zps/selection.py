@@ -115,8 +115,6 @@ def confidence_scores(tensor: ScoreTensor) -> np.ndarray:
     prompt's score lies in [0, n]. The vector is the tensor's read-only
     ``confidences``, computed once per tensor.
     """
-    if len(tensor.choices) < 2:
-        raise ValidationError("confidence needs at least 2 choices")
     return tensor.confidences
 
 

@@ -187,6 +187,9 @@ class TestEvaluate:
         other = matrix_from_rows([[0, 1, 0]])
         with pytest.raises(ValidationError, match="different examples"):
             evaluate(selection, other, {"e0000": "0", "e0001": "0", "e0002": "0"})
+        elsewhere = report_with({"p9": 0.5}, preds)
+        with pytest.raises(ValidationError, match="selected prompt 'p9'"):
+            evaluate(elsewhere, preds, {"e0000": "0", "e0001": "1"})
 
     @pytest.mark.parametrize("pseudo_labels", [["0"], ["0", "1", "1"]])
     def test_pseudo_labels_of_another_length_are_validation_error(self, pseudo_labels):

@@ -36,8 +36,8 @@ def gap_tensor():
 
 class TestPseudoLabeledSet:
     def test_entries_validated(self):
-        with pytest.raises(ValidationError, match="duplicate"):
-            PseudoLabeledSet(entries=(("e0", "1", 0.5), ("e0", "0", 0.2)))
+        with pytest.raises(ValidationError, match="duplicate example_id 'e0'"):
+            PseudoLabeledSet(entries=(("e1", "1", 0.5), ("e0", "1", 0.5), ("e0", "0", 0.2)))
         with pytest.raises(ValidationError, match=">= 0"):
             PseudoLabeledSet(entries=(("e0", "1", -0.1),))
         with pytest.raises(ValidationError, match="finite"):

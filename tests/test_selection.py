@@ -1,5 +1,7 @@
 """Confidence scores, cluster filtering, ensembles and selection."""
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -91,21 +93,26 @@ class TestTensorViews:
         assert predict(tensor) is predict(tensor)
         assert predict(tensor) is tensor.predictions
 
-    def test_select_fills_the_memo_and_restrict_carries_it(self):
+    def test_select_fills_the_memo_and_restrict_builds_a_fresh_tensor(self):
         tensor = varied_tensor(4, "softmax")
         assert not {"predictions", "confidences"} & vars(tensor).keys()
-        assert not {"predictions", "confidences"} & vars(tensor.restrict(["p01"])).keys()
         select(tensor)
         assert {"predictions", "confidences"} <= vars(tensor).keys()
         sub = tensor.restrict(["p03", "p01"])
-        assert {"predictions", "confidences"} <= vars(sub).keys()
-        fresh = ScoreTensor(sub.prompt_ids, sub.example_ids, sub.choices, sub.logprobs)
-        assert predict(sub).prompt_ids == ("p03", "p01")
-        assert predict(sub).example_ids == fresh.example_ids
-        assert np.array_equal(predict(sub).indices, predict(fresh).indices)
-        assert np.array_equal(confidence_scores(sub), confidence_scores(fresh))
+        assert not {"predictions", "confidences"} & vars(sub).keys()
+        fresh = ScoreTensor(("p03", "p01"), tensor.example_ids, tensor.choices,
+                            tensor.logprobs[[3, 1]])
+        for field in fields(ScoreTensor):
+            assert np.array_equal(getattr(sub, field.name), getattr(fresh, field.name))
+        assert not sub.logprobs.flags.writeable
+        assert np.array_equal(predict(sub).indices, predict(tensor).indices[[3, 1]])
+        assert np.array_equal(confidence_scores(sub), confidence_scores(tensor)[[3, 1]])
         with pytest.raises(ValueError):
             confidence_scores(sub)[0] = 1.0
+        with pytest.raises(ValidationError, match="unknown prompt_id 'p09'"):
+            tensor.restrict(["p01", "p09"])
+        with pytest.raises(ValidationError, match="duplicate prompt_id 'p01'"):
+            tensor.restrict(["p01", "p03", "p01"])
 
     def test_returned_confidences_cannot_be_changed(self):
         tensor = varied_tensor(2, "softmax")

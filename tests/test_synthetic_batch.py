@@ -27,15 +27,11 @@ _label_sets = st.lists(_ids, min_size=2, max_size=5, unique=True)
 
 @st.composite
 def _batches(draw):
-    """A backend and a batch whose examples may carry different label sets."""
+    """A backend and a batch whose cells share one label set."""
     prompt_ids = draw(st.lists(_ids, min_size=1, max_size=4, unique=True))
     example_ids = draw(st.lists(_ids, min_size=1, max_size=6, unique=True))
-    label_sets = draw(st.lists(_label_sets, min_size=1, max_size=3))
-    labels_of, planted = {}, {}
-    for eid in example_ids:
-        labels = draw(st.sampled_from(label_sets))
-        labels_of[eid] = tuple(labels)
-        planted[eid] = draw(st.sampled_from(labels))
+    labels = tuple(draw(_label_sets))
+    planted = {eid: draw(st.sampled_from(labels)) for eid in example_ids}
     qualities = {pid: draw(_qualities) for pid in prompt_ids}
     default = draw(st.one_of(st.none(), _qualities))
     if default is not None:  # a prompt the profile leaves out
@@ -50,8 +46,7 @@ def _batches(draw):
     size = draw(st.one_of(st.sampled_from([0, 1, 300]), st.integers(0, 40)))
     cells = [(prompt_ids[n % len(prompt_ids)],
               example_ids[n // len(prompt_ids) % len(example_ids)]) for n in range(size)]
-    batch = [ScoreRequest(f"{pid}|{eid}", labels_of[eid], pid, eid, labels_of[eid])
-             for pid, eid in cells]
+    batch = [ScoreRequest(f"{pid}|{eid}", labels, pid, eid, labels) for pid, eid in cells]
     return backend, batch
 
 
@@ -61,29 +56,23 @@ def test_batch_equals_the_per_cell_formula(case):
     backend, batch = case
     scores = backend.score_batch(batch)
     expected = [reference_scores(backend, req) for req in batch]
-    widths = {len(req.choice_labels) for req in batch}
-    if len(widths) == 1:  # one choice count: one (b, c) array, bit-equal to the formula
-        assert isinstance(scores, np.ndarray) and scores.dtype == np.float64
-        assert scores.shape == (len(batch), *widths)
-        assert scores.tobytes() == np.asarray(expected, dtype=np.float64).tobytes()
-    else:  # mixed choice counts (or no cells): a list of Python floats per cell
-        assert scores == expected
-        assert type(scores) is list and all(type(row) is list for row in scores)
-        assert all(type(v) is float for row in scores for v in row)
+    # one (b, c) float64 array, bit-equal to the formula; no cells give (0, 0)
+    c = len(batch[0].choice_labels) if batch else 0
+    assert isinstance(scores, np.ndarray) and scores.dtype == np.float64
+    assert scores.shape == (len(batch), c)
+    assert scores.tobytes() == np.asarray(expected, dtype=np.float64).tobytes()
     assert backend.calls == 1 and backend.cells_scored == len(batch)
 
 
-def test_mixed_choice_counts_get_lists_of_floats():
+def test_a_batch_that_mixes_choice_labels_is_refused():
     backend = SyntheticBackend(seed=5, prompt_quality={"p": 0.6},
                                planted_labels={"e0": "a", "e1": "b"})
-    batch = [ScoreRequest("x", ("a", "b"), "p", "e0", ("a", "b")),
-             ScoreRequest("y", ("a", "b", "c"), "p", "e1", ("a", "b", "c"))]
-    scores = backend.score_batch(batch)
-    assert type(scores) is list and [len(row) for row in scores] == [2, 3]
-    assert all(type(v) is float for row in scores for v in row)
-    assert scores == [reference_scores(backend, req) for req in batch]
-    uniform = backend.score_batch(batch[:1])
-    assert uniform.tobytes() == np.asarray(scores[:1]).tobytes()
+    first = ScoreRequest("x", ("a", "b"), "p", "e0", ("a", "b"))
+    for other in (("a", "b", "c"), ("b", "a"), ("a", "c")):  # more, reordered, other
+        with pytest.raises(BackendError, match="share one set of choice labels"):
+            backend.score_batch([first, ScoreRequest("y", other, "p", "e1", other)])
+    alone = backend.score_batch([first])
+    assert alone.tobytes() == np.asarray([reference_scores(backend, first)]).tobytes()
 
 
 @settings(max_examples=40, deadline=None)
@@ -128,12 +117,16 @@ def _request(pid, eid, labels=("0", "1")):
     _request("unknown", "e"),
 ])
 def test_errors_keep_their_messages(req):
-    backend = SyntheticBackend(seed=0, prompt_quality={"p": 0.5}, planted_labels={"e": "1"})
+    backend = SyntheticBackend(seed=0, prompt_quality={"p": 0.5},
+                               planted_labels={"e": "1", "g": req.choice_labels[0]})
     with pytest.raises(BackendError) as expected:
         reference_scores(backend, req)
-    # a good cell ahead of the bad one does not change which error is raised
+    # a good cell with the same labels ahead of the bad one does not change
+    # which error is raised
+    good = _request("p", "g", req.choice_labels)
+    backend.score_batch([good])
     with pytest.raises(BackendError, match=re.escape(str(expected.value))):
-        backend.score_batch([_request("p", "e"), req])
+        backend.score_batch([good, req])
 
 
 def test_ids_with_the_separator_are_refused():
