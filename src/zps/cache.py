@@ -25,6 +25,7 @@ with its own message and never rewritten.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import logging
@@ -59,16 +60,27 @@ def make_cache_key(
 
     ``candidates`` are the cell's candidate phrases in order. ``coords``
     (prompt_id, example_id) is only mixed in for backends that are not
-    content-addressed. The hashed text states the flag, the candidate count
-    and every part's length ahead of the parts themselves, so no two
+    content-addressed. The hashed text, ``{flag};{count};[{lengths}]{parts}``,
+    states every part's length ahead of the parts themselves, so no two
     different cells hash the same text.
     """
-    parts = [model_id, rendered_input, *candidates]
-    if coords is not None:
-        parts += coords
-    lengths = list(map(len, parts))
-    text = f"{length_norm:d};{len(candidates)};{lengths}{''.join(parts)}"
+    prompt_id, example_id = coords or (None, "")
+    head, mid, model, tail = _key_parts(model_id, tuple(candidates), length_norm, prompt_id)
+    id_len = "" if prompt_id is None else len(example_id)
+    text = f"{head}{len(rendered_input)}{mid}{id_len}{model}{rendered_input}{tail}{example_id}"
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+@functools.lru_cache(maxsize=1024)
+def _key_parts(model_id: str, candidates: tuple[str, ...], length_norm: bool,
+               prompt_id: str | None) -> tuple[str, str, str, str]:
+    """A key's text but for the input and example id: built once per prompt."""
+    mid = "".join(f", {len(phrase)}" for phrase in candidates)
+    tail = "".join(candidates)
+    if prompt_id is not None:
+        mid += f", {len(prompt_id)}, "
+        tail += prompt_id
+    return f"{length_norm:d};{len(candidates)};[{len(model_id)}, ", mid, f"]{model_id}", tail
 
 
 class ScoreCache:

@@ -236,6 +236,7 @@ def score_all(
     the cache with one ``put_many`` per scored chunk. A chunk the backend
     fails, or answers with other than c finite scores per cell, is retried cell
     by cell; cells that still fail are reported by (prompt_id, example_id).
+    Repeated prompt or example ids are refused before any cell is scored.
     """
     if not prompts or not examples:
         raise ValidationError("score_all needs at least one prompt and one example")
@@ -243,6 +244,8 @@ def score_all(
         raise ValidationError(f"normalize must be one of {NORMALIZE_MODES}")
     if jobs < 1:
         raise ValidationError("jobs must be >= 1")
+    _refuse_duplicate_ids(prompt_id=[p.prompt_id for p in prompts],
+                          example_id=[e.example_id for e in examples])
 
     n, c = len(examples), len(task.choices)
     raw = np.empty((len(prompts), n, c), dtype=np.float64)

@@ -294,7 +294,7 @@ def select(
     selected = min(report.kept, key=lambda pid: (-acc[pid], -report.confidences[pid], pid))
     return SelectionReport(
         confidence=report,
-        pseudo_labels=tuple(tensor.choices[j] for j in pseudo_idx.tolist()),
+        pseudo_labels=tuple(np.array(tensor.choices, dtype=object)[pseudo_idx].tolist()),
         pseudo_acc=acc,
         selected=selected,
         strategy=config.strategy,

@@ -275,6 +275,20 @@ class TestScoreAll:
         assert len(hashed) == 2 * 3 * 5
         assert all(len(args[2]) == 3 for args in hashed)  # every candidate in one key
 
+    @pytest.mark.parametrize("axis", ["prompt_id", "example_id"])
+    def test_repeated_ids_refused_before_anything_is_scored(self, tmp_path, axis):
+        task, prompts, examples, backend, _ = synthetic_setup(p=3, n=3)
+        repeat = "p00" if axis == "prompt_id" else "e0000"
+        if axis == "prompt_id":
+            prompts = prompts + [prompts[0]]
+        else:
+            examples = examples + [examples[0]]
+        with ScoreCache(tmp_path / "c") as cache:
+            with pytest.raises(ValidationError, match=f"duplicate {axis} '{repeat}'"):
+                score_all(task, prompts, examples, backend, cache)
+        assert backend.calls == 0
+        assert (tmp_path / "c").stat().st_size == 0
+
     def test_cached_cell_with_wrong_value_count_is_corruption(self, tmp_path):
         task, prompts, examples, backend, _ = synthetic_setup(p=1, n=2, c=3)
         key = make_cache_key(backend.model_id, "x1", candidate_phrases(task, prompts[0]),
