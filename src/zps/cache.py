@@ -55,8 +55,9 @@ def make_cache_key(
     candidates: Sequence[str],
     length_norm: bool,
     coords: tuple[str, str] | None = None,
-) -> str:
-    """Content hash identifying one scored cell.
+) -> bytes:
+    """Content hash identifying one scored cell: a raw 32-byte sha256 digest,
+    the form a cache file stores.
 
     ``candidates`` are the cell's candidate phrases in order. ``coords``
     (prompt_id, example_id) is only mixed in for backends that are not
@@ -68,7 +69,7 @@ def make_cache_key(
     head, mid, model, tail = _key_parts(model_id, tuple(candidates), length_norm, prompt_id)
     id_len = "" if prompt_id is None else len(example_id)
     text = f"{head}{len(rendered_input)}{mid}{id_len}{model}{rendered_input}{tail}{example_id}"
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+    return hashlib.sha256(text.encode("utf-8")).digest()
 
 
 @functools.lru_cache(maxsize=1024)
@@ -92,7 +93,7 @@ class ScoreCache:
     def __init__(self, path: str | Path):
         self.path = Path(path)
         self._lock = threading.Lock()
-        self._entries: dict[str, tuple[float, ...]] = {}
+        self._entries: dict[bytes, tuple[float, ...]] = {}
         self._handle = None
         self._torn = False  # a short write left bytes that could not be cut off
         self.hits = 0
@@ -108,16 +109,16 @@ class ScoreCache:
             return
         if data.startswith(b"{"):
             self._refuse_json_lines(data)
-        keys: list[str] = []
+        keys: list[bytes] = []
         rows: list[tuple[float, ...]] = []
-        for hex_keys, values in self._segments(data):
-            keys += [hex_keys[i : i + 64] for i in range(0, len(hex_keys), 64)]
+        for digests, values in self._segments(data):
+            keys += [digests[i : i + _DIGEST_SIZE] for i in range(0, len(digests), _DIGEST_SIZE)]
             rows += map(tuple, values.tolist())
         # Built back to front, so that a key keeps the first of its values.
         self._entries = dict(zip(reversed(keys), reversed(rows)))
 
-    def _segments(self, data: bytes) -> Iterator[tuple[str, np.ndarray]]:
-        """Each sound segment's keys, as one hex string, and its (b, c) values.
+    def _segments(self, data: bytes) -> Iterator[tuple[bytes, np.ndarray]]:
+        """Each sound segment's keys, as their joined digests, and its (b, c) values.
 
         A short or bad-CRC last segment is cut off; other damage raises.
         """
@@ -149,7 +150,7 @@ class ScoreCache:
                     f"cache {self.path} holds a non-finite value in segment {segment}; "
                     "delete or move the file to reset it"
                 )
-            yield payload[: b * _DIGEST_SIZE].hex(), values
+            yield data[start : start + b * _DIGEST_SIZE], values
             offset = start + length
 
     def _corrupt(self, segment: int, offset: int) -> CacheCorruptionError:
@@ -194,7 +195,7 @@ class ScoreCache:
             out.truncate(offset)
         return True
 
-    def get(self, key: str) -> tuple[float, ...] | None:
+    def get(self, key: bytes) -> tuple[float, ...] | None:
         """The cell's cached values in candidate order, or None."""
         values = self._entries.get(key)
         if values is None:
@@ -203,23 +204,23 @@ class ScoreCache:
             self.hits += 1
         return values
 
-    def __contains__(self, key: str) -> bool:
+    def __contains__(self, key: bytes) -> bool:
         return key in self._entries
 
     def __len__(self) -> int:
         return len(self._entries)
 
-    def put(self, key: str, logprobs: Sequence[float]) -> None:
+    def put(self, key: bytes, logprobs: Sequence[float]) -> None:
         """Record one cell's scores: a one-row ``put_many``."""
         self.put_many([key], [logprobs])
 
-    def put_many(self, keys: Sequence[str],
+    def put_many(self, keys: Sequence[bytes],
                  values: np.ndarray | Sequence[Sequence[float]]) -> None:
         """Record cells as one segment with one write, so concurrent runs can share.
 
         ``values`` holds one row per key, as a (b, c) array or a list of
         rows. A key already present keeps its first value. A key that is not
-        64 lowercase hex characters (a ``make_cache_key`` digest), or rows
+        a 32-byte ``bytes`` digest (as ``make_cache_key`` returns), or rows
         that ``score_matrix`` refuses, raise ValidationError before anything
         is written. The cells are recorded only once the write has returned
         in full. A short write raises OSError; the part it wrote is cut off
@@ -229,12 +230,17 @@ class ScoreCache:
         keys = list(keys)
         if not keys:
             return
-        digests = _digests(keys)
+        for key in keys:
+            if type(key) is not bytes or len(key) != _DIGEST_SIZE:
+                shown = (key.hex() if isinstance(key, (bytes, bytearray, memoryview))
+                         else repr(key))
+                raise ValidationError(f"cache key must be a {_DIGEST_SIZE}-byte digest, not "
+                                      f"{type(key).__name__} {shown}")
         array = score_matrix(values)
         if array is None or len(array) != len(keys):
             raise _bad_values(keys, values)
         with self._lock:
-            fresh: dict[str, int] = {}
+            fresh: dict[bytes, int] = {}
             for i, key in enumerate(keys):
                 if key not in self._entries and key not in fresh:
                     fresh[key] = i
@@ -242,7 +248,7 @@ class ScoreCache:
                 return
             rows = list(fresh.values())
             array = array[rows]
-            payload = digests[rows].tobytes() + array.tobytes()
+            payload = b"".join(fresh) + array.tobytes()
             segment = _HEADER.pack(_MAGIC, _VERSION, len(rows), array.shape[1],
                                   len(payload), zlib.crc32(payload)) + payload
             if self._torn:
@@ -270,22 +276,6 @@ class ScoreCache:
         self.close()
 
 
-def _digests(keys: list[str]) -> np.ndarray:
-    """The raw sha256 digests the hex ``keys`` stand for, one 32-byte item each;
-    any other key raises."""
-    try:
-        joined = "".join(keys)
-        digests = bytes.fromhex(joined)
-        valid = set(map(len, keys)) == {64} and digests.hex() == joined
-    except (TypeError, ValueError):
-        valid = False
-    if valid:
-        return np.frombuffer(digests, f"V{_DIGEST_SIZE}")
-    bad = next(k for k in keys if not (isinstance(k, str) and len(k) == 64
-                                       and set(k) <= set("0123456789abcdef")))
-    raise ValidationError(f"cache key must be 64 lowercase hex characters, not {bad!r}")
-
-
 def score_matrix(rows) -> np.ndarray | None:
     """``rows`` as a new (b, c) little-endian float64 array, or None unless they
     are equally long, non-empty rows of finite ints and floats.
@@ -306,12 +296,12 @@ def score_matrix(rows) -> np.ndarray | None:
     return values if np.isfinite(values).all() else None
 
 
-def _bad_values(keys: list[str], values) -> ValidationError:
+def _bad_values(keys: list[bytes], values) -> ValidationError:
     """Why ``put_many`` refuses ``values``: the first bad row, or a count or
     length mismatch."""
     for key, row in zip(keys, values if np.iterable(values) else [values]):
         if score_matrix([row]) is None:
-            return ValidationError(f"cache values for {key!r} must be a non-empty list of "
+            return ValidationError(f"cache values for {key.hex()} must be a non-empty list of "
                                    f"finite numbers, not {row!r}")
     return ValidationError("cache values in one put_many must be one row per key, all of "
                            "the same length")

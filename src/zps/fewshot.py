@@ -168,8 +168,6 @@ def load_checkpoint_predictions(
                 f"checkpoint {ckpt!r}: prompts cover different example lists"
             )
         example_ids = next(iter(example_lists))
-        if len(set(example_ids)) != len(example_ids):
-            raise ValidationError(f"checkpoint {ckpt!r}: duplicate example_id in predictions")
         if reference_examples is None:
             reference_examples = example_ids
         elif example_ids != reference_examples:
@@ -180,19 +178,10 @@ def load_checkpoint_predictions(
         preds = [pred for p in prompt_ids for _, pred in per_prompt[p]]
         try:
             indices = label_indices(preds, choices).reshape(len(prompt_ids), -1)
+            matrix = PredictionMatrix(prompt_ids, example_ids, choices, indices)
         except ValidationError as exc:
             raise ValidationError(f"{path}: checkpoint {ckpt!r}: {exc}") from None
-        candidates.append(
-            CheckpointPredictions(
-                checkpoint_id=ckpt,
-                preds=PredictionMatrix(
-                    prompt_ids=prompt_ids,
-                    example_ids=example_ids,
-                    choices=choices,
-                    indices=indices,
-                ),
-            )
-        )
+        candidates.append(CheckpointPredictions(checkpoint_id=ckpt, preds=matrix))
     return candidates
 
 

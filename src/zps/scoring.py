@@ -107,7 +107,7 @@ class ScoreTensor:
     normalized: bool = True
 
     def __post_init__(self):
-        arr = np.asarray(self.logprobs, dtype=np.float64)
+        arr = np.array(self.logprobs, dtype=np.float64, order="C")
         expected = (len(self.prompt_ids), len(self.example_ids), len(self.choices))
         if arr.shape != expected:
             raise ValidationError(f"tensor shape {arr.shape} != {expected}")
@@ -115,7 +115,6 @@ class ScoreTensor:
             raise ValidationError("tensor contains NaN or infinite entries")
         if self.normalized and np.any(arr > 1e-9):
             raise ValidationError("normalized tensor has log-probabilities above 0")
-        arr = arr.copy()
         arr.flags.writeable = False
         object.__setattr__(self, "logprobs", arr)
         object.__setattr__(self, "prompt_ids", tuple(self.prompt_ids))
@@ -166,13 +165,12 @@ class PredictionMatrix:
     indices: np.ndarray
 
     def __post_init__(self):
-        arr = np.asarray(self.indices, dtype=np.int64)
+        arr = np.array(self.indices, dtype=np.int64, order="C")
         expected = (len(self.prompt_ids), len(self.example_ids))
         if arr.shape != expected:
             raise ValidationError(f"prediction shape {arr.shape} != {expected}")
         if arr.size and (arr.min() < 0 or arr.max() >= len(self.choices)):
             raise ValidationError("prediction index outside the choice set")
-        arr = arr.copy()
         arr.flags.writeable = False
         object.__setattr__(self, "indices", arr)
         object.__setattr__(self, "prompt_ids", tuple(self.prompt_ids))
@@ -258,7 +256,7 @@ def score_all(
     # row in flat and values.
     requests: list[ScoreRequest] = []
     rows: list[int] = []
-    keys: list[str] = []
+    keys: list[bytes] = []
     hit_rows: list[int] = []
     hits: list[tuple[float, ...]] = []
     for i, prompt in enumerate(prompts):

@@ -269,16 +269,16 @@ CACHE_HEADER = struct.Struct("<4sHIHQI")
 
 
 def segment_bytes(cells):
-    """One v3 cache segment holding ``cells``, a list of (hex key, values)."""
+    """One v3 cache segment holding ``cells``, a list of (32-byte key, values)."""
     c = len(cells[0][1])
-    payload = b"".join(bytes.fromhex(key) for key, _ in cells) + b"".join(
+    payload = b"".join(key for key, _ in cells) + b"".join(
         struct.pack(f"<{c}d", *values) for _, values in cells)
     return CACHE_HEADER.pack(b"ZPSC", 3, len(cells), c, len(payload),
                              zlib.crc32(payload)) + payload
 
 
 def read_segments(path):
-    """The segments of a v3 cache file, each a list of (hex key, values) cells;
+    """The segments of a v3 cache file, each a list of (32-byte key, values) cells;
     asserts that every header and CRC is sound."""
     data = Path(path).read_bytes()
     segments, offset = [], 0
@@ -290,6 +290,6 @@ def read_segments(path):
         assert (magic, version, length) == (b"ZPSC", 3, b * (32 + 8 * c))
         assert len(payload) == length and zlib.crc32(payload) == crc
         values = struct.unpack_from(f"<{b * c}d", payload, 32 * b)
-        segments.append([(payload[32 * i : 32 * i + 32].hex(), values[c * i : c * i + c])
+        segments.append([(payload[32 * i : 32 * i + 32], values[c * i : c * i + c])
                          for i in range(b)])
     return segments

@@ -19,10 +19,10 @@ def reference_cache_key(
     candidates: Sequence[str],
     length_norm: bool,
     coords: tuple[str, str] | None = None,
-) -> str:
+) -> bytes:
     parts = [model_id, rendered_input, *candidates]
     if coords is not None:
         parts += coords
     lengths = list(map(len, parts))
     text = f"{length_norm:d};{len(candidates)};{lengths}{''.join(parts)}"
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+    return hashlib.sha256(text.encode("utf-8")).digest()

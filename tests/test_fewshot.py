@@ -1,6 +1,7 @@
 """Pseudo-labeled sets and checkpoint selection."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -221,7 +222,8 @@ class TestCheckpointLoading:
     def test_duplicate_example_rejected(self, tmp_path):
         path = tmp_path / "ckpts.jsonl"
         write_checkpoint_file(path, {"c": {"pa": [("e0", "0"), ("e0", "1")]}})
-        with pytest.raises(ValidationError, match="duplicate"):
+        expected = f"{path}: checkpoint 'c': duplicate example_id 'e0'"
+        with pytest.raises(ValidationError, match=f"^{re.escape(expected)}$"):
             load_checkpoint_predictions(path, ["0", "1"])
 
     def test_empty_and_malformed_files(self, tmp_path):

@@ -77,6 +77,23 @@ class TestScoreTensor:
         with pytest.raises(ValueError):
             tensor.logprobs[0, 0, 0] = 1.0
 
+    @pytest.mark.parametrize("layout", ["same-dtype", "int32", "fortran", "list"])
+    def test_holds_its_own_c_ordered_copy(self, layout):
+        def given(arr):
+            return {"same-dtype": arr.copy(), "int32": arr.astype(np.int32),
+                    "fortran": np.asfortranarray(arr), "list": arr.tolist()}[layout]
+
+        ids = (("p0", "p1"), ("e0", "e1"), ("0", "1"))
+        logprobs, indices = np.arange(8.0).reshape(2, 2, 2), np.array([[0, 1], [1, 0]])
+        tensor_in, matrix_in = given(logprobs), given(indices)
+        tensor = ScoreTensor(*ids, tensor_in, normalized=False)
+        matrix = PredictionMatrix(*ids, matrix_in)
+        for held, dtype, expected, source in ((tensor.logprobs, np.float64, logprobs, tensor_in),
+                                              (matrix.indices, np.int64, indices, matrix_in)):
+            assert held.dtype == dtype and np.array_equal(held, expected)
+            assert held.flags.c_contiguous and not held.flags.writeable
+            assert not np.shares_memory(held, np.asarray(source))
+
     def test_probs_is_exp(self):
         tensor = raw_tensor(np.log([[[0.25, 0.75]]]), normalized=True)
         assert np.allclose(tensor.probs(), [[[0.25, 0.75]]])
