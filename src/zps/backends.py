@@ -367,6 +367,11 @@ class RemoteBackend(ScorerBackend):
         )
 
     def score_batch(self, batch: Sequence[ScoreRequest]) -> list[list[float]]:
+        if not batch:
+            return []
+        c = len(batch[0].candidates)
+        if any(len(req.candidates) != c for req in batch):
+            raise BackendError("the requests in one batch must share one candidate count")
         payload = {
             "model": self.model_id,
             "items": [
@@ -388,21 +393,15 @@ class RemoteBackend(ScorerBackend):
         rows = [result.get("scores") if isinstance(result, dict) else None
                 for result in results]
         values = score_matrix(rows)
-        if values is not None and all(len(req.candidates) == values.shape[1] for req in batch):
-            return values.tolist()
-        # A batch that mixes candidate counts, or a bad row: check row by row,
-        # naming the first bad one.
-        out: list[list[float]] = []
-        for req, scores in zip(batch, rows):
-            values = score_matrix([scores])
-            if values is None or values.shape[1] != len(req.candidates):
-                raise ProtocolError(
-                    f"scores for example {req.example_id!r} are not "
-                    f"{len(req.candidates)} finite numbers",
-                    payload_excerpt=_excerpt(data),
-                )
-            out += values.tolist()
-        return out
+        if values is None or values.shape[1] != c:
+            bad = next((req for req, row in zip(batch, rows)
+                        if (one := score_matrix([row])) is None or one.shape[1] != c),
+                       batch[0])
+            raise ProtocolError(
+                f"scores for example {bad.example_id!r} are not {c} finite numbers",
+                payload_excerpt=_excerpt(data),
+            )
+        return values.tolist()
 
 
 def _excerpt(body: bytes) -> str:

@@ -131,9 +131,13 @@ def _make_backend(args: argparse.Namespace, task, prompts, examples) -> ScorerBa
     )
 
 
-def _score_from_args(args: argparse.Namespace):
+def _inputs(args: argparse.Namespace):
     task, prompts = load_catalog(args.catalog)
-    examples = load_examples(args.examples, task)
+    return task, prompts, load_examples(args.examples, task)
+
+
+def _score(args: argparse.Namespace, task, prompts, examples):
+    """The score tensor and the (closed) cache, if ``--cache`` names one."""
     backend = _make_backend(args, task, prompts, examples)
     cache = None
     try:
@@ -152,12 +156,12 @@ def _score_from_args(args: argparse.Namespace):
         backend.close()
         if cache is not None:
             cache.close()
-    return task, prompts, examples, tensor, cache
+    return tensor, cache
 
 
 def cmd_select(args: argparse.Namespace) -> int:
     config = _run_config(args)
-    _, _, _, tensor, _ = _score_from_args(args)
+    tensor, _ = _score(args, *_inputs(args))
     report = select(
         tensor,
         EnsembleConfig(strategy=args.strategy),
@@ -174,18 +178,14 @@ def cmd_select(args: argparse.Namespace) -> int:
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
     config = _run_config(args)
-    task, _, examples, tensor, _ = _score_from_args(args)
+    task, prompts, examples = _inputs(args)
     gold = gold_label_map(examples)
-    gold_field = task.gold_label_field or "gold_label"
-    if not gold:
-        raise ValidationError(
-            f"no gold labels found: populate {gold_field!r} in the examples file"
-        )
     missing = [e.example_id for e in examples if e.example_id not in gold]
-    if missing:
+    if missing:  # before scoring: a remote backend bills every cell
         raise ValidationError(
-            f"examples missing {gold_field!r}: {missing[:5]}"
+            f"examples missing {task.gold_label_field or 'gold_label'!r}: {missing[:5]}"
         )
+    tensor, _ = _score(args, task, prompts, examples)
     report = select(
         tensor,
         EnsembleConfig(strategy=args.strategy),
@@ -229,7 +229,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 def cmd_pseudo_val(args: argparse.Namespace) -> int:
     config = _run_config(args)
-    _, _, _, tensor, _ = _score_from_args(args)
+    tensor, _ = _score(args, *_inputs(args))
     pseudo = build_pseudo_val(
         tensor, EnsembleConfig(strategy=args.strategy), size=args.size
     )
@@ -261,10 +261,9 @@ def cmd_select_checkpoint(args: argparse.Namespace) -> int:
 
 
 def cmd_score(args: argparse.Namespace) -> int:
-    _run_config(args)  # validates the input files up front
     if not args.cache:
         raise ValidationError("score needs --cache to have somewhere to warm")
-    _, prompts, examples, tensor, cache = _score_from_args(args)
+    tensor, cache = _score(args, *_inputs(args))
     p, n, c = tensor.shape
     # The cache counts cells; the report counts values, c per cell.
     print(f"scored {p * n * c} values over {p} prompts x {n} examples; "

@@ -39,7 +39,7 @@ class PseudoLabeledSet:
         object.__setattr__(
             self,
             "entries",
-            tuple((str(e), str(lab), float(g)) for e, lab, g in self.entries),
+            tuple((str(e), canon_label(lab), float(g)) for e, lab, g in self.entries),
         )
         _refuse_duplicate_ids(example_id=self.example_ids)
         for example_id, _, gap in self.entries:

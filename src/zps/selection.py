@@ -180,14 +180,6 @@ def filter_prompts(
     )
 
 
-def _ensemble_rows(tensor: ScoreTensor, prompt_ids: Sequence[str] | None) -> list[int]:
-    """Rows of the given prompts (default: all) in ascending prompt_id order."""
-    ids = tensor.prompt_ids if prompt_ids is None else prompt_ids
-    if not ids:
-        raise ValidationError("ensemble needs at least one prompt")
-    return prompt_rows(tensor.prompt_ids, sorted(ids))
-
-
 def _row_sum(rows: Iterator[np.ndarray]) -> np.ndarray:
     """``np.sum(axis=0)`` over the rows' stack, in its order and rounding, with no
     stack (numpy reduces the first row too, which sets the sign of its zeros)."""
@@ -197,39 +189,43 @@ def _row_sum(rows: Iterator[np.ndarray]) -> np.ndarray:
     return total
 
 
-def ensemble_scores(tensor: ScoreTensor, config: EnsembleConfig,
-                    prompt_ids: Sequence[str] | None = None) -> np.ndarray:
+def ensemble_vote(tensor: ScoreTensor, config: EnsembleConfig,
+                  prompt_ids: Sequence[str] | None = None) -> tuple[np.ndarray, np.ndarray]:
     """The n x c ensemble score matrix s(x_k, y) of the given prompts (default:
-    all) for the configured strategy, read from the tensor's rows in place."""
-    rows = _ensemble_rows(tensor, prompt_ids)
+    all) for the configured strategy, read from the tensor's rows in place, and
+    the pseudo-label index per example it gives.
+
+    Rows reduce in ascending prompt_id order. Score ties resolve to the
+    earliest choice in task order; majority-vote ties are first broken by
+    summed per-prompt log-probability.
+    """
+    ids = tensor.prompt_ids if prompt_ids is None else prompt_ids
+    if not ids:
+        raise ValidationError("ensemble needs at least one prompt")
+    rows = prompt_rows(tensor.prompt_ids, sorted(ids))
     logprobs = tensor.logprobs
-    if config.strategy == "logprob_mean":
-        return _row_sum(logprobs[r] for r in rows) / len(rows)
     if config.strategy == "prob_mean":
-        return _row_sum(np.exp(logprobs[r]) for r in rows) / len(rows)
+        scores = _row_sum(np.exp(logprobs[r]) for r in rows) / len(rows)
+        return scores, np.argmax(scores, axis=1)
+    sum_logp = _row_sum(logprobs[r] for r in rows)
+    if config.strategy == "logprob_mean":
+        scores = sum_logp / len(rows)
+        return scores, np.argmax(scores, axis=1)
     # majority_vote: each prompt's argmax prediction is one vote for its choice
     preds, c = predict(tensor).indices, len(tensor.choices)
     votes = np.zeros(preds.shape[1] * c)
     cells = np.arange(0, votes.size, c)
     for r in rows:
         votes[cells + preds[r]] += 1.0
-    return votes.reshape(-1, c)
-
-
-def ensemble_vote(tensor: ScoreTensor, config: EnsembleConfig,
-                  prompt_ids: Sequence[str] | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """The ensemble score matrix and the pseudo-label index per example it gives.
-
-    Score ties resolve to the earliest choice in task order; majority-vote
-    ties are first broken by summed per-prompt log-probability.
-    """
-    scores = ensemble_scores(tensor, config, prompt_ids)
-    if config.strategy != "majority_vote":
-        return scores, np.argmax(scores, axis=1)
-
-    sum_logp = _row_sum(tensor.logprobs[r] for r in _ensemble_rows(tensor, prompt_ids))
+    scores = votes.reshape(-1, c)
     tie_scores = np.where(scores == scores.max(axis=1, keepdims=True), sum_logp, -np.inf)
     return scores, np.argmax(tie_scores, axis=1)
+
+
+def ensemble_scores(tensor: ScoreTensor, config: EnsembleConfig,
+                    prompt_ids: Sequence[str] | None = None) -> np.ndarray:
+    """The ensemble score matrix that ``ensemble_vote`` gives."""
+    return ensemble_vote(tensor, config, prompt_ids)[0]
 
 
 def ensemble_predict(tensor: ScoreTensor, config: EnsembleConfig,

@@ -314,17 +314,19 @@ class TestRemoteBackend:
         assert scores == [[stub_score(r.input, cand) for cand in r.candidates] for r in reqs]
         assert len(checked) == 1
 
-    def test_mixed_candidate_counts_are_checked_row_by_row(self):
+    def test_mixed_candidate_counts_are_refused_before_sending(self):
         reqs = [*requests_for(["p0"], ["e0"], ["0", "1"]),
                 *requests_for(["p0"], ["e1"], ["0", "1", "2"])]
         with StubScorer() as stub:
-            scores = RemoteBackend(endpoint=stub.url, model="m").score_batch(reqs)
-        assert scores == [[stub_score(r.input, cand) for cand in r.candidates] for r in reqs]
-        body = {"results": [{"scores": [-1.0, -2.0]}, {"scores": [-1.0, -2.0]}]}
-        with StubScorer([(200, body)]) as stub:
             backend = RemoteBackend(endpoint=stub.url, model="m", retries=1)
-            with pytest.raises(ProtocolError, match="example 'e1' are not 3 finite"):
+            with pytest.raises(BackendError, match="one candidate count"):
                 backend.score_batch(reqs)
+            assert stub.requests == []
+
+    def test_empty_batch_sends_nothing(self):
+        with StubScorer() as stub:
+            assert RemoteBackend(endpoint=stub.url, model="m").score_batch([]) == []
+            assert stub.requests == []
 
     def test_integer_scores_come_back_as_floats(self):
         reqs = requests_for(["p0"], ["e0"], ["0", "1", "2"])

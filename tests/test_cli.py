@@ -213,6 +213,21 @@ class TestEvaluate:
         assert main(self.eval_args(workdir, "nogold.jsonl")) == 1
         assert "gold_label" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("gold_field", [None, "answer"])
+    def test_missing_gold_is_refused_before_scoring(self, workdir, capsys, gold_field):
+        catalog = json.loads((workdir / "catalog.json").read_text(encoding="utf-8"))
+        if gold_field:
+            catalog["task"]["gold_label_field"] = gold_field
+        (workdir / "catalog.json").write_text(json.dumps(catalog), encoding="utf-8")
+        write_examples(workdir / "nogold.jsonl", gold=False)
+        cache = workdir / "cache.bin"
+        args = self.eval_args(workdir, "nogold.jsonl") + ["--cache", str(cache)]
+        assert main(args) == 1
+        field = gold_field or "gold_label"
+        assert (f"examples missing '{field}': ['e000', 'e001', 'e002', 'e003', 'e004']"
+                in capsys.readouterr().err)
+        assert not cache.exists()
+
     def test_partial_gold_lists_offenders(self, workdir, capsys):
         rows = [
             {"example_id": "e000", "fields": {"text": "a"}, "gold_label": "0"},

@@ -44,6 +44,13 @@ class TestPseudoLabeledSet:
         with pytest.raises(ValidationError, match="finite"):
             PseudoLabeledSet(entries=(("e0", "1", float("nan")),))
 
+    def test_labels_are_canonical_like_every_loader(self):
+        ps = PseudoLabeledSet(entries=(("e0", True, 0.5), ("e1", 1, 0.5), ("e2", 0.5, 0.5)))
+        assert ps.labels() == {"e0": "true", "e1": "1", "e2": "0.5"}
+        for bad in (None, [1]):
+            with pytest.raises(ValidationError, match="unsupported label type"):
+                PseudoLabeledSet(entries=(("e0", bad, 0.5),))
+
     def test_accessors(self):
         ps = PseudoLabeledSet(entries=(("e1", "yes", 0.9), ("e0", "no", 0.3)))
         assert len(ps) == 2
