@@ -111,11 +111,15 @@ def evaluate(
         raise ValidationError("selection and predictions cover different examples")
     if selection.selected not in preds.prompt_ids:
         raise ValidationError(f"selected prompt {selection.selected!r} has no predictions")
-    missing = [e for e in preds.example_ids if e not in gold_labels]
-    if missing:
-        raise ValidationError(f"gold labels missing for examples: {missing[:5]}")
-    targets = label_indices([gold_labels[e] for e in preds.example_ids], preds.choices)
-    per_prompt = pseudo_accuracy(preds, targets)
+    try:
+        gold = [gold_labels[e] for e in preds.example_ids]
+    except KeyError:
+        missing = [e for e in preds.example_ids if e not in gold_labels]
+        raise ValidationError(f"gold labels missing for examples: {missing[:5]}") from None
+    per_prompt = pseudo_accuracy(preds, label_indices(gold, preds.choices))
+    # Gold labels are choices, so only a pseudo-label unlike its gold one can be outside.
+    misses = [p for p, g in zip(selection.pseudo_labels, gold) if p != g]
+    label_indices(misses, preds.choices)
     # The middle one or two accuracies; np.median would import numpy.ma (~13 ms).
     accuracies = sorted(per_prompt.values())
     middle = accuracies[(len(accuracies) - 1) // 2 : len(accuracies) // 2 + 1]
@@ -127,8 +131,7 @@ def evaluate(
         median_candidate_accuracy=sum(middle) / len(middle),
         selected=selection.selected,
         selected_accuracy=per_prompt[selection.selected],
-        pseudo_label_accuracy=float(np.mean(
-            label_indices(selection.pseudo_labels, preds.choices) == targets)),
+        pseudo_label_accuracy=(len(gold) - len(misses)) / len(gold),
         spearman_pseudo_vs_true=_spearman(
             [selection.pseudo_acc[p] for p in common],
             [per_prompt[p] for p in common],

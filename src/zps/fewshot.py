@@ -48,6 +48,13 @@ class PseudoLabeledSet:
                     f"confidence gap for {example_id!r} must be finite and >= 0, got {gap}"
                 )
 
+    @classmethod
+    def _trusted(cls, entries: tuple, provenance: str) -> "PseudoLabeledSet":
+        """A set of entries that are already canonical, unique and checked."""
+        self = object.__new__(cls)
+        self.__dict__.update(entries=entries, provenance=provenance)
+        return self
+
     def __len__(self) -> int:
         return len(self.entries)
 
@@ -74,27 +81,11 @@ def load_pseudo_labeled(path: str | Path) -> PseudoLabeledSet:
     entries = []
     for where, row in read_jsonl(path):
         check_fields(row, where, {"example_id": "label", "label": "label", "gap": "number"})
-        entries.append((str(row["example_id"]), canon_label(row["label"]), float(row["gap"])))
+        entries.append((row["example_id"], row["label"], row["gap"]))
     try:
         return PseudoLabeledSet(entries=tuple(entries), provenance=f"file:{Path(path).name}")
     except ValidationError as exc:  # a negative gap or a repeated example id
         raise ValidationError(f"{path}: {exc}") from None
-
-
-def _ranked_entries(
-    tensor: ScoreTensor, config: EnsembleConfig, size: int | None
-) -> list[tuple[str, str, float]]:
-    """The ``size`` (default: all) examples with the largest ensemble gap,
-    pseudo-labeled, in descending gap order.
-
-    The sort is stable with ties kept in original example order, so any
-    prefix of the ranking is reproducible and top-k sets nest.
-    """
-    scores, pseudo_idx = ensemble_vote(tensor, config)
-    gaps = top2_gap(scores)
-    order = np.argsort(-gaps, kind="stable")[:size]
-    rows = zip(order.tolist(), pseudo_idx[order].tolist(), gaps[order].tolist())
-    return [(tensor.example_ids[k], tensor.choices[j], g) for k, j, g in rows]
 
 
 def build_pseudo_val(
@@ -102,17 +93,30 @@ def build_pseudo_val(
     config: EnsembleConfig | None = None,
     size: int | None = None,
 ) -> PseudoLabeledSet:
-    """Pseudo-validation set: ensemble-labeled examples, optionally truncated
-    to the `size` most confident ones."""
+    """Pseudo-validation set: the ``size`` (default: all) examples with the
+    largest ensemble gap, pseudo-labeled, in descending gap order.
+
+    The sort is stable with ties kept in original example order, so any
+    prefix of the ranking is reproducible and top-k sets nest. A gap that is
+    not finite and >= 0 (an overflowing ``prob_mean``) is refused.
+    """
     config = config or EnsembleConfig()
     n = len(tensor.example_ids)
     if size is not None and not 1 <= size <= n:
         raise ValidationError(f"size must be in [1, {n}], got {size}")
-    entries = _ranked_entries(tensor, config, size)
-    return PseudoLabeledSet(
-        entries=tuple(entries),
-        provenance=f"pseudo_val:strategy={config.strategy};size={len(entries)}",
-    )
+    scores, pseudo_idx = ensemble_vote(tensor, config)
+    gaps = top2_gap(scores)
+    order = np.argsort(-gaps, kind="stable")[:size]
+    gaps = gaps[order]
+    bad = np.flatnonzero(~(np.isfinite(gaps) & (gaps >= 0)))
+    if bad.size:
+        raise ValidationError(f"confidence gap for {tensor.example_ids[order[bad[0]]]!r} "
+                              f"must be finite and >= 0, got {gaps[bad[0]]}")
+    labels = [canon_label(choice) for choice in tensor.choices]
+    entries = tuple(zip(map(tensor.example_ids.__getitem__, order.tolist()),
+                        map(labels.__getitem__, pseudo_idx[order].tolist()), gaps.tolist()))
+    return PseudoLabeledSet._trusted(
+        entries, f"pseudo_val:strategy={config.strategy};size={len(entries)}")
 
 
 def top_confidence_pseudo_train(

@@ -39,7 +39,7 @@ def label_indices(labels: Sequence[str], choices: Sequence[str]) -> np.ndarray:
     """Choice index of each label; a label outside ``choices`` is a ValidationError."""
     lookup = {c: j for j, c in enumerate(choices)}
     try:
-        return np.asarray([lookup[lab] for lab in labels], dtype=np.int64)
+        return np.fromiter(map(lookup.__getitem__, labels), np.int64, len(labels))
     except KeyError as exc:
         raise ValidationError(
             f"label {exc} is not among the choices {list(choices)}"
@@ -64,6 +64,11 @@ def _refuse_duplicate_ids(**axes: Sequence[str]) -> None:
             seen: set[str] = set()
             repeat = next(i for i in ids if i in seen or seen.add(i))
             raise ValidationError(f"duplicate {name} {repeat!r}")
+
+
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    arr.flags.writeable = False
+    return arr
 
 
 def top2_gap(values: np.ndarray) -> np.ndarray:
@@ -93,11 +98,12 @@ class ScoreTensor:
     No axis repeats an id. Immutable after construction; safe to share
     across workers.
 
-    Two derived views are computed on first use and kept on the instance:
-    ``predictions`` (the argmax ``PredictionMatrix``) and ``confidences``
-    (each prompt's summed top-1 minus top-2 choice probability). Both are
-    read-only and depend on ``logprobs`` alone, which never changes, so every
-    caller may share them.
+    Three read-only views are computed on first use and kept on the instance:
+    ``probabilities`` (exp of ``logprobs``: one more array of the tensor's size,
+    16 MB for 100 x 5,000 x 4, for as long as the tensor lives), ``predictions``
+    (the argmax ``PredictionMatrix``) and ``confidences`` (each prompt's summed
+    top-1 minus top-2 choice probability). All depend on ``logprobs`` alone,
+    which never changes, so every caller may share them.
     """
 
     prompt_ids: tuple[str, ...]
@@ -115,8 +121,7 @@ class ScoreTensor:
             raise ValidationError("tensor contains NaN or infinite entries")
         if self.normalized and np.any(arr > 1e-9):
             raise ValidationError("normalized tensor has log-probabilities above 0")
-        arr.flags.writeable = False
-        object.__setattr__(self, "logprobs", arr)
+        object.__setattr__(self, "logprobs", _read_only(arr))
         object.__setattr__(self, "prompt_ids", tuple(self.prompt_ids))
         object.__setattr__(self, "example_ids", tuple(self.example_ids))
         object.__setattr__(self, "choices", tuple(self.choices))
@@ -128,8 +133,13 @@ class ScoreTensor:
         return self.logprobs.shape  # type: ignore[return-value]
 
     def probs(self) -> np.ndarray:
-        """Per-cell choice probabilities, exp of the stored log scores."""
-        return np.exp(self.logprobs)
+        """A new, writable copy of ``probabilities``."""
+        return self.probabilities.copy()
+
+    @cached_property
+    def probabilities(self) -> np.ndarray:
+        """Per-cell choice probabilities, exp of the stored log scores (read-only)."""
+        return _read_only(np.exp(self.logprobs))
 
     @cached_property
     def predictions(self) -> "PredictionMatrix":
@@ -144,9 +154,7 @@ class ScoreTensor:
     @cached_property
     def confidences(self) -> np.ndarray:
         """Per-prompt summed top-1 minus top-2 choice probability (read-only)."""
-        scores = top2_gap(self.probs()).sum(axis=1)
-        scores.flags.writeable = False
-        return scores
+        return _read_only(top2_gap(self.probabilities).sum(axis=1))
 
     def restrict(self, prompt_ids: Sequence[str]) -> "ScoreTensor":
         """Sub-tensor over the given prompts, in the given order."""
@@ -171,13 +179,17 @@ class PredictionMatrix:
             raise ValidationError(f"prediction shape {arr.shape} != {expected}")
         if arr.size and (arr.min() < 0 or arr.max() >= len(self.choices)):
             raise ValidationError("prediction index outside the choice set")
-        arr.flags.writeable = False
-        object.__setattr__(self, "indices", arr)
+        object.__setattr__(self, "indices", _read_only(arr))
         object.__setattr__(self, "prompt_ids", tuple(self.prompt_ids))
         object.__setattr__(self, "example_ids", tuple(self.example_ids))
         object.__setattr__(self, "choices", tuple(self.choices))
         _refuse_duplicate_ids(prompt_id=self.prompt_ids, example_id=self.example_ids,
                               choice=self.choices)
+
+    @cached_property
+    def narrow_indices(self) -> np.ndarray:
+        """``indices`` in the narrowest unsigned dtype that holds ``len(choices)`` (read-only)."""
+        return _read_only(self.indices.astype(np.min_scalar_type(len(self.choices))))
 
     def row(self, prompt_id: str) -> np.ndarray:
         return self.indices[prompt_rows(self.prompt_ids, [prompt_id])[0]]

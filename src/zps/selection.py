@@ -21,7 +21,8 @@ from typing import Iterator, Mapping, Sequence
 import numpy as np
 
 from .errors import ValidationError
-from .scoring import PredictionMatrix, ScoreTensor, label_indices, predict, prompt_rows
+from .scoring import (PredictionMatrix, ScoreTensor, _refuse_duplicate_ids, label_indices,
+                      predict, prompt_rows)
 
 STRATEGIES = ("logprob_mean", "prob_mean", "majority_vote")
 
@@ -189,37 +190,40 @@ def _row_sum(rows: Iterator[np.ndarray]) -> np.ndarray:
     return total
 
 
+def _counts(hits: np.ndarray, axis: int) -> np.ndarray:
+    """True entries along ``axis``, summed in the narrowest dtype that holds them."""
+    return hits.view(np.uint8).sum(axis=axis, dtype=np.min_scalar_type(hits.shape[axis]))
+
+
 def ensemble_vote(tensor: ScoreTensor, config: EnsembleConfig,
                   prompt_ids: Sequence[str] | None = None) -> tuple[np.ndarray, np.ndarray]:
     """The n x c ensemble score matrix s(x_k, y) of the given prompts (default:
     all) for the configured strategy, read from the tensor's rows in place, and
     the pseudo-label index per example it gives.
 
-    Rows reduce in ascending prompt_id order. Score ties resolve to the
-    earliest choice in task order; majority-vote ties are first broken by
-    summed per-prompt log-probability.
+    Rows reduce in ascending prompt_id order, and a repeated prompt id is
+    refused. Score ties resolve to the earliest choice in task order;
+    majority-vote ties are first broken by summed per-prompt log-probability.
     """
-    ids = tensor.prompt_ids if prompt_ids is None else prompt_ids
+    ids = sorted(tensor.prompt_ids if prompt_ids is None else prompt_ids)
     if not ids:
         raise ValidationError("ensemble needs at least one prompt")
-    rows = prompt_rows(tensor.prompt_ids, sorted(ids))
-    logprobs = tensor.logprobs
-    if config.strategy == "prob_mean":
-        scores = _row_sum(np.exp(logprobs[r]) for r in rows) / len(rows)
+    rows = prompt_rows(tensor.prompt_ids, ids)
+    _refuse_duplicate_ids(prompt_id=ids)
+    if config.strategy != "majority_vote":
+        cells = tensor.probabilities if config.strategy == "prob_mean" else tensor.logprobs
+        scores = _row_sum(cells[r] for r in rows) / len(rows)
         return scores, np.argmax(scores, axis=1)
-    sum_logp = _row_sum(logprobs[r] for r in rows)
-    if config.strategy == "logprob_mean":
-        scores = sum_logp / len(rows)
-        return scores, np.argmax(scores, axis=1)
-    # majority_vote: each prompt's argmax prediction is one vote for its choice
-    preds, c = predict(tensor).indices, len(tensor.choices)
-    votes = np.zeros(preds.shape[1] * c)
-    cells = np.arange(0, votes.size, c)
-    for r in rows:
-        votes[cells + preds[r]] += 1.0
-    scores = votes.reshape(-1, c)
-    tie_scores = np.where(scores == scores.max(axis=1, keepdims=True), sum_logp, -np.inf)
-    return scores, np.argmax(tie_scores, axis=1)
+    # Each prompt's argmax prediction is one vote for its choice.
+    kept = predict(tensor).narrow_indices[rows]
+    scores = np.stack([_counts(kept == j, 0) for j in range(len(tensor.choices))],
+                      axis=1).astype(np.float64)
+    pseudo_idx = np.argmax(scores, axis=1)
+    top = scores.max(axis=1, keepdims=True)
+    tied = np.flatnonzero(np.count_nonzero(scores == top, axis=1) > 1)
+    sum_logp = _row_sum(tensor.logprobs[r, tied] for r in rows)
+    pseudo_idx[tied] = np.argmax(np.where(scores[tied] == top[tied], sum_logp, -np.inf), axis=1)
+    return scores, pseudo_idx
 
 
 def ensemble_scores(tensor: ScoreTensor, config: EnsembleConfig,
@@ -246,9 +250,8 @@ def pseudo_accuracy(
     gold labels when evaluating. It may be label ids or choice indices and
     must cover the prediction matrix's examples in the same order.
     """
-    if isinstance(pseudo_labels, np.ndarray) and pseudo_labels.dtype != object \
-            and np.issubdtype(pseudo_labels.dtype, np.integer):
-        targets = pseudo_labels.astype(np.int64)
+    if isinstance(pseudo_labels, np.ndarray) and np.issubdtype(pseudo_labels.dtype, np.integer):
+        targets = pseudo_labels
     else:
         targets = label_indices(pseudo_labels, preds.choices)
     if targets.shape != (len(preds.example_ids),):
@@ -258,8 +261,11 @@ def pseudo_accuracy(
         )
     if not targets.size:
         raise ValidationError("agreement needs at least one labeled example")
-    # Exact agreement counts over every row, so the shares equal a bool mean.
-    agreement = np.count_nonzero(preds.indices == targets, axis=1) / targets.size
+    # Exact counts in the predictions' narrow dtype, so the shares equal a bool
+    # mean; a target outside [0, c) becomes c there, which no prediction equals.
+    narrow, c = preds.narrow_indices, len(preds.choices)
+    targets = np.where((targets >= 0) & (targets < c), targets, c).astype(narrow.dtype)
+    agreement = _counts(narrow == targets, 1) / targets.size
     ids = preds.prompt_ids if prompt_ids is None else prompt_ids
     return dict(zip(ids, agreement[prompt_rows(preds.prompt_ids, ids)].tolist()))
 

@@ -191,6 +191,15 @@ class TestEvaluate:
         with pytest.raises(ValidationError, match="selected prompt 'p9'"):
             evaluate(elsewhere, preds, {"e0000": "0", "e0001": "1"})
 
+    def test_pseudo_label_outside_the_choices_is_refused(self):
+        preds = matrix_from_rows([[0, 1, 1]])
+        gold = {"e0000": "0", "e0001": "1", "e0002": "1"}
+        for labels, bad in [(("0", "maybe", "1"), "maybe"), (("1", "1", "no"), "no")]:
+            selection = report_with({"p00": 0.5}, preds, pseudo_labels=labels)
+            with pytest.raises(ValidationError,
+                               match=rf"^label '{bad}' is not among the choices \['0', '1'\]$"):
+                evaluate(selection, preds, gold)
+
     @pytest.mark.parametrize("pseudo_labels", [["0"], ["0", "1", "1"]])
     def test_pseudo_labels_of_another_length_are_validation_error(self, pseudo_labels):
         preds = matrix_from_rows([[0, 1]])

@@ -135,6 +135,26 @@ class TestBuildPseudoVal:
         assert "prob_mean" in ps.provenance
         assert "size=2" in ps.provenance
 
+    def test_set_equals_one_built_through_the_entry_checks(self):
+        tensor = raw_tensor(np.log([[[0.6, 0.4], [0.2, 0.8]], [[0.9, 0.1], [0.5, 0.5]]]),
+                            choices=(7, True))
+        for strategy in ("logprob_mean", "prob_mean", "majority_vote"):
+            ps = build_pseudo_val(tensor, EnsembleConfig(strategy))
+            checked = PseudoLabeledSet(entries=ps.entries, provenance=ps.provenance)
+            assert ps == checked and ps.to_jsonl() == checked.to_jsonl()
+            assert {type(lab) for _, lab, _ in ps.entries} == {str}
+            assert {type(g) for _, _, g in ps.entries} == {float}
+
+    def test_overflowing_prob_mean_gap_is_refused(self):
+        # exp(1000) and exp(999) are both inf, so the gap is inf - inf
+        tensor = raw_tensor([[[1000.0, 999.0], [0.0, -1.0]]])
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ValidationError, match=r"confidence gap for 'e0000' must be "
+                                                      r"finite and >= 0, got nan"):
+                build_pseudo_val(tensor, PROB_MEAN)
+            # a gap cut off by size is never checked, as before
+            assert build_pseudo_val(tensor, PROB_MEAN, size=1).example_ids == ("e0001",)
+
 
 class TestTopConfidencePseudoTrain:
     def test_takes_largest_gaps(self):

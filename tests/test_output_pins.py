@@ -1,0 +1,83 @@
+"""Byte pins for what the CLI writes: each artifact and each stdout, by sha256.
+
+Every command runs in process on a copy of ``demo/`` with relative paths, so
+the paths the artifacts record are the same in any checkout. A pin changes
+only with a change that sets out to change those bytes.
+"""
+
+import hashlib
+import shutil
+from pathlib import Path
+
+import pytest
+
+from zps.cli import TOKEN_ENV, main
+
+DEMO = Path(__file__).resolve().parent.parent / "demo"
+INPUTS = ["--catalog", "catalog.json", "--examples", "examples.jsonl"]
+
+# case -> (argv, artifacts it writes)
+CASES = {
+    "select-logprob_mean": (["select", *INPUTS, "--strategy", "logprob_mean",
+                             "--out", "report.json"], ["report.json"]),
+    "select-prob_mean": (["select", *INPUTS, "--strategy", "prob_mean",
+                          "--out", "report.json"], ["report.json"]),
+    "select-majority_vote": (["select", *INPUTS, "--strategy", "majority_vote",
+                              "--out", "report.json"], ["report.json"]),
+    "select-no-filter-all": (["select", *INPUTS, "--no-filter", "--score-all-prompts",
+                              "--out", "report.json"], ["report.json"]),
+    "evaluate": (["evaluate", *INPUTS, "--out", "eval.json"], ["eval.json"]),
+    "pseudo-val": (["pseudo-val", *INPUTS, "--size", "6", "--out", "pseudo_val.jsonl"],
+                   ["pseudo_val.jsonl", "pseudo_val.jsonl.meta.json"]),
+    "simulate": (["simulate", "--spec", "robustness_spec.json", "--out", "sim.json"],
+                 ["sim.json"]),
+}
+
+PINS = {
+    "select-logprob_mean": {
+        "stdout": "5d18699cd306faadcc86ca500d4cdcfdd77439109dab1abfbdab89fa2a54f15e",
+        "report.json": "c152da058ab0d0e79ffaddcb6516c03d5f5ee6be83c304ad0005e08b637018a1",
+    },
+    "select-prob_mean": {
+        "stdout": "5d18699cd306faadcc86ca500d4cdcfdd77439109dab1abfbdab89fa2a54f15e",
+        "report.json": "bb7d5ed7c76c73cc3ef569de3b0c212141b5bdbc6206515b2cc8702e4b90ee9d",
+    },
+    "select-majority_vote": {
+        "stdout": "5d18699cd306faadcc86ca500d4cdcfdd77439109dab1abfbdab89fa2a54f15e",
+        "report.json": "3a1d8e5a38a6bcc6fe52fc439b2e231e355542706996c391319de953311876e5",
+    },
+    "select-no-filter-all": {
+        "stdout": "5d18699cd306faadcc86ca500d4cdcfdd77439109dab1abfbdab89fa2a54f15e",
+        "report.json": "b28b93a00c62c32a77e026c69ebfeb9dc0e7e650f170d12b23391d69e50585ee",
+    },
+    "evaluate": {
+        "stdout": "880eeae95cb929e93a6e2dcad6728cb0d9c56d65b0addc207c05986b081cb501",
+        "eval.json": "1dfdebd6b387fea21cfff205bd3e1e34133fdda91392f05f811bed17ff390940",
+    },
+    "pseudo-val": {
+        "stdout": "1b0086bb8e5e13f86f1b408ddb6ee4950541cc696b68c7b16bd9af21e4aaba4a",
+        "pseudo_val.jsonl": "2716c25d8d9c4fce862b96410b582265a15f61091ac5cf6e2e33613504e14d6f",
+        "pseudo_val.jsonl.meta.json":
+            "6d222213ed19a093a9d8c5a21ab06af86250c62b24a349662fff003908d9993c",
+    },
+    "simulate": {
+        "stdout": "ddd62dc9116762ee2344b699deb16fb7d6943cc51adef829c9f448772721ef60",
+        "sim.json": "751fbc2177d5114cbf6f90ceb918ad0378e4b08e53681357baec6884adfe050a",
+    },
+}
+
+
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_cli_outputs_are_pinned(case, tmp_path, monkeypatch, capsys):
+    monkeypatch.delenv(TOKEN_ENV, raising=False)
+    shutil.copytree(DEMO, tmp_path / "demo")
+    monkeypatch.chdir(tmp_path / "demo")
+    argv, artifacts = CASES[case]
+    assert main(argv) == 0
+    got = {"stdout": _sha256(capsys.readouterr().out.encode("utf-8"))}
+    got.update((name, _sha256(Path(name).read_bytes())) for name in artifacts)
+    assert got == PINS[case]

@@ -114,6 +114,26 @@ class TestTensorViews:
         with pytest.raises(ValidationError, match="duplicate prompt_id 'p01'"):
             tensor.restrict(["p01", "p03", "p01"])
 
+    def test_probabilities_are_kept_read_only_and_probs_copies_them(self):
+        tensor = varied_tensor(3, "raw")
+        assert "probabilities" not in vars(tensor)
+        probs = tensor.probabilities
+        assert probs is tensor.probabilities and not probs.flags.writeable
+        assert probs.tobytes() == np.exp(tensor.logprobs).tobytes()
+        fresh = tensor.probs()
+        assert fresh.flags.writeable and not np.shares_memory(fresh, probs)
+        fresh[...] = 0.0
+        assert probs.tobytes() == np.exp(tensor.logprobs).tobytes()
+
+    @pytest.mark.parametrize("c,dtype", [(2, np.uint8), (255, np.uint8), (256, np.uint16)])
+    def test_narrow_indices_leave_room_for_one_more_value(self, c, dtype):
+        indices = np.array([[0, c - 1, c // 2]])
+        matrix = PredictionMatrix(("p0",), ("e0", "e1", "e2"),
+                                  tuple(f"c{j}" for j in range(c)), indices)
+        narrow = matrix.narrow_indices
+        assert narrow is matrix.narrow_indices and not narrow.flags.writeable
+        assert narrow.dtype == dtype and np.array_equal(narrow, indices)
+
     def test_returned_confidences_cannot_be_changed(self):
         tensor = varied_tensor(2, "softmax")
         first = confidence_scores(tensor)
@@ -282,6 +302,13 @@ class TestEnsembles:
         pred = ensemble_predict(tensor, EnsembleConfig("majority_vote"))
         # votes 1-1 and equal summed log-probabilities
         assert pred.tolist() == [0]
+
+    def test_an_untied_vote_wins_even_when_summed_logprobs_overflow(self):
+        # both prompts vote for choice 1, whose summed log-score is -inf
+        tensor = raw_tensor([[[-1.5e308, -1e308, -1.6e308]]] * 2)
+        with np.errstate(over="ignore"):
+            pred = ensemble_predict(tensor, EnsembleConfig("majority_vote"))
+        assert pred.tolist() == [1]
 
     def test_single_prompt_ensemble_is_its_own_argmax(self):
         tensor, _ = synthetic_tensor(p=1, n=12, seed=4)

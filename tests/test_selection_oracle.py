@@ -10,8 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from zps import STRATEGIES, EnsembleConfig, ScoreTensor, build_pseudo_val, select
-from zps.selection import ensemble_scores, ensemble_vote, pseudo_accuracy
+from zps import STRATEGIES, EnsembleConfig, ScoreTensor, ValidationError, build_pseudo_val, select
+from zps.selection import ensemble_predict, ensemble_scores, ensemble_vote, pseudo_accuracy
 
 from .helpers import synthetic_tensor
 from .selection_reference import (
@@ -83,6 +83,24 @@ def test_agreement_counts_match_the_bool_mean(data):
                            reference_pseudo_accuracy(preds, targets, ids))
     labels = [preds.choices[j] for j in targets.tolist()]
     assert same_floats(pseudo_accuracy(preds, labels), reference_pseudo_accuracy(preds, targets))
+    # Targets far outside [0, c) are misses: a narrow compare must not wrap them.
+    wide = np.asarray(data.draw(st.lists(st.integers(-300, 300), min_size=n, max_size=n)),
+                      dtype=np.int64)
+    for ids in (None, subset):
+        assert same_floats(pseudo_accuracy(preds, wide, ids),
+                           reference_pseudo_accuracy(preds, wide, ids))
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_a_repeated_prompt_id_is_refused_as_the_reference_refuses_it(strategy):
+    tensor, _ = synthetic_tensor(p=3, n=8, c=3, seed=1)
+    config, ids = EnsembleConfig(strategy), ["p01", "p00", "p00", "p01"]
+    with pytest.raises(ValidationError) as want:
+        reference_ensemble_vote(tensor, config, ids)
+    for ensemble in (ensemble_scores, ensemble_vote, ensemble_predict):
+        with pytest.raises(ValidationError, match="duplicate prompt_id 'p00'") as got:
+            ensemble(tensor, config, ids)
+        assert str(got.value) == str(want.value)
 
 
 @settings(max_examples=80, deadline=None)
