@@ -111,14 +111,14 @@ class ScoreCache:
             self._refuse_json_lines(data)
         keys: list[bytes] = []
         rows: list[tuple[float, ...]] = []
-        for digests, values in self._segments(data):
-            keys += [digests[i : i + _DIGEST_SIZE] for i in range(0, len(digests), _DIGEST_SIZE)]
-            rows += map(tuple, values.tolist())
+        for segment_keys, segment_rows in self._segments(data):
+            keys += segment_keys
+            rows += segment_rows
         # Built back to front, so that a key keeps the first of its values.
         self._entries = dict(zip(reversed(keys), reversed(rows)))
 
-    def _segments(self, data: bytes) -> Iterator[tuple[bytes, np.ndarray]]:
-        """Each sound segment's keys, as their joined digests, and its (b, c) values.
+    def _segments(self, data: bytes) -> Iterator[tuple[list[bytes], Iterator[tuple]]]:
+        """Each sound segment's keys and its value rows as tuples.
 
         A short or bad-CRC last segment is cut off; other damage raises.
         """
@@ -150,7 +150,8 @@ class ScoreCache:
                     f"cache {self.path} holds a non-finite value in segment {segment}; "
                     "delete or move the file to reset it"
                 )
-            yield data[start : start + b * _DIGEST_SIZE], values
+            # V32, not S32: a bytes dtype would strip a key's trailing NUL bytes.
+            yield np.frombuffer(payload, "V32", count=b).tolist(), _rows(values)
             offset = start + length
 
     def _corrupt(self, segment: int, offset: int) -> CacheCorruptionError:
@@ -262,7 +263,7 @@ class ScoreCache:
                 except OSError:
                     self._torn = True
                 raise OSError(f"short write to cache {self.path}")
-            self._entries.update(zip(fresh, map(tuple, array.tolist())))
+            self._entries.update(zip(fresh, _rows(array)))
 
     def close(self) -> None:
         if self._handle is not None:
@@ -274,6 +275,11 @@ class ScoreCache:
 
     def __exit__(self, *exc) -> None:
         self.close()
+
+
+def _rows(values: np.ndarray) -> Iterator[tuple[float, ...]]:
+    """A (b, c) array's rows as b tuples of floats, read out one column at a time."""
+    return zip(*values.T.tolist())
 
 
 def score_matrix(rows) -> np.ndarray | None:

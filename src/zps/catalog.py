@@ -30,7 +30,7 @@ import math
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Iterable, Iterator, Mapping
+from typing import Any, Callable, Iterable, Iterator, Mapping
 
 from .errors import ValidationError
 
@@ -78,15 +78,17 @@ class PromptTemplate:
     """Template text with literal ``{{name}}`` substitution, nothing more."""
 
     template_text: str
-    # The text split once at its placeholders: literals at even positions,
-    # field names at odd ones, so render never re-parses the template.
-    parts: tuple[str, ...] = field(init=False, repr=False, compare=False)
+    # Built once: the names, and a str.format_map of the text with literal braces
+    # doubled and each placeholder as {name}, so render fills a cell with one call.
     _names: tuple[str, ...] = field(init=False, repr=False, compare=False)
+    _fill: Callable[[Mapping[str, Any]], str] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        parts = tuple(_PLACEHOLDER_RE.split(self.template_text))
-        object.__setattr__(self, "parts", parts)
+        parts = _PLACEHOLDER_RE.split(self.template_text)  # literals at even positions
         object.__setattr__(self, "_names", tuple(dict.fromkeys(parts[1::2])))
+        text = "".join(part.replace("{", "{{").replace("}", "}}") if k % 2 == 0
+                       else f"{{{part}}}" for k, part in enumerate(parts))
+        object.__setattr__(self, "_fill", text.format_map)
 
     def placeholders(self) -> tuple[str, ...]:
         """Placeholder names in order of first appearance."""
@@ -167,17 +169,14 @@ def render(prompt: Prompt, example: UnlabeledExample) -> str:
     Deterministic; no characters other than the placeholders are altered.
     Raises listing every absent placeholder if the example is incomplete.
     """
-    fields = example.fields
-    out = list(prompt.template.parts)
     try:
-        out[1::2] = [str(fields[name]) for name in out[1::2]]
+        return prompt.template._fill(example.fields)
     except KeyError:
-        missing = [p for p in prompt.template.placeholders() if p not in fields]
+        missing = [p for p in prompt.template.placeholders() if p not in example.fields]
         raise ValidationError(
             f"prompt {prompt.prompt_id!r}, example {example.example_id!r}: "
             f"missing fields {missing}"
         ) from None
-    return "".join(out)
 
 
 def verbalize(prompt: Prompt, label: Any) -> str:
@@ -193,7 +192,8 @@ def candidate_phrases(task: TaskSpec, prompt: Prompt) -> tuple[str, ...]:
 # ---------------------------------------------------------------------------
 # input files: one reader and one field check for every JSON file zps takes in.
 # Each failure is a ValidationError naming the file, the line of a JSON Lines
-# file, and the key. The score cache keeps its own line reader.
+# file, and the key. Given ``text``, the file's text read already, a reader or
+# loader parses that instead. The score cache keeps its own line reader.
 
 # The kinds _is decides with one isinstance test; a label is anything canon_label
 # accepts.
@@ -215,13 +215,13 @@ def _parse(text: str, where: str) -> Any:
         raise ValidationError(f"{where}: invalid JSON: {exc}") from None
 
 
-def read_json(path: str | Path) -> Any:
-    return _parse(read_text(path), str(path))
+def read_json(path: str | Path, text: str | None = None) -> Any:
+    return _parse(read_text(path) if text is None else text, str(path))
 
 
-def read_jsonl(path: str | Path) -> Iterator[tuple[str, Any]]:
+def read_jsonl(path: str | Path, text: str | None = None) -> Iterator[tuple[str, Any]]:
     """``("path:line", value)`` for each non-blank line of a JSON Lines file."""
-    for lineno, line in enumerate(read_text(path).splitlines(), start=1):
+    for lineno, line in enumerate((read_text(path) if text is None else text).splitlines(), 1):
         if line.strip():
             where = f"{path}:{lineno}"
             yield where, _parse(line, where)
@@ -275,14 +275,14 @@ def finite(value: Any) -> float | None:
     return None
 
 
-def load_catalog(path: str | Path) -> tuple[TaskSpec, list[Prompt]]:
+def load_catalog(path: str | Path, text: str | None = None) -> tuple[TaskSpec, list[Prompt]]:
     """Load and fully validate a catalog file.
 
     Returns the task and at least one prompt; every invariant (placeholder
     coverage, verbalizer totality and injectivity, unique ids) is checked
     here so downstream code can trust the objects.
     """
-    doc = check_fields(read_json(path), str(path), {"task": "object", "prompts": "list"})
+    doc = check_fields(read_json(path, text), str(path), {"task": "object", "prompts": "list"})
     spec = check_fields(
         doc["task"], f"{path}: task",
         {"task_id": "label", "fields": "list of string", "choices": "list of label"},
@@ -345,7 +345,8 @@ _EXAMPLE_KEYS = {"example_id": "label", "fields": "object"}
 _EXAMPLE_GOLD = {"gold_label": "label"}
 
 
-def load_examples(path: str | Path, task: TaskSpec | None = None) -> list[UnlabeledExample]:
+def load_examples(path: str | Path, task: TaskSpec | None = None,
+                  text: str | None = None) -> list[UnlabeledExample]:
     """Load a JSON Lines example file.
 
     Gold labels come from an explicit ``gold_label`` key, or, when the task
@@ -354,21 +355,20 @@ def load_examples(path: str | Path, task: TaskSpec | None = None) -> list[Unlabe
     """
     gold_field = task.gold_label_field if task is not None else None
     examples: dict[str, UnlabeledExample] = {}
-    for where, obj in read_jsonl(path):
+    for where, obj in read_jsonl(path, text):
         check_fields(obj, where, _EXAMPLE_KEYS, _EXAMPLE_GOLD)
         example_id = str(obj["example_id"])
-        fields = check_fields(obj["fields"], where, {
-            key: "label" if key == gold_field else "string" for key in obj["fields"]})
+        fields = obj["fields"]
         gold = obj.get("gold_label")
         if gold is None and gold_field:
             gold = fields.get(gold_field)
+        for key, value in fields.items():
+            if type(value) is not str:
+                _check(value, "label" if key == gold_field else "string", where, key)
+                fields[key] = str(value)
         if example_id in examples:
             raise ValidationError(f"{where}: duplicate example_id {example_id!r}")
-        examples[example_id] = UnlabeledExample(
-            example_id=example_id,
-            fields={k: str(v) for k, v in fields.items()},
-            gold_label=gold,
-        )
+        examples[example_id] = UnlabeledExample(example_id, fields, gold)
     if not examples:
         raise ValidationError(f"examples file {path} is empty")
     return list(examples.values())

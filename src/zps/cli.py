@@ -55,20 +55,21 @@ _HASHED_INPUTS = ("catalog", "examples", "synthetic_profile", "spec", "checkpoin
                   "pseudo_val")
 
 
-def _run_config(args: argparse.Namespace) -> dict:
-    """Everything needed to audit a run, minus the secret itself: every option
-    set, by its argparse name (``--spec`` as ``spec_path``)."""
+def _run_config(args: argparse.Namespace) -> tuple[dict, dict[str, str]]:
+    """The run's audit record (every option set, by its argparse name, ``--spec`` as
+    ``spec_path``; no secret) and each input's text, read once to hash and to load."""
+    texts = {name: read_text(p) for name in _HASHED_INPUTS if (p := getattr(args, name, None))}
     config = {
         "api_token_present": TOKEN_ENV in os.environ,
         # Decoding as UTF-8 and encoding back gives each file's bytes unchanged.
-        "input_hashes": {name: hashlib.sha256(read_text(path).encode("utf-8")).hexdigest()
-                         for name in _HASHED_INPUTS if (path := getattr(args, name, None))},
+        "input_hashes": {name: hashlib.sha256(text.encode("utf-8")).hexdigest()
+                         for name, text in texts.items()},
     }
     for name, value in vars(args).items():
         if value is not None and name != "func":
             key = "spec_path" if name == "spec" else name
             config[key] = value == "on" if name == "length_norm" else value
-    return config
+    return config, texts
 
 
 def _write_artifact(path: str | Path, text: str) -> None:
@@ -90,7 +91,8 @@ def _dump(doc: dict) -> str:
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
-def _make_backend(args: argparse.Namespace, task, prompts, examples) -> ScorerBackend:
+def _make_backend(args: argparse.Namespace, task, prompts, examples,
+                  profile: str | None = None) -> ScorerBackend:
     if args.backend == "remote":
         if not args.endpoint or not args.model:
             raise ValidationError("remote backend needs --endpoint and --model")
@@ -106,7 +108,7 @@ def _make_backend(args: argparse.Namespace, task, prompts, examples) -> ScorerBa
     prompt_ids = [p.prompt_id for p in prompts]
     example_ids = [e.example_id for e in examples]
     if args.synthetic_profile:
-        doc = check_fields(read_json(args.synthetic_profile), args.synthetic_profile,
+        doc = check_fields(read_json(args.synthetic_profile, profile), args.synthetic_profile,
                            {"qualities": "object of number", "planted_labels": "object of label"},
                            {"default_quality": "number", "miss_margin_scale": "number"})
         scale = doc.get("miss_margin_scale")
@@ -131,14 +133,15 @@ def _make_backend(args: argparse.Namespace, task, prompts, examples) -> ScorerBa
     )
 
 
-def _inputs(args: argparse.Namespace):
-    task, prompts = load_catalog(args.catalog)
-    return task, prompts, load_examples(args.examples, task)
+def _inputs(args: argparse.Namespace, texts: dict[str, str]):
+    """Task, prompts and examples from the texts, popped so that each is freed once parsed."""
+    task, prompts = load_catalog(args.catalog, texts.pop("catalog", None))
+    return task, prompts, load_examples(args.examples, task, texts.pop("examples", None))
 
 
-def _score(args: argparse.Namespace, task, prompts, examples):
+def _score(args: argparse.Namespace, texts: dict[str, str], task, prompts, examples):
     """The score tensor and the (closed) cache, if ``--cache`` names one."""
-    backend = _make_backend(args, task, prompts, examples)
+    backend = _make_backend(args, task, prompts, examples, texts.pop("synthetic_profile", None))
     cache = None
     try:
         cache = ScoreCache(args.cache) if args.cache else None
@@ -160,8 +163,8 @@ def _score(args: argparse.Namespace, task, prompts, examples):
 
 
 def cmd_select(args: argparse.Namespace) -> int:
-    config = _run_config(args)
-    tensor, _ = _score(args, *_inputs(args))
+    config, texts = _run_config(args)
+    tensor, _ = _score(args, texts, *_inputs(args, texts))
     report = select(
         tensor,
         EnsembleConfig(strategy=args.strategy),
@@ -177,15 +180,15 @@ def cmd_select(args: argparse.Namespace) -> int:
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
-    config = _run_config(args)
-    task, prompts, examples = _inputs(args)
+    config, texts = _run_config(args)
+    task, prompts, examples = _inputs(args, texts)
     gold = gold_label_map(examples)
     missing = [e.example_id for e in examples if e.example_id not in gold]
     if missing:  # before scoring: a remote backend bills every cell
         raise ValidationError(
             f"examples missing {task.gold_label_field or 'gold_label'!r}: {missing[:5]}"
         )
-    tensor, _ = _score(args, task, prompts, examples)
+    tensor, _ = _score(args, texts, task, prompts, examples)
     report = select(
         tensor,
         EnsembleConfig(strategy=args.strategy),
@@ -207,8 +210,9 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    config = _run_config(args)
-    spec = load_robustness_spec(args.spec) if args.spec else default_robustness_spec()
+    config, texts = _run_config(args)
+    spec = (load_robustness_spec(args.spec, texts["spec"]) if args.spec
+            else default_robustness_spec())
     strategies = compare_strategies(spec)
     robustness = simulate_robustness(spec, strategies.cells)
     print(format_robustness_table(robustness))
@@ -228,8 +232,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def cmd_pseudo_val(args: argparse.Namespace) -> int:
-    config = _run_config(args)
-    tensor, _ = _score(args, *_inputs(args))
+    config, texts = _run_config(args)
+    tensor, _ = _score(args, texts, *_inputs(args, texts))
     pseudo = build_pseudo_val(
         tensor, EnsembleConfig(strategy=args.strategy), size=args.size
     )
@@ -244,10 +248,10 @@ def cmd_pseudo_val(args: argparse.Namespace) -> int:
 
 
 def cmd_select_checkpoint(args: argparse.Namespace) -> int:
-    config = _run_config(args)
-    task, _ = load_catalog(args.catalog)
-    candidates = load_checkpoint_predictions(args.checkpoints, task.choices)
-    pseudo = load_pseudo_labeled(args.pseudo_val)
+    config, texts = _run_config(args)
+    task, _ = load_catalog(args.catalog, texts["catalog"])
+    candidates = load_checkpoint_predictions(args.checkpoints, task.choices, texts["checkpoints"])
+    pseudo = load_pseudo_labeled(args.pseudo_val, texts["pseudo_val"])
     agreements = checkpoint_agreements(candidates, pseudo)
     best = best_checkpoint(agreements)
     if args.out:
@@ -263,7 +267,7 @@ def cmd_select_checkpoint(args: argparse.Namespace) -> int:
 def cmd_score(args: argparse.Namespace) -> int:
     if not args.cache:
         raise ValidationError("score needs --cache to have somewhere to warm")
-    tensor, cache = _score(args, *_inputs(args))
+    tensor, cache = _score(args, {}, *_inputs(args, {}))
     p, n, c = tensor.shape
     # The cache counts cells; the report counts values, c per cell.
     print(f"scored {p * n * c} values over {p} prompts x {n} examples; "

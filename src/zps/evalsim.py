@@ -212,8 +212,8 @@ _SPEC_KEYS = {"base_qualities": "list of number", "adversarial_quality": "list o
 _SPEC_OPTIONAL = {"strategy": "string", "choices": "number"}
 
 
-def load_robustness_spec(path: str | Path) -> RobustnessSpec:
-    doc = check_fields(read_json(path), str(path), {})
+def load_robustness_spec(path: str | Path, text: str | None = None) -> RobustnessSpec:
+    doc = check_fields(read_json(path, text), str(path), {})
     unknown = doc.keys() - _SPEC_KEYS.keys() - _SPEC_OPTIONAL.keys()
     if unknown:
         raise ValidationError(f"{path}: unknown spec fields {sorted(unknown)}")

@@ -76,10 +76,10 @@ class PseudoLabeledSet:
         Path(path).write_text(self.to_jsonl(), encoding="utf-8")
 
 
-def load_pseudo_labeled(path: str | Path) -> PseudoLabeledSet:
+def load_pseudo_labeled(path: str | Path, text: str | None = None) -> PseudoLabeledSet:
     """Read a pseudo-val JSON Lines file as written by ``PseudoLabeledSet.save``."""
     entries = []
-    for where, row in read_jsonl(path):
+    for where, row in read_jsonl(path, text):
         check_fields(row, where, {"example_id": "label", "label": "label", "gap": "number"})
         entries.append((row["example_id"], row["label"], row["gap"]))
     try:
@@ -142,7 +142,7 @@ class CheckpointPredictions:
 
 
 def load_checkpoint_predictions(
-    path: str | Path, choices: Sequence[str]
+    path: str | Path, choices: Sequence[str], text: str | None = None
 ) -> list[CheckpointPredictions]:
     """Read `{"checkpoint_id","prompt_id","example_id","pred"}` JSON Lines.
 
@@ -152,7 +152,7 @@ def load_checkpoint_predictions(
     choices = tuple(canon_label(c) for c in choices)
     # checkpoint -> prompt -> [(example_id, predicted label)]
     rows: dict[str, dict[str, list[tuple[str, str]]]] = {}
-    for where, row in read_jsonl(path):
+    for where, row in read_jsonl(path, text):
         check_fields(row, where, dict.fromkeys(
             ("checkpoint_id", "prompt_id", "example_id", "pred"), "label"))
         ckpt = str(row["checkpoint_id"])

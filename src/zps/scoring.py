@@ -265,12 +265,12 @@ def score_all(
     content_addressed = backend.content_addressed
 
     # Cells to score: request, row in flat, cache key (hashed once). Cache hits:
-    # row in flat and values.
+    # row in flat, and their values end to end in one flat list.
     requests: list[ScoreRequest] = []
     rows: list[int] = []
     keys: list[bytes] = []
     hit_rows: list[int] = []
-    hits: list[tuple[float, ...]] = []
+    hits: list[float] = []
     for i, prompt in enumerate(prompts):
         prompt_id = prompt.prompt_id
         phrases = candidate_phrases(task, prompt)
@@ -289,13 +289,13 @@ def score_all(
                             f"with {c} candidates; delete or move the file to reset it"
                         )
                     hit_rows.append(row)
-                    hits.append(cached)
+                    hits += cached
                     continue
                 keys.append(key)
             requests.append(ScoreRequest(text, phrases, prompt_id, example_id, choices))
             rows.append(row)
     if hits:
-        flat[hit_rows] = hits
+        flat[hit_rows] = np.reshape(hits, (-1, c))
     at = np.asarray(rows, dtype=np.intp)
 
     def score(part: range) -> bool:

@@ -40,8 +40,11 @@ def reference_ensemble_vote(tensor, config, prompt_ids=None):
     if config.strategy != "majority_vote":
         return scores, np.argmax(scores, axis=1)
     sum_logp = _stacked(tensor, prompt_ids).sum(axis=0)
-    top = scores.max(axis=1, keepdims=True)
-    return scores, np.argmax(np.where(scores == top, sum_logp, -np.inf), axis=1)
+    at_top = scores == scores.max(axis=1, keepdims=True)
+    broken = np.argmax(np.where(at_top, sum_logp, -np.inf), axis=1)
+    # Summed log-probabilities break a tie for the top vote and decide nothing
+    # else: an untied winner stands even where its sum overflows to -inf.
+    return scores, np.where(at_top.sum(axis=1) > 1, broken, np.argmax(scores, axis=1))
 
 
 def reference_pseudo_accuracy(

@@ -722,3 +722,31 @@ def test_put_many_round_trips_value_bits(chunks):
             assert len(cache) == len(first)
             for k, values in first.items():
                 assert _bits(cache.get(k)) == _bits(values)
+
+
+def test_keys_ending_in_nul_bytes_load_whole_with_exact_value_bits(tmp_path):
+    # Segment keys are split from the joined digests as 32-byte voids: a bytes
+    # dtype would strip the trailing NULs and the cells would never hit again.
+    keys = [bytes(32), b"\x01" + bytes(31), digest("a")[:16] + bytes(16),
+            digest("b")[:31] + b"\x00", digest("c")[:24] + bytes(8), b"\x00\xff" * 16]
+    values = [[-0.0, 5e-324, -1.7976931348623157e308], [0.0, -5e-324, 1e-300],
+              [-1.7976931348623157e308, -0.0, 5e-324], [-2.2250738585072014e-308, -0.5, 0.1],
+              [-0.0, -0.0, -0.0], [5e-324, 1.7976931348623157e308, -1.0]]
+    cells = list(zip(keys, values))
+    path = tmp_path / "c.cache"
+    path.write_bytes(segment_bytes(cells[:1]) + segment_bytes(cells[1:4])
+                     + segment_bytes(cells[4:]))
+    with ScoreCache(path) as cache:
+        assert len(cache) == len(keys)
+        for k, v in cells:
+            assert _bits(cache.get(k)) == _bits(v)
+        assert cache.hits == len(keys) and cache.misses == 0
+        # and so do cells that put_many records, after a reopen
+        more = [(bytes(31) + b"\x07", [-0.0, 5e-324, -1.0]),
+                (b"\x07" + bytes(31), [1.0, 2.0, 3.0])]
+        cache.put_many([k for k, _ in more], [v for _, v in more])
+        for k, v in more:
+            assert _bits(cache.get(k)) == _bits(v)
+    with ScoreCache(path) as cache:
+        for k, v in cells + more:
+            assert _bits(cache.get(k)) == _bits(v)

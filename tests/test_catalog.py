@@ -233,6 +233,61 @@ def test_load_examples_refuses_non_string_field_values(tmp_path, capsys, value):
     assert load_examples(path, task)[0].gold_label == "1"
 
 
+GOLD_TASK = TaskSpec(task_id="t", field_schema=("text",), choices=("0", "1"),
+                     gold_label_field="label")
+
+# row (line 2 of the file), task -> the exact message, or the example loaded
+EXAMPLE_CASES = {
+    "example_id a list": ({"example_id": [1], "fields": {"text": "x"}}, None,
+                          "malformed 'example_id': expected label, got [1]"),
+    "example_id null": ({"example_id": None, "fields": {"text": "x"}}, None,
+                        "malformed 'example_id': expected label, got None"),
+    "no example_id": ({"fields": {"text": "x"}}, None,
+                      "missing key 'example_id' (expected keys ['example_id', 'fields'])"),
+    "line a list": (["a"], None, "expected an object, got ['a']"),
+    "fields a string": ({"example_id": "a", "fields": "text"}, None,
+                        "malformed 'fields': expected object, got 'text'"),
+    "fields a list": ({"example_id": "a", "fields": [["text", "x"]]}, None,
+                      "malformed 'fields': expected object, got [['text', 'x']]"),
+    "field an int": ({"example_id": "a", "fields": {"text": "x", "n": 3}}, None,
+                     "malformed 'n': expected string, got 3"),
+    "first bad field named": ({"example_id": "a", "fields": {"n": None, "text": 3}}, None,
+                              "malformed 'n': expected string, got None"),
+    "gold field a list": ({"example_id": "a", "fields": {"text": "x", "label": [1]}},
+                          GOLD_TASK, "malformed 'label': expected label, got [1]"),
+    "gold field an object": ({"example_id": "a", "fields": {"label": {"a": 1}}}, GOLD_TASK,
+                             "malformed 'label': expected label, got {'a': 1}"),
+    "gold field null": ({"example_id": "a", "fields": {"text": "x", "label": None}},
+                        GOLD_TASK, "malformed 'label': expected label, got None"),
+    "gold_label a list": ({"example_id": "a", "fields": {"text": "x"}, "gold_label": ["1"]},
+                          None, "malformed 'gold_label': expected label, got ['1']"),
+    "gold_label a bool": ({"example_id": "a", "fields": {"text": "x"}, "gold_label": True},
+                          None, ("a", {"text": "x"}, "true")),
+    "gold field a bool": ({"example_id": "a", "fields": {"text": "x", "label": False}},
+                          GOLD_TASK, ("a", {"text": "x", "label": "False"}, "false")),
+    "gold field a float": ({"example_id": 7, "fields": {"text": "x", "label": 1.0}},
+                           GOLD_TASK, ("7", {"text": "x", "label": "1.0"}, "1.0")),
+}
+
+
+@pytest.mark.parametrize("case", sorted(EXAMPLE_CASES))
+def test_load_examples_messages_and_values_are_fixed(tmp_path, case):
+    # A bool passes as a label (canon_label gives "true") while its field text is
+    # str() of it; only a string field skips the check.
+    row, task, expected = EXAMPLE_CASES[case]
+    path = tmp_path / "ex.jsonl"
+    path.write_text('{"example_id": "z", "fields": {}}\n' + json.dumps(row) + "\n",
+                    encoding="utf-8")
+    if isinstance(expected, str):
+        with pytest.raises(ValidationError) as exc:
+            load_examples(path, task)
+        assert str(exc.value) == f"{path}:2: {expected}"
+    else:
+        example = load_examples(path, task)[1]
+        assert (example.example_id, example.fields, example.gold_label) == expected
+        assert all(type(v) is str for v in example.fields.values())
+
+
 def test_load_examples_rejects_duplicates_and_empty(tmp_path):
     path = tmp_path / "ex.jsonl"
     rows = [
@@ -272,6 +327,32 @@ def test_render_never_leaves_placeholders(values):
     assert "{{hypothesis}}" not in out
     for value in values.values():
         assert value in out
+
+
+@pytest.mark.parametrize("value", [7, -2, 0, 1.5, 1e16, -0.0, float("nan"), True, False, None],
+                         ids=repr)
+def test_render_gives_str_of_other_field_values(value):
+    # A hand-built example may hold any value; render writes its str(), as
+    # joining the template's literals and str(value) does.
+    prompt = Prompt("p", PromptTemplate("<{{a}}|{{ b }}|{{a}}>"), Verbalizer({"0": "n", "1": "y"}))
+    example = UnlabeledExample("e", {"a": value, "b": "s"})
+    assert render(prompt, example) == "".join(["<", str(value), "|s|", str(value), ">"])
+
+
+@pytest.mark.parametrize("template, expected", [
+    ("{{{a}}}", "{1}"),
+    ("{{{{a}}}}", "{{1}}"),
+    ("{ {{a}} }", "{ 1 }"),
+    ("}}{{a}}{{", "}}1{{"),
+    ("{{a}}}}{{{{b}}", "1}}{{2"),
+    ("{a} {0} {} {a!r} {:>4} {{a}}", "{a} {0} {} {a!r} {:>4} 1"),
+    ("{{ a }}{{b}}{{a}}", "121"),
+    ("{{}} {{1x}} {{ a b }}", "{{}} {{1x}} {{ a b }}"),
+    ("}{", "}{"),
+])
+def test_render_keeps_literal_braces(template, expected):
+    prompt = Prompt("p", PromptTemplate(template), Verbalizer({"0": "n", "1": "y"}))
+    assert render(prompt, UnlabeledExample("e", {"a": "1", "b": 2})) == expected
 
 
 # The substitution render has always meant: one regex pass over the text.

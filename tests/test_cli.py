@@ -3,8 +3,10 @@
 import hashlib
 import json
 import os
+import shutil
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -493,3 +495,37 @@ def test_readme_simulation_example_matches_output(capsys):
     assert main(["simulate", "--spec", str(root / "demo" / "robustness_spec.json")]) == 0
     printed = capsys.readouterr().out.splitlines()
     assert documented == printed
+
+
+def count_reads(monkeypatch):
+    """Whole-file reads by file name; every input loader reads through Path.read_bytes."""
+    reads = Counter()
+    read_bytes = Path.read_bytes
+
+    def counted(self):
+        reads[self.name] += 1
+        return read_bytes(self)
+
+    monkeypatch.setattr(Path, "read_bytes", counted)
+    return reads
+
+
+@pytest.mark.parametrize("command", ["select", "evaluate", "pseudo-val"])
+def test_each_input_file_is_read_once(workdir, monkeypatch, command):
+    # The run config hashes the text that the loaders parse.
+    reads = count_reads(monkeypatch)
+    assert main([command, *select_args(workdir)[1:]]) == 0
+    assert reads == {"catalog.json": 1, "examples.jsonl": 1, "profile.json": 1}
+
+
+def test_checkpoint_and_simulate_inputs_are_read_once(tmp_path, monkeypatch):
+    shutil.copytree(Path(__file__).resolve().parent.parent / "demo", tmp_path / "demo")
+    monkeypatch.chdir(tmp_path / "demo")
+    assert main(["pseudo-val", "--catalog", "catalog.json", "--examples", "examples.jsonl",
+                 "--out", "pv.jsonl"]) == 0
+    reads = count_reads(monkeypatch)
+    assert main(["select-checkpoint", "--catalog", "catalog.json",
+                 "--checkpoints", "checkpoints.jsonl", "--pseudo-val", "pv.jsonl"]) == 0
+    assert main(["simulate", "--spec", "robustness_spec.json"]) == 0
+    assert reads == {"catalog.json": 1, "checkpoints.jsonl": 1, "pv.jsonl": 1,
+                     "robustness_spec.json": 1}

@@ -16,7 +16,10 @@ from zps.cli import TOKEN_ENV, main
 DEMO = Path(__file__).resolve().parent.parent / "demo"
 INPUTS = ["--catalog", "catalog.json", "--examples", "examples.jsonl"]
 
-# case -> (argv, artifacts it writes)
+SCORE = ["score", *INPUTS, "--cache", "demo.cache"]
+PSEUDO_VAL = ["pseudo-val", *INPUTS, "--size", "6", "--out", "pseudo_val.jsonl"]
+
+# case -> (argv, artifacts it writes[, argv run first, whose stdout is not pinned])
 CASES = {
     "select-logprob_mean": (["select", *INPUTS, "--strategy", "logprob_mean",
                              "--out", "report.json"], ["report.json"]),
@@ -27,10 +30,20 @@ CASES = {
     "select-no-filter-all": (["select", *INPUTS, "--no-filter", "--score-all-prompts",
                               "--out", "report.json"], ["report.json"]),
     "evaluate": (["evaluate", *INPUTS, "--out", "eval.json"], ["eval.json"]),
-    "pseudo-val": (["pseudo-val", *INPUTS, "--size", "6", "--out", "pseudo_val.jsonl"],
-                   ["pseudo_val.jsonl", "pseudo_val.jsonl.meta.json"]),
+    "pseudo-val": (PSEUDO_VAL, ["pseudo_val.jsonl", "pseudo_val.jsonl.meta.json"]),
     "simulate": (["simulate", "--spec", "robustness_spec.json", "--out", "sim.json"],
                  ["sim.json"]),
+    "score-cache": (SCORE, ["demo.cache"]),
+    "select-warm-cache": (["select", *INPUTS, "--cache", "demo.cache", "--out", "report.json"],
+                          ["report.json", "demo.cache"], SCORE),
+    "select-length-norm-on": (["select", *INPUTS, "--length-norm", "on",
+                               "--out", "report.json"], ["report.json"]),
+    "select-normalize-none": (["select", *INPUTS, "--normalize", "none",
+                               "--out", "report.json"], ["report.json"]),
+    "select-checkpoint": (["select-checkpoint", "--catalog", "catalog.json",
+                           "--checkpoints", "checkpoints.jsonl",
+                           "--pseudo-val", "pseudo_val.jsonl", "--out", "checkpoint.json"],
+                          ["checkpoint.json"], PSEUDO_VAL),
 }
 
 PINS = {
@@ -64,6 +77,27 @@ PINS = {
         "stdout": "ddd62dc9116762ee2344b699deb16fb7d6943cc51adef829c9f448772721ef60",
         "sim.json": "751fbc2177d5114cbf6f90ceb918ad0378e4b08e53681357baec6884adfe050a",
     },
+    "score-cache": {
+        "stdout": "ab0a772cfdf7d1739838a54796c35b02ab7ac0e070990fafa6a8d0c5d6964d26",
+        "demo.cache": "82bc8ac09fae40472d30c3875a7f51182c5524df2f040d919750e64025b769f6",
+    },
+    "select-warm-cache": {
+        "stdout": "5d18699cd306faadcc86ca500d4cdcfdd77439109dab1abfbdab89fa2a54f15e",
+        "report.json": "8b37193e6aa353f2675032b2d37af262b8869dc96f96350e9b5ef9e27231df1a",
+        "demo.cache": "82bc8ac09fae40472d30c3875a7f51182c5524df2f040d919750e64025b769f6",
+    },
+    "select-length-norm-on": {
+        "stdout": "54d0fdf16b8f1334d0f65590fa2b2725bef92a34c3c989bf1eda20384a620336",
+        "report.json": "25f837751295da4644e0bcd0e68ddf748768e9867033db9afd3047d1effa5288",
+    },
+    "select-normalize-none": {
+        "stdout": "5d18699cd306faadcc86ca500d4cdcfdd77439109dab1abfbdab89fa2a54f15e",
+        "report.json": "13b3cd805813b46d37d9de63fa2ded158ff6b6adc5f8365fce50f9c21f2e5baa",
+    },
+    "select-checkpoint": {
+        "stdout": "b16f06d000d4e4a3181123970d4aba8d2b86b69fba21e1e97f2b0bca30bd7308",
+        "checkpoint.json": "aa5bc6ebb14adaa928b3566a4f002fae33c095f5b33f62903ec56dcf132aa418",
+    },
 }
 
 
@@ -76,7 +110,10 @@ def test_cli_outputs_are_pinned(case, tmp_path, monkeypatch, capsys):
     monkeypatch.delenv(TOKEN_ENV, raising=False)
     shutil.copytree(DEMO, tmp_path / "demo")
     monkeypatch.chdir(tmp_path / "demo")
-    argv, artifacts = CASES[case]
+    argv, artifacts, *first = CASES[case]
+    for before in first:
+        assert main(before) == 0
+        capsys.readouterr()
     assert main(argv) == 0
     got = {"stdout": _sha256(capsys.readouterr().out.encode("utf-8"))}
     got.update((name, _sha256(Path(name).read_bytes())) for name in artifacts)

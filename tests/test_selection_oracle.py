@@ -13,7 +13,7 @@ from hypothesis.extra.numpy import arrays
 from zps import STRATEGIES, EnsembleConfig, ScoreTensor, ValidationError, build_pseudo_val, select
 from zps.selection import ensemble_predict, ensemble_scores, ensemble_vote, pseudo_accuracy
 
-from .helpers import synthetic_tensor
+from .helpers import raw_tensor, synthetic_tensor
 from .selection_reference import (
     reference_ensemble_scores,
     reference_ensemble_vote,
@@ -67,6 +67,23 @@ def test_ensembles_match_the_stacked_reference(data):
                               reference_ensemble_scores(tensor, config, ids))
             got, want = ensemble_vote(tensor, config, ids), \
                 reference_ensemble_vote(tensor, config, ids)
+            assert same_array(got[0], want[0]) and same_array(got[1], want[1])
+
+
+@pytest.mark.parametrize("cells", [
+    # both prompts vote for choice 1, whose summed log-score overflows to -inf
+    [[[-1.5e308, -1e308, -1.6e308]]] * 2,
+    # a 1-1 tie whose two summed log-scores both overflow
+    [[[-1.5e308, -1e308, -1.6e308]], [[-1e308, -1.5e308, -1.6e308]]],
+    # three prompts vote for the last choice, and every summed log-score overflows
+    [[[-1.6e308, -1.5e308, -1e308]]] * 3,
+], ids=["untied", "tied", "untied-last-choice"])
+def test_overflowing_votes_match_the_reference(cells):
+    tensor = raw_tensor(cells)
+    with np.errstate(over="ignore"):
+        for strategy in STRATEGIES:
+            config = EnsembleConfig(strategy)
+            got, want = ensemble_vote(tensor, config), reference_ensemble_vote(tensor, config)
             assert same_array(got[0], want[0]) and same_array(got[1], want[1])
 
 
