@@ -235,15 +235,14 @@ def derived_profile(
     prompt_ids: Sequence[str],
     example_ids: Sequence[str],
     choices: Sequence[str],
-    quality_range: tuple[float, float] = (0.55, 0.95),
 ) -> tuple[dict[str, float], dict[str, str]]:
-    """Seed-derived qualities and planted labels for ad-hoc synthetic runs.
+    """Seed-derived qualities in [0.55, 0.95) and planted labels for synthetic runs.
 
     Ids may not contain ``\\x1f``.
     """
     _check_ids("prompt", prompt_ids, ValidationError)
     _check_ids("example", example_ids, ValidationError)
-    lo, hi = quality_range
+    lo, hi = 0.55, 0.95
     s = str(seed)
     u = _uniforms(f"{s}{_SEP}q{_SEP}", [pid.encode("utf-8") for pid in prompt_ids])
     qualities = dict(zip(prompt_ids, (lo + (hi - lo) * u).tolist()))

@@ -4,8 +4,9 @@ A prompt is a pair of a template (text with ``{{name}}`` placeholders) and a
 verbalizer (label -> phrase map). Rendering fills an example's fields into
 the template; verbalizing maps a label id to the phrase the scorer will rate.
 
-The input-file section at the end reads and shape-checks every JSON file zps
-takes in. Catalog files are JSON documents (``?`` marks an optional key)::
+The file section at the end reads and shape-checks every JSON file zps takes
+in and writes every file it puts out. Catalog files are JSON documents (``?``
+marks an optional key)::
 
     {
       "task": {"task_id": label, "fields": [string, ...], "choices": [label, ...],
@@ -27,6 +28,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -179,21 +181,16 @@ def render(prompt: Prompt, example: UnlabeledExample) -> str:
         ) from None
 
 
-def verbalize(prompt: Prompt, label: Any) -> str:
-    """The phrase a prompt's verbalizer assigns to a label id."""
-    return prompt.verbalizer.phrase(label)
-
-
 def candidate_phrases(task: TaskSpec, prompt: Prompt) -> tuple[str, ...]:
     """Verbalized phrases for every task choice, in choice order."""
-    return tuple(verbalize(prompt, c) for c in task.choices)
+    return tuple(map(prompt.verbalizer.phrase, task.choices))
 
 
 # ---------------------------------------------------------------------------
-# input files: one reader and one field check for every JSON file zps takes in.
-# Each failure is a ValidationError naming the file, the line of a JSON Lines
-# file, and the key. Given ``text``, the file's text read already, a reader or
-# loader parses that instead. The score cache keeps its own line reader.
+# files: one reader and field check for every JSON file zps takes in, one writer for
+# every file it puts out. Each input failure is a ValidationError naming the file, the
+# line of a JSON Lines file, and the key. Given ``text``, the file's text read already,
+# a reader or loader parses that instead. The score cache keeps its own reader and writer.
 
 # The kinds _is decides with one isinstance test; a label is anything canon_label
 # accepts.
@@ -208,6 +205,23 @@ def read_text(path: str | Path) -> str:
         raise ValidationError(f"cannot read {path}: {exc}") from None
 
 
+def write_text(path: str | Path, text: str) -> None:
+    """Write ``text`` as UTF-8 to a new file beside ``path`` and rename it over ``path``:
+    the path never holds a partial file. Its mode is 0o666 less the umask, as with open."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_name(f".{path.name}.{os.urandom(6).hex()}")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
+
+
 def _parse(text: str, where: str) -> Any:
     try:
         return json.loads(text)
@@ -220,8 +234,9 @@ def read_json(path: str | Path, text: str | None = None) -> Any:
 
 
 def read_jsonl(path: str | Path, text: str | None = None) -> Iterator[tuple[str, Any]]:
-    """``("path:line", value)`` for each non-blank line of a JSON Lines file."""
-    for lineno, line in enumerate((read_text(path) if text is None else text).splitlines(), 1):
+    """``("path:line", value)`` for each non-blank line of a JSON Lines file. Only ``\\n``
+    ends a line: a JSON string may hold U+0085, U+2028 or U+2029, where splitlines splits."""
+    for lineno, line in enumerate((read_text(path) if text is None else text).split("\n"), 1):
         if line.strip():
             where = f"{path}:{lineno}"
             yield where, _parse(line, where)

@@ -16,18 +16,17 @@ only, never from flags.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import os
 import sys
-import tempfile
-from pathlib import Path
 
 from .backends import RemoteBackend, ScorerBackend, SyntheticBackend, derived_profile
 from .cache import ScoreCache
 from .catalog import (canon_label, check_fields, gold_label_map, load_catalog, load_examples,
-                      read_json, read_text)
-from .errors import BackendError, CacheCorruptionError, ValidationError, ZpsError
+                      read_json, read_text, write_text)
+from .errors import BackendError, CacheCorruptionError, ValidationError
 from .evalsim import (
     compare_strategies,
     default_robustness_spec,
@@ -70,21 +69,6 @@ def _run_config(args: argparse.Namespace) -> tuple[dict, dict[str, str]]:
             key = "spec_path" if name == "spec" else name
             config[key] = value == "on" if name == "length_norm" else value
     return config, texts
-
-
-def _write_artifact(path: str | Path, text: str) -> None:
-    """Write-then-rename: the output path never holds a partial file."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
 
 
 def _dump(doc: dict) -> str:
@@ -171,8 +155,7 @@ def cmd_select(args: argparse.Namespace) -> int:
         no_filter=args.no_filter,
         score_all_prompts=args.score_all_prompts,
     )
-    _write_artifact(args.out, _dump({"config": config,
-                                     "report": report.to_json_dict()}))
+    write_text(args.out, _dump({"config": config, "report": report.to_json_dict()}))
     print(f"selected {report.selected} "
           f"(pseudo accuracy {report.pseudo_acc[report.selected]:.4f}); "
           f"report written to {args.out}")
@@ -196,8 +179,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         score_all_prompts=True,
     )
     eval_report = evaluate(report, predict(tensor), gold)
-    _write_artifact(args.out, _dump({"config": config,
-                                     "report": eval_report.to_json_dict()}))
+    write_text(args.out, _dump({"config": config, "report": eval_report.to_json_dict()}))
     header = f"{'prompt':<14} {'pseudo acc':>10} {'true acc':>9}"
     print(header)
     print("-" * len(header))
@@ -219,14 +201,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     print()
     print(format_strategy_table(strategies))
     if args.out:
-        _write_artifact(
-            args.out,
-            _dump({
-                "config": config,
-                "robustness": robustness.to_json_dict(),
-                "strategies": strategies.to_json_dict(),
-            }),
-        )
+        write_text(args.out, _dump({"config": config, "robustness": robustness.to_json_dict(),
+                                    "strategies": strategies.to_json_dict()}))
         print(f"tables written to {args.out}")
     return 0
 
@@ -237,12 +213,10 @@ def cmd_pseudo_val(args: argparse.Namespace) -> int:
     pseudo = build_pseudo_val(
         tensor, EnsembleConfig(strategy=args.strategy), size=args.size
     )
-    _write_artifact(args.out, pseudo.to_jsonl())
+    write_text(args.out, pseudo.to_jsonl())
     # The JSONL line format is fixed, so the run config rides in a sidecar.
-    _write_artifact(f"{args.out}.meta.json",
-                    _dump({"config": config,
-                           "provenance": pseudo.provenance,
-                           "size": len(pseudo)}))
+    write_text(f"{args.out}.meta.json",
+               _dump({"config": config, "provenance": pseudo.provenance, "size": len(pseudo)}))
     print(f"{len(pseudo)} pseudo-labeled examples written to {args.out}")
     return 0
 
@@ -255,7 +229,7 @@ def cmd_select_checkpoint(args: argparse.Namespace) -> int:
     agreements = checkpoint_agreements(candidates, pseudo)
     best = best_checkpoint(agreements)
     if args.out:
-        _write_artifact(args.out, _dump({
+        write_text(args.out, _dump({
             "config": config,
             "selected_checkpoint": best,
             "agreement": agreements,
@@ -275,6 +249,7 @@ def cmd_score(args: argparse.Namespace) -> int:
     return 0
 
 
+@functools.cache  # built on the first call, then shared by every call in the process
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="zps",
@@ -366,9 +341,6 @@ def main(argv: list[str] | None = None) -> int:
     except (BackendError, CacheCorruptionError) as exc:
         print(f"backend error: {exc}", file=sys.stderr)
         return 2
-    except ZpsError as exc:
-        print(f"internal error: {exc}", file=sys.stderr)
-        return 3
     except OSError as exc:  # --cache/--out paths, a full disk, a closed stdout
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -178,8 +178,7 @@ class RobustnessSpec:
             raise ValidationError("seeds must not be empty")
         if self.n_examples < 1:
             raise ValidationError("n_examples must be >= 1")
-        if self.strategy not in STRATEGIES:
-            raise ValidationError(f"unknown strategy {self.strategy!r}")
+        EnsembleConfig(self.strategy)  # refuses an unknown strategy
         if self.choices < 2:
             raise ValidationError("choices must be >= 2")
 

@@ -10,14 +10,13 @@ runs.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from .catalog import canon_label, check_fields, read_jsonl
+from .catalog import canon_label, check_fields, read_jsonl, write_text
 from .errors import ValidationError
 from .scoring import (PredictionMatrix, ScoreTensor, _refuse_duplicate_ids, label_indices,
                       top2_gap)
@@ -42,11 +41,7 @@ class PseudoLabeledSet:
             tuple((str(e), canon_label(lab), float(g)) for e, lab, g in self.entries),
         )
         _refuse_duplicate_ids(example_id=self.example_ids)
-        for example_id, _, gap in self.entries:
-            if not math.isfinite(gap) or gap < 0:
-                raise ValidationError(
-                    f"confidence gap for {example_id!r} must be finite and >= 0, got {gap}"
-                )
+        _refuse_bad_gaps(self.example_ids, np.array([g for _, _, g in self.entries]))
 
     @classmethod
     def _trusted(cls, entries: tuple, provenance: str) -> "PseudoLabeledSet":
@@ -73,7 +68,16 @@ class PseudoLabeledSet:
         return "\n".join(lines) + ("\n" if lines else "")
 
     def save(self, path: str | Path) -> None:
-        Path(path).write_text(self.to_jsonl(), encoding="utf-8")
+        write_text(path, self.to_jsonl())
+
+
+def _refuse_bad_gaps(example_ids: Sequence[str], gaps: np.ndarray) -> None:
+    """Refuse the first gap that is not finite and >= 0, naming its example."""
+    bad = np.flatnonzero(~(np.isfinite(gaps) & (gaps >= 0)))
+    if bad.size:
+        k = bad[0]
+        raise ValidationError(
+            f"confidence gap for {example_ids[k]!r} must be finite and >= 0, got {gaps[k]}")
 
 
 def load_pseudo_labeled(path: str | Path, text: str | None = None) -> PseudoLabeledSet:
@@ -107,14 +111,12 @@ def build_pseudo_val(
     scores, pseudo_idx = ensemble_vote(tensor, config)
     gaps = top2_gap(scores)
     order = np.argsort(-gaps, kind="stable")[:size]
+    example_ids = list(map(tensor.example_ids.__getitem__, order.tolist()))
     gaps = gaps[order]
-    bad = np.flatnonzero(~(np.isfinite(gaps) & (gaps >= 0)))
-    if bad.size:
-        raise ValidationError(f"confidence gap for {tensor.example_ids[order[bad[0]]]!r} "
-                              f"must be finite and >= 0, got {gaps[bad[0]]}")
+    _refuse_bad_gaps(example_ids, gaps)
     labels = [canon_label(choice) for choice in tensor.choices]
-    entries = tuple(zip(map(tensor.example_ids.__getitem__, order.tolist()),
-                        map(labels.__getitem__, pseudo_idx[order].tolist()), gaps.tolist()))
+    entries = tuple(zip(example_ids, map(labels.__getitem__, pseudo_idx[order].tolist()),
+                        gaps.tolist()))
     return PseudoLabeledSet._trusted(
         entries, f"pseudo_val:strategy={config.strategy};size={len(entries)}")
 
@@ -146,8 +148,9 @@ def load_checkpoint_predictions(
 ) -> list[CheckpointPredictions]:
     """Read `{"checkpoint_id","prompt_id","example_id","pred"}` JSON Lines.
 
-    Checkpoints appear in file order (assumed to be training order). Every
-    checkpoint must cover the identical example list in identical order.
+    Checkpoints appear in file order (assumed to be training order). Each
+    checkpoint's prompts must cover one example list; that every checkpoint
+    covers the same list is checked by ``checkpoint_agreements``.
     """
     choices = tuple(canon_label(c) for c in choices)
     # checkpoint -> prompt -> [(example_id, predicted label)]
@@ -164,7 +167,6 @@ def load_checkpoint_predictions(
         raise ValidationError(f"{path}: no checkpoint predictions found")
 
     candidates = []
-    reference_examples: tuple[str, ...] | None = None
     for ckpt, per_prompt in rows.items():
         example_lists = {tuple(e for e, _ in pairs) for pairs in per_prompt.values()}
         if len(example_lists) != 1:
@@ -172,12 +174,6 @@ def load_checkpoint_predictions(
                 f"checkpoint {ckpt!r}: prompts cover different example lists"
             )
         example_ids = next(iter(example_lists))
-        if reference_examples is None:
-            reference_examples = example_ids
-        elif example_ids != reference_examples:
-            raise ValidationError(
-                f"checkpoint {ckpt!r} covers a different example list than the first checkpoint"
-            )
         prompt_ids = tuple(per_prompt)
         preds = [pred for p in prompt_ids for _, pred in per_prompt[p]]
         try:

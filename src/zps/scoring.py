@@ -132,10 +132,6 @@ class ScoreTensor:
     def shape(self) -> tuple[int, int, int]:
         return self.logprobs.shape  # type: ignore[return-value]
 
-    def probs(self) -> np.ndarray:
-        """A new, writable copy of ``probabilities``."""
-        return self.probabilities.copy()
-
     @cached_property
     def probabilities(self) -> np.ndarray:
         """Per-cell choice probabilities, exp of the stored log scores (read-only)."""
@@ -191,11 +187,9 @@ class PredictionMatrix:
         """``indices`` in the narrowest unsigned dtype that holds ``len(choices)`` (read-only)."""
         return _read_only(self.indices.astype(np.min_scalar_type(len(self.choices))))
 
-    def row(self, prompt_id: str) -> np.ndarray:
-        return self.indices[prompt_rows(self.prompt_ids, [prompt_id])[0]]
-
     def labels_row(self, prompt_id: str) -> list[str]:
-        return [self.choices[j] for j in self.row(prompt_id)]
+        row, = prompt_rows(self.prompt_ids, [prompt_id])
+        return [self.choices[j] for j in self.indices[row]]
 
     def restrict(self, prompt_ids: Sequence[str]) -> "PredictionMatrix":
         rows = prompt_rows(self.prompt_ids, prompt_ids)

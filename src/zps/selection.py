@@ -226,12 +226,6 @@ def ensemble_vote(tensor: ScoreTensor, config: EnsembleConfig,
     return scores, pseudo_idx
 
 
-def ensemble_scores(tensor: ScoreTensor, config: EnsembleConfig,
-                    prompt_ids: Sequence[str] | None = None) -> np.ndarray:
-    """The ensemble score matrix that ``ensemble_vote`` gives."""
-    return ensemble_vote(tensor, config, prompt_ids)[0]
-
-
 def ensemble_predict(tensor: ScoreTensor, config: EnsembleConfig,
                      prompt_ids: Sequence[str] | None = None) -> np.ndarray:
     """The pseudo-label index per example that ``ensemble_vote`` gives."""

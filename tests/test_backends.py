@@ -178,12 +178,6 @@ class TestDerivedProfile:
         q2, l2 = derived_profile(2, prompt_ids, example_ids, ("0", "1"))
         assert q1 != q2 or l1 != l2
 
-    def test_custom_quality_range(self):
-        qualities, _ = derived_profile(
-            0, ["p0", "p1"], ["e0"], ("0", "1"), quality_range=(0.2, 0.3)
-        )
-        assert all(0.2 <= q <= 0.3 for q in qualities.values())
-
 
 class TestRemoteBackend:
     def test_happy_path_matches_server_scores(self):

@@ -267,6 +267,16 @@ def test_older_format_is_refused_with_its_own_message(tmp_path, text, message):
     assert path.read_text(encoding="utf-8") == text  # nothing rewritten
 
 
+def test_a_file_starting_with_a_brace_but_not_json_is_corrupt(tmp_path):
+    # Not an earlier JSON Lines cache, so it is read as segments, and refused.
+    path = tmp_path / "c.cache"
+    path.write_bytes(b"{not json\n" + segment_bytes([(A, [-1.0, -2.0])]))
+    data = path.read_bytes()
+    with pytest.raises(CacheCorruptionError, match="corrupt at segment 1 .*delete or move"):
+        ScoreCache(path)
+    assert path.read_bytes() == data  # nothing rewritten
+
+
 @pytest.mark.parametrize(
     "line",
     [
@@ -506,6 +516,31 @@ def test_short_write_behind_another_append_stops_the_handle(tmp_path):
         assert path.stat().st_size == size and B not in cache
     with pytest.raises(CacheCorruptionError, match="corrupt at segment 1 "):
         ScoreCache(path)  # the torn part sits ahead of the other writer's segment
+
+
+def test_short_write_whose_clean_up_fails_stops_the_handle(tmp_path, monkeypatch):
+    path = tmp_path / "c.cache"
+    with ScoreCache(path) as cache:
+        cache._handle = _FailingHandle(cache._handle, short=True)
+
+        def truncate(size, offset):
+            raise OSError(errno.EIO, "Input/output error")
+
+        monkeypatch.setattr(cache, "_truncate", truncate)
+        with pytest.raises(OSError, match="short write"):
+            cache.put(A, [-1.0, -0.5])
+        with pytest.raises(OSError, match="reopen the cache"):
+            cache.put(B, [-1.0, -0.5])
+        assert path.stat().st_size == 10 and A not in cache and B not in cache
+
+
+def test_empty_put_many_writes_nothing(tmp_path):
+    path = tmp_path / "c.cache"
+    with ScoreCache(path) as cache:
+        cache.put_many([], [])
+        cache.put_many([], np.empty((0, 2)))
+        assert len(cache) == 0
+    assert path.read_bytes() == b""
 
 
 def test_put_many_takes_an_array_and_copies_it(tmp_path):

@@ -2,6 +2,7 @@
 
 import argparse
 import json
+import os
 import re
 
 import pytest
@@ -24,9 +25,9 @@ from zps import (
     render,
     serialize_catalog,
     validate_prompt,
-    verbalize,
 )
 from zps import cli
+from zps.catalog import write_text
 from zps.evalsim import load_robustness_spec
 from zps.fewshot import load_checkpoint_predictions, load_pseudo_labeled
 
@@ -58,11 +59,11 @@ def test_render_fills_placeholders_verbatim():
 
 def test_verbalizer_accepts_raw_and_canonical_labels():
     prompt = review_prompt()
-    assert verbalize(prompt, 1) == "Yes"
-    assert verbalize(prompt, "1") == "Yes"
-    assert verbalize(prompt, 0) == "No"
+    assert prompt.verbalizer.phrase(1) == "Yes"
+    assert prompt.verbalizer.phrase("1") == "Yes"
+    assert prompt.verbalizer.phrase(0) == "No"
     with pytest.raises(ValidationError):
-        verbalize(prompt, 2)
+        prompt.verbalizer.phrase(2)
 
 
 def test_candidate_phrases_follow_choice_order():
@@ -440,6 +441,64 @@ def test_every_loader_names_the_file_of_bad_input(tmp_path, kind, case):
     with pytest.raises(ValidationError) as excinfo:
         LOADERS[kind](path)
     assert where in str(excinfo.value)
+
+
+# Three records of each JSON Lines input whose ids end in ``s``, and how to read
+# the ids back from what its loader returns.
+JSON_LINES = {
+    "examples": (lambda s: [{"example_id": f"e{k}{s}", "fields": {"text": f"a{s}b"}}
+                            for k in range(3)],
+                 lambda got: [e.example_id for e in got]),
+    "pseudo_val": (lambda s: [{"example_id": f"e{k}{s}", "label": "0", "gap": 0.5}
+                              for k in range(3)],
+                   lambda got: list(got.example_ids)),
+    "checkpoints": (lambda s: [{"checkpoint_id": "c", "prompt_id": "p", "example_id": f"e{k}{s}",
+                                "pred": "0"} for k in range(3)],
+                    lambda got: list(got[0].preds.example_ids)),
+}
+
+
+@pytest.mark.parametrize("char", ["\u0085", "\u2028", "\u2029"])
+@pytest.mark.parametrize("kind", sorted(JSON_LINES))
+def test_json_lines_records_end_only_at_newline(tmp_path, kind, char):
+    # json.dumps(..., ensure_ascii=False) writes these characters raw inside strings.
+    records, ids = JSON_LINES[kind]
+    text = "".join(json.dumps(r, ensure_ascii=False) + "\n" for r in records(char))
+    assert char in text
+    path = tmp_path / "input.jsonl"
+    path.write_text(text, encoding="utf-8")
+    assert ids(LOADERS[kind](path)) == [f"e{k}{char}" for k in range(3)]
+    if kind == "examples":
+        assert [e.fields["text"] for e in load_examples(path)] == [f"a{char}b"] * 3
+    path.write_text(text + "\n{not json\n", encoding="utf-8")
+    with pytest.raises(ValidationError, match=f"^{re.escape(str(path))}:5: invalid JSON"):
+        LOADERS[kind](path)
+
+
+@pytest.mark.parametrize("kind", sorted(JSON_LINES))
+def test_crlf_json_lines_load_with_the_same_line_numbers(tmp_path, kind):
+    records, ids = JSON_LINES[kind]
+    lines = [json.dumps(r) for r in records("")]
+    path = tmp_path / "input.jsonl"
+    path.write_bytes("".join(line + "\r\n" for line in lines).encode())
+    assert ids(LOADERS[kind](path)) == ["e0", "e1", "e2"]
+    path.write_bytes("".join(line + "\r\n" for line in [*lines, "", "{not json"]).encode())
+    with pytest.raises(ValidationError, match=f"^{re.escape(str(path))}:5: invalid JSON"):
+        LOADERS[kind](path)
+
+
+def test_write_text_replaces_the_file_whole_or_not_at_all(tmp_path, monkeypatch):
+    path = tmp_path / "out.json"
+    write_text(path, "old\n")
+
+    def fail(src, dst):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(os, "replace", fail)
+    with pytest.raises(OSError, match="disk full"):
+        write_text(path, "new\n")
+    assert path.read_text(encoding="utf-8") == "old\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["out.json"]
 
 
 GOOD_PROMPT = GOOD_CATALOG["prompts"][0]

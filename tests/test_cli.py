@@ -4,6 +4,7 @@ import hashlib
 import json
 import os
 import shutil
+import stat
 import subprocess
 import sys
 from collections import Counter
@@ -265,6 +266,21 @@ class TestPseudoVal:
         assert "pseudo_val" in meta["provenance"]
 
 
+@pytest.mark.parametrize("umask,mode", [(0o022, 0o644), (0o077, 0o600)])
+def test_written_files_take_their_mode_from_the_umask(workdir, umask, mode):
+    pv = workdir / "pv.jsonl"
+    old = os.umask(umask)
+    try:
+        assert main(select_args(workdir)) == 0
+        assert main(["pseudo-val", "--catalog", str(workdir / "catalog.json"),
+                     "--examples", str(workdir / "examples.jsonl"), "--out", str(pv)]) == 0
+        zps.load_pseudo_labeled(pv).save(workdir / "saved.jsonl")
+    finally:
+        os.umask(old)
+    for name in ("report.json", "pv.jsonl", "pv.jsonl.meta.json", "saved.jsonl"):
+        assert stat.S_IMODE((workdir / name).stat().st_mode) == mode, name
+
+
 class TestSelectCheckpoint:
     PREDS = {"step100": ["0", "1", "1", "1"], "step200": ["0", "0", "0", "1"]}
     PV_ROWS = [{"example_id": f"e{k}", "label": "0", "gap": 1.0 - 0.1 * k} for k in range(4)]
@@ -453,6 +469,14 @@ class TestSimulate:
         monkeypatch.setattr(zps.evalsim, "score_all", counting)
         assert main(["simulate", "--spec", str(self.spec_file(workdir))]) == 0
         assert len(calls) == 2 * 2  # len(ratios) * len(seeds)
+
+    def test_integer_beyond_the_float_range_is_input_error(self, workdir, capsys):
+        path = self.spec_file(workdir)
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        path.write_text(json.dumps({**doc, "n_examples": 10**400}), encoding="utf-8")
+        assert main(["simulate", "--spec", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: malformed 'n_examples': expected number")
 
     def test_bad_spec_is_input_error(self, workdir, capsys):
         path = workdir / "spec.json"

@@ -9,6 +9,7 @@ from scipy.stats import spearmanr
 from zps import (
     ConfidenceReport,
     EnsembleConfig,
+    EvalReport,
     PredictionMatrix,
     RobustnessSpec,
     STRATEGIES,
@@ -190,6 +191,21 @@ class TestEvaluate:
         elsewhere = report_with({"p9": 0.5}, preds)
         with pytest.raises(ValidationError, match="selected prompt 'p9'"):
             evaluate(elsewhere, preds, {"e0000": "0", "e0001": "1"})
+
+    @pytest.mark.parametrize("override,match", [
+        (dict(per_prompt_accuracy={"p00": 0.5, "p01": 1.5}), r"accuracy for 'p01' out of \[0,1\]"),
+        (dict(pseudo_label_accuracy=-0.25), r"accuracy for 'pseudo labels' out of \[0,1\]"),
+        (dict(selected="p9"), "selected prompt 'p9' has no accuracy"),
+        (dict(selected_accuracy=0.75), "selected_accuracy disagrees"),
+    ])
+    def test_report_invariants(self, override, match):
+        fields = dict(per_prompt_accuracy={"p00": 0.5}, pseudo_acc={"p00": 0.5},
+                      mean_candidate_accuracy=0.5, median_candidate_accuracy=0.5,
+                      selected="p00", selected_accuracy=0.5, pseudo_label_accuracy=0.5,
+                      spearman_pseudo_vs_true=None)
+        EvalReport(**fields)
+        with pytest.raises(ValidationError, match=match):
+            EvalReport(**{**fields, **override})
 
     def test_pseudo_label_outside_the_choices_is_refused(self):
         preds = matrix_from_rows([[0, 1, 1]])

@@ -1,6 +1,7 @@
 """Pseudo-labeled sets and checkpoint selection."""
 
 import json
+import os
 import re
 
 import numpy as np
@@ -23,7 +24,7 @@ from zps import (
     top_confidence_pseudo_train,
 )
 
-from zps.selection import ensemble_scores
+from zps.selection import ensemble_vote
 
 from .helpers import normalized_tensor, prob_tensor, raw_tensor, synthetic_tensor
 
@@ -112,7 +113,7 @@ class TestBuildPseudoVal:
         else:
             tensor = normalized_tensor(np.round(arr) if kind == "rounded" else arr)
         config = EnsembleConfig(strategy)
-        ordered = np.sort(ensemble_scores(tensor, config), axis=1)
+        ordered = np.sort(ensemble_vote(tensor, config)[0], axis=1)
         gaps = ordered[:, -1] - ordered[:, -2]
         ps = build_pseudo_val(tensor, config)
         order = np.argsort(-gaps, kind="stable")
@@ -243,8 +244,10 @@ class TestCheckpointLoading:
                 "c2": {"pa": [("e0", "0"), ("e2", "1")]},
             },
         )
+        candidates = load_checkpoint_predictions(path, ["0", "1"])
+        pseudo = PseudoLabeledSet(entries=(("e0", "0", 1.0),))
         with pytest.raises(ValidationError, match="c2"):
-            load_checkpoint_predictions(path, ["0", "1"])
+            checkpoint_agreements(candidates, pseudo)
 
     def test_duplicate_example_rejected(self, tmp_path):
         path = tmp_path / "ckpts.jsonl"
@@ -264,6 +267,21 @@ class TestCheckpointLoading:
         path.write_text('{"checkpoint_id": "c"}\n', encoding="utf-8")
         with pytest.raises(ValidationError, match="expected keys"):
             load_checkpoint_predictions(path, ["0", "1"])
+
+
+def test_a_failed_save_leaves_the_old_file_whole(tmp_path, monkeypatch):
+    path = tmp_path / "pv.jsonl"
+    old = PseudoLabeledSet(entries=(("e0", "0", 0.5),))
+    old.save(path)
+
+    def fail(src, dst):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(os, "replace", fail)
+    with pytest.raises(OSError, match="disk full"):
+        PseudoLabeledSet(entries=(("e1", "1", 0.25),)).save(path)
+    assert load_pseudo_labeled(path).entries == old.entries
+    assert [p.name for p in tmp_path.iterdir()] == ["pv.jsonl"]
 
 
 def checkpoint_from_indices(ckpt_id, indices, example_ids, choices=("0", "1")):

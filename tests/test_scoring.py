@@ -94,9 +94,9 @@ class TestScoreTensor:
             assert held.flags.c_contiguous and not held.flags.writeable
             assert not np.shares_memory(held, np.asarray(source))
 
-    def test_probs_is_exp(self):
+    def test_probabilities_is_exp(self):
         tensor = raw_tensor(np.log([[[0.25, 0.75]]]), normalized=True)
-        assert np.allclose(tensor.probs(), [[[0.25, 0.75]]])
+        assert np.allclose(tensor.probabilities, [[[0.25, 0.75]]])
 
     def test_restrict_order_and_unknown(self):
         tensor = raw_tensor(np.arange(12, dtype=float).reshape(3, 2, 2))
@@ -142,10 +142,10 @@ class TestPredictionMatrix:
         assert sub.prompt_ids == ("p1",)
         assert np.array_equal(sub.indices, [[1, 1]])
 
-    def test_row_of_unknown_prompt_is_validation_error(self):
+    def test_labels_row_of_unknown_prompt_is_validation_error(self):
         matrix = PredictionMatrix(("p0",), ("e0",), ("0", "1"), np.array([[1]]))
         with pytest.raises(ValidationError, match="p9"):
-            matrix.row("p9")
+            matrix.labels_row("p9")
 
     def test_restrict_to_unknown_prompt_is_validation_error(self):
         matrix = PredictionMatrix(("p0",), ("e0",), ("0", "1"), np.array([[1]]))
@@ -209,7 +209,7 @@ class TestScoreAll:
         soft = score_all(task, prompts, examples, backend, normalize="softmax")
         assert np.array_equal(scipy_log_softmax(raw.logprobs, axis=2), soft.logprobs)
         assert not raw.normalized and soft.normalized
-        assert np.allclose(soft.probs().sum(axis=2), 1.0)
+        assert np.allclose(soft.probabilities.sum(axis=2), 1.0)
 
     def test_log_softmax_matches_scipy(self):
         rng = np.random.default_rng(3)

@@ -17,7 +17,7 @@ from zps import (
     ValidationError,
     confidence_scores,
     ensemble_predict,
-    ensemble_scores,
+    ensemble_vote,
     filter_prompts,
     predict,
     pseudo_accuracy,
@@ -114,15 +114,11 @@ class TestTensorViews:
         with pytest.raises(ValidationError, match="duplicate prompt_id 'p01'"):
             tensor.restrict(["p01", "p03", "p01"])
 
-    def test_probabilities_are_kept_read_only_and_probs_copies_them(self):
+    def test_probabilities_are_kept_read_only(self):
         tensor = varied_tensor(3, "raw")
         assert "probabilities" not in vars(tensor)
         probs = tensor.probabilities
         assert probs is tensor.probabilities and not probs.flags.writeable
-        assert probs.tobytes() == np.exp(tensor.logprobs).tobytes()
-        fresh = tensor.probs()
-        assert fresh.flags.writeable and not np.shares_memory(fresh, probs)
-        fresh[...] = 0.0
         assert probs.tobytes() == np.exp(tensor.logprobs).tobytes()
 
     @pytest.mark.parametrize("c,dtype", [(2, np.uint8), (255, np.uint8), (256, np.uint16)])
@@ -232,6 +228,13 @@ class TestFilterPrompts:
                 discarded=("b",),
                 cluster_means=(2.0, 1.0),
             )
+        with pytest.raises(ValidationError, match=r"both kept and discarded: \['a'\]"):
+            ConfidenceReport(
+                confidences={"a": 2.0, "b": 1.0},
+                kept=("a",),
+                discarded=("a", "b"),
+                cluster_means=(1.5, 2.0),
+            )
         with pytest.raises(ValidationError, match="kept"):
             ConfidenceReport(
                 confidences={}, kept=(), discarded=(), cluster_means=(0.0, 0.0)
@@ -259,7 +262,7 @@ class TestFilterPrompts:
 class TestEnsembles:
     def test_logprob_mean_hand_case(self):
         tensor = raw_tensor([[[-1.0, -2.0]], [[-3.0, -1.0]]])
-        scores = ensemble_scores(tensor, EnsembleConfig("logprob_mean"))
+        scores, _ = ensemble_vote(tensor, EnsembleConfig("logprob_mean"))
         assert scores.tolist() == [[-2.0, -1.5]]
         assert ensemble_predict(tensor, EnsembleConfig("logprob_mean")).tolist() == [1]
 
@@ -284,7 +287,7 @@ class TestEnsembles:
             ]
         )
         tensor = prob_tensor(probs)
-        votes = ensemble_scores(tensor, EnsembleConfig("majority_vote"))
+        votes, _ = ensemble_vote(tensor, EnsembleConfig("majority_vote"))
         assert votes.tolist() == [[2.0, 1.0], [1.0, 2.0]]
 
     def test_majority_tie_breaks_on_summed_logprob(self):

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from zps import STRATEGIES, EnsembleConfig, ScoreTensor, ValidationError, build_pseudo_val, select
-from zps.selection import ensemble_predict, ensemble_scores, ensemble_vote, pseudo_accuracy
+from zps.selection import ensemble_predict, ensemble_vote, pseudo_accuracy
 
 from .helpers import raw_tensor, synthetic_tensor
 from .selection_reference import (
@@ -63,8 +63,6 @@ def test_ensembles_match_the_stacked_reference(data):
     for strategy in STRATEGIES:
         config = EnsembleConfig(strategy)
         for ids in (None, subset):
-            assert same_array(ensemble_scores(tensor, config, ids),
-                              reference_ensemble_scores(tensor, config, ids))
             got, want = ensemble_vote(tensor, config, ids), \
                 reference_ensemble_vote(tensor, config, ids)
             assert same_array(got[0], want[0]) and same_array(got[1], want[1])
@@ -114,7 +112,7 @@ def test_a_repeated_prompt_id_is_refused_as_the_reference_refuses_it(strategy):
     config, ids = EnsembleConfig(strategy), ["p01", "p00", "p00", "p01"]
     with pytest.raises(ValidationError) as want:
         reference_ensemble_vote(tensor, config, ids)
-    for ensemble in (ensemble_scores, ensemble_vote, ensemble_predict):
+    for ensemble in (ensemble_vote, ensemble_predict):
         with pytest.raises(ValidationError, match="duplicate prompt_id 'p00'") as got:
             ensemble(tensor, config, ids)
         assert str(got.value) == str(want.value)
@@ -147,7 +145,7 @@ def test_signed_zeros_on_thin_tensors(shape, zero):
                          np.full(shape, zero), normalized=False)
     for strategy in STRATEGIES:
         config = EnsembleConfig(strategy)
-        assert same_array(ensemble_scores(tensor, config),
+        assert same_array(ensemble_vote(tensor, config)[0],
                           reference_ensemble_scores(tensor, config))
         assert select(tensor, config).to_json() == reference_select(tensor, config).to_json()
         assert build_pseudo_val(tensor, config).to_jsonl() == \
