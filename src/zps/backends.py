@@ -90,14 +90,15 @@ _SEP = "\x1f"
 
 def _uniforms(prefix: str, tails: Sequence[bytes]) -> np.ndarray:
     """One uniform float in [0, 1) per tail: the first 8 bytes of
-    sha256(prefix + tail), read big-endian, over 2**64 (correctly rounded)."""
+    sha256(prefix + tail), read big-endian, over 2**64 (correctly rounded),
+    and at most 1 - 2**-53, where the top 2**10 draws would round to 1."""
     seeded = hashlib.sha256(prefix.encode("utf-8"))
     digests = []
     for tail in tails:
         h = seeded.copy()  # cheaper than hashing the prefix again
         h.update(tail)
         digests.append(h.digest())
-    return np.frombuffer(b"".join(digests), ">u8")[::4] / 2.0**64
+    return np.minimum(np.frombuffer(b"".join(digests), ">u8")[::4] / 2.0**64, 1 - 2.0**-53)
 
 
 def _check_ids(kind: str, ids: Iterable[str], error: type[Exception]) -> None:

@@ -18,16 +18,17 @@ Reads are lock-free after load. Appends are serialized and made per chunk:
 append-mode handle. A key keeps its first value, on load as on append. A
 damaged cache raises instead of being silently recomputed over; the one
 exception is a last segment that is cut short or fails its CRC, the torn
-tail of a killed run, which is truncated with a warning. A JSON Lines file
-of an earlier version (v2, ``"logprobs"``; v1, ``"logprob"``) is refused
-with its own message and never rewritten.
+tail of a killed run, which is truncated with a warning. Every other file
+that does not read as v3 segments -- the JSON Lines of an earlier version,
+any other text, a bad header or CRC before the last segment, a non-finite
+value -- is refused with one "corrupt at segment N" message and never
+rewritten.
 """
 
 from __future__ import annotations
 
 import functools
 import hashlib
-import json
 import logging
 import struct
 import threading
@@ -107,8 +108,6 @@ class ScoreCache:
         except FileNotFoundError:
             self.path.parent.mkdir(parents=True, exist_ok=True)
             return
-        if data.startswith(b"{"):
-            self._refuse_json_lines(data)
         keys: list[bytes] = []
         rows: list[tuple[float, ...]] = []
         for segment_keys, segment_rows in self._segments(data):
@@ -146,10 +145,7 @@ class ScoreCache:
                 return
             values = np.frombuffer(payload, "<f8", offset=b * _DIGEST_SIZE).reshape(b, c)
             if not np.isfinite(values).all():
-                raise CacheCorruptionError(
-                    f"cache {self.path} holds a non-finite value in segment {segment}; "
-                    "delete or move the file to reset it"
-                )
+                raise self._corrupt(segment, offset)
             # V32, not S32: a bytes dtype would strip a key's trailing NUL bytes.
             yield np.frombuffer(payload, "V32", count=b).tolist(), _rows(values)
             offset = start + length
@@ -159,22 +155,6 @@ class ScoreCache:
             f"cache {self.path} is corrupt at segment {segment} (byte {offset}); refusing "
             "to recompute silently -- delete or move the file to reset it"
         )
-
-    def _refuse_json_lines(self, data: bytes) -> None:
-        """Raise for a JSON Lines cache of an earlier version; return for anything else."""
-        try:
-            first = json.loads(data.split(b"\n", 1)[0])
-        except ValueError:
-            return
-        if not (isinstance(first, dict) and "key" in first):
-            return
-        for field, name in (("logprob", "one-value-per-line format"),
-                            ("logprobs", "JSON Lines format (v2)")):
-            if field in first:
-                raise CacheCorruptionError(
-                    f"cache {self.path} uses the older {name}, which this version does "
-                    "not read; delete or move the file to rescore"
-                )
 
     def _cut_torn_tail(self, size: int, offset: int, segment: int) -> None:
         """Cut off the last segment, short or failing its CRC, from ``offset`` on.

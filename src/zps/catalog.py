@@ -235,9 +235,10 @@ def read_json(path: str | Path, text: str | None = None) -> Any:
 
 def read_jsonl(path: str | Path, text: str | None = None) -> Iterator[tuple[str, Any]]:
     """``("path:line", value)`` for each non-blank line of a JSON Lines file. Only ``\\n``
-    ends a line: a JSON string may hold U+0085, U+2028 or U+2029, where splitlines splits."""
+    ends a line: a JSON string may hold U+0085, U+2028 or U+2029, where splitlines splits.
+    A blank line holds only JSON whitespace; a line of any other space is invalid JSON."""
     for lineno, line in enumerate((read_text(path) if text is None else text).split("\n"), 1):
-        if line.strip():
+        if line.strip(" \t\r"):
             where = f"{path}:{lineno}"
             yield where, _parse(line, where)
 

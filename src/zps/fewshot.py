@@ -129,9 +129,6 @@ def top_confidence_pseudo_train(
     """The k examples with the largest ensemble confidence gap, pseudo-labeled:
     ``build_pseudo_val(size=k)``, for export to an external trainer as extra
     training data."""
-    n = len(tensor.example_ids)
-    if not 1 <= k <= n:
-        raise ValidationError(f"k must be in [1, {n}], got {k}")
     return build_pseudo_val(tensor, config, size=k)
 
 

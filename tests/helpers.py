@@ -110,7 +110,8 @@ class StubScorer:
     ``script`` is a queue of canned (status, body) responses served in
     order; once exhausted (or when empty from the start) the server answers
     properly with ``stub_score`` values. Bodies may be dicts (sent as JSON)
-    or raw strings. All received request payloads, headers and paths are recorded.
+    or raw strings. All received request payloads, raw bodies, headers and paths
+    are recorded.
 
     With ``drop_idle`` the server speaks HTTP/1.1 and sends a Content-Length,
     so clients keep the connection alive, but closes it after every answer
@@ -127,6 +128,7 @@ class StubScorer:
         self.script = list(script or [])
         self.hang_up = None
         self.requests: list[dict] = []
+        self.bodies: list[bytes] = []
         self.headers: list[dict] = []
         self.paths: list[str] = []
         self._lock = threading.Lock()
@@ -151,6 +153,7 @@ class StubScorer:
                 payload = json.loads(body) if body else {}
                 with stub._lock:
                     stub.requests.append(payload)
+                    stub.bodies.append(body)
                     stub.headers.append({k: v for k, v in self.headers.items()})
                     stub.paths.append(self.path)
                     scripted = stub.script.pop(0) if stub.script else None

@@ -15,7 +15,7 @@ from zps import BackendError, ScoreRequest, SyntheticBackend
 def hash01(*parts: str) -> float:
     """Deterministic uniform float in [0, 1) from string parts."""
     digest = hashlib.sha256("\x1f".join(parts).encode("utf-8")).digest()
-    return int.from_bytes(digest[:8], "big") / 2**64
+    return min(int.from_bytes(digest[:8], "big") / 2**64, 1 - 2**-53)
 
 
 def reference_quality(backend: SyntheticBackend, prompt_id: str) -> float:

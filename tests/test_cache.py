@@ -239,36 +239,38 @@ def test_damaged_segments_raise(tmp_path, segment, last):
     good = segment_bytes([(C, [-1.0])])
     data = good + segment + (b"" if last else good)
     path.write_bytes(data)
-    with pytest.raises(CacheCorruptionError, match="segment 2.*delete or move"):
+    with pytest.raises(CacheCorruptionError,
+                       match=rf"corrupt at segment 2 \(byte {len(good)}\).*delete or move"):
         ScoreCache(path)
     assert path.read_bytes() == data
 
 
 @pytest.mark.parametrize(
-    "text, message",
+    "text",
     [
-        ('{"key": "a", "logprob": -1.0}\n{"key": "b", "logprob": -2.0}\n',
-         "older one-value-per-line format"),
-        ('{"key": "a", "logprobs": [-1.0, -2.0]}\n{"key": "b", "logprob": -2.0}\n',
-         "older JSON Lines format (v2)"),
-        ('{"key": "a", "logprobs": [-1.0, -2.0]}\n{"key": "b", "logprobs": [-2.0, -1.5]}\n',
-         "older JSON Lines format (v2)"),
+        '{"key": "a", "logprob": -1.0}\n{"key": "b", "logprob": -2.0}\n',
+        '{"key": "a", "logprobs": [-1.0, -2.0]}\n{"key": "b", "logprob": -2.0}\n',
+        '{"key": "a", "logprobs": [-1.0, -2.0]}\n{"key": "b", "logprobs": [-2.0, -1.5]}\n',
+        '{"cells": [{"key": "a", "values": [-1.0, -2.0]}]}',
+        '{"key": "a"}\n',
+        "{}",
     ],
-    ids=["v1-file", "v1-line-in-v2-file", "v2-file"],
+    ids=["v1-file", "v1-line-in-v2-file", "v2-file", "other-json", "json-shorter-than-a-header",
+         "empty-object"],
 )
-def test_older_format_is_refused_with_its_own_message(tmp_path, text, message):
+def test_older_formats_and_other_json_get_the_one_refusal(tmp_path, text):
+    # No zps since cache format v3 writes JSON. Such a file, however short, is
+    # not a torn segment: no ZPSC magic begins with "{".
     path = tmp_path / "c.jsonl"
     path.write_text(text, encoding="utf-8")
-    with pytest.raises(CacheCorruptionError) as excinfo:
+    with pytest.raises(CacheCorruptionError,
+                       match=r"corrupt at segment 1 \(byte 0\); refusing .*delete or move"):
         ScoreCache(path)
-    assert message in str(excinfo.value)
-    assert "delete or move" in str(excinfo.value)
-    assert "corrupt" not in str(excinfo.value)
-    assert path.read_text(encoding="utf-8") == text  # nothing rewritten
+    assert path.read_text(encoding="utf-8") == text  # nothing cut or rewritten
 
 
 def test_a_file_starting_with_a_brace_but_not_json_is_corrupt(tmp_path):
-    # Not an earlier JSON Lines cache, so it is read as segments, and refused.
+    # No ZPSC magic begins with a brace, so segment 1 is refused, not cut as a torn tail.
     path = tmp_path / "c.cache"
     path.write_bytes(b"{not json\n" + segment_bytes([(A, [-1.0, -2.0])]))
     data = path.read_bytes()
@@ -309,8 +311,10 @@ def test_invalid_entries_raise(tmp_path, line):
     # as cells: each file is refused whole, with the advice to reset it.
     path = tmp_path / "c.jsonl"
     path.write_text(line + "\n", encoding="utf-8")
-    with pytest.raises(CacheCorruptionError, match="delete or move"):
+    with pytest.raises(CacheCorruptionError,
+                       match=r"corrupt at segment 1 \(byte 0\).*delete or move"):
         ScoreCache(path)
+    assert path.read_text(encoding="utf-8") == line + "\n"
 
 
 def test_concurrent_puts_all_land(tmp_path):

@@ -487,6 +487,20 @@ def test_crlf_json_lines_load_with_the_same_line_numbers(tmp_path, kind):
         LOADERS[kind](path)
 
 
+@pytest.mark.parametrize("char", ["\u0085", "\u2028", "\u3000", "\x0b", "\x1c"])
+@pytest.mark.parametrize("kind", sorted(JSON_LINES))
+def test_a_line_of_other_whitespace_is_invalid_json(tmp_path, kind, char):
+    # Only JSON whitespace (space, tab, CR) makes a blank line; str.strip removes more.
+    records, ids = JSON_LINES[kind]
+    lines = [json.dumps(r) for r in records("")]
+    path = tmp_path / "input.jsonl"
+    path.write_bytes("\n".join([lines[0], " \t ", "\r", lines[1], "", lines[2], ""]).encode())
+    assert ids(LOADERS[kind](path)) == ["e0", "e1", "e2"]
+    path.write_bytes("\n".join([lines[0], char, *lines[1:]]).encode())
+    with pytest.raises(ValidationError, match=f"^{re.escape(str(path))}:2: invalid JSON"):
+        LOADERS[kind](path)
+
+
 def test_write_text_replaces_the_file_whole_or_not_at_all(tmp_path, monkeypatch):
     path = tmp_path / "out.json"
     write_text(path, "old\n")

@@ -16,7 +16,7 @@ import zps
 from zps import RemoteBackend
 from zps.cli import TOKEN_ENV, main
 
-from .helpers import BAD_INPUT_CASES, INPUT_FILES, StubScorer, write_bad_input
+from .helpers import BAD_INPUT_CASES, INPUT_FILES, StubScorer, segment_bytes, write_bad_input
 
 
 def test_import_loads_no_scipy():
@@ -378,9 +378,23 @@ class TestScore:
         (workdir / "cache.jsonl").write_text(text, encoding="utf-8")
         assert main(self.score_args(workdir)) == 2
         err = capsys.readouterr().err
-        assert "older one-value-per-line format" in err
-        assert "delete or move" in err and "corrupt at line" not in err
+        assert "corrupt at segment 1 (byte 0)" in err and "delete or move" in err
         assert (workdir / "cache.jsonl").read_text(encoding="utf-8") == text
+
+    @pytest.mark.parametrize("data, where", [
+        (b'{"key": "a", "logprobs": [-1.0, -2.0]}\n', "segment 1 (byte 0)"),
+        (b'{"cells": []}', "segment 1 (byte 0)"),
+        (b"ZPSC" + bytes(20) + segment_bytes([(bytes(32), [-1.0])]), "segment 1 (byte 0)"),
+        (segment_bytes([(bytes(32), [-1.0])]) + segment_bytes([(bytes(32), [-1.0])])[:-1]
+         + b"\0" + segment_bytes([(bytes(32), [-2.0])]), "segment 2 (byte 64)"),
+        (segment_bytes([(bytes(32), [float("nan")])]), "segment 1 (byte 0)"),
+    ], ids=["v2", "other-json", "bad-header", "bad-crc-not-last", "non-finite"])
+    def test_every_unreadable_cache_gets_the_one_refusal(self, workdir, capsys, data, where):
+        (workdir / "cache.jsonl").write_bytes(data)
+        assert main(self.score_args(workdir)) == 2
+        err = capsys.readouterr().err
+        assert f"is corrupt at {where}; refusing to recompute silently" in err
+        assert (workdir / "cache.jsonl").read_bytes() == data
 
 
 class TestRemoteErrors:

@@ -11,7 +11,10 @@ from pathlib import Path
 
 import pytest
 
+from zps import RemoteBackend, load_catalog, load_examples, score_all
 from zps.cli import TOKEN_ENV, main
+
+from .helpers import StubScorer
 
 DEMO = Path(__file__).resolve().parent.parent / "demo"
 INPUTS = ["--catalog", "catalog.json", "--examples", "examples.jsonl"]
@@ -101,6 +104,16 @@ PINS = {
 }
 
 
+# The demo's 48 cells through RemoteBackend(max_batch_size=16) and score_all(jobs=2):
+# the sha256 of each request body, sorted, and of the tensor's logprobs.
+REMOTE_BODIES = [
+    "02695bf08b38e7bb98fb049719abf3186cec4dacd6e76fe4c9f35aea915de33b",
+    "4d70fbece3d8509370029ec20463b68632ce672ddd565bed24630d0f0dc158cd",
+    "81a3d40e1d0b96d7c42934cdaf3da1c73be21c30bf5cf8a364b018d0d520f4b4",
+]
+REMOTE_TENSOR = "b835449845c94ea7df4aebbf8ede4bbdaf9d627ca79fdc84b465cd62540e3289"
+
+
 def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
@@ -118,3 +131,17 @@ def test_cli_outputs_are_pinned(case, tmp_path, monkeypatch, capsys):
     got = {"stdout": _sha256(capsys.readouterr().out.encode("utf-8"))}
     got.update((name, _sha256(Path(name).read_bytes())) for name in artifacts)
     assert got == PINS[case]
+
+
+def test_remote_request_bodies_are_pinned():
+    # What the remote client sends for the demo, in any order its two workers send it.
+    task, prompts = load_catalog(DEMO / "catalog.json")
+    examples = load_examples(DEMO / "examples.jsonl", task)
+    with StubScorer() as stub:
+        backend = RemoteBackend(stub.url, model="pinned-model", max_batch_size=16)
+        try:
+            tensor = score_all(task, prompts, examples, backend, jobs=2)
+        finally:
+            backend.close()
+    assert sorted(map(_sha256, stub.bodies)) == REMOTE_BODIES
+    assert _sha256(tensor.logprobs.tobytes()) == REMOTE_TENSOR

@@ -7,14 +7,17 @@ formula it must reproduce exactly, float for float.
 
 import hashlib
 import re
+import types
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import zps.backends
 from zps import BackendError, ScoreRequest, SyntheticBackend, ValidationError, derived_profile
 
+from . import synthetic_reference
 from .synthetic_reference import reference_profile, reference_scores
 
 # Any text UTF-8 can encode, without the draw separator.
@@ -149,3 +152,40 @@ def test_duplicate_choice_labels_are_refused():
         backend.score_batch([_request("p", "e", ("0", "1", "0"))])
     with pytest.raises(BackendError, match="fewer than two choice labels"):
         backend.score_batch([_request("p", "e", ("1",))])
+
+
+class _TopDigest:
+    """A sha256 stand-in whose every digest is all 0xff: the draw that rounds to 1."""
+
+    def __init__(self, data=b""):
+        pass
+
+    def copy(self):
+        return self
+
+    def update(self, data):
+        pass
+
+    def digest(self):
+        return b"\xff" * 32
+
+
+def test_the_top_draw_stays_below_one(monkeypatch):
+    labels = ("a", "b", "c")
+    backend = SyntheticBackend(seed=0, prompt_quality={"p": 1.0, "q": 0.5},
+                               planted_labels={"e": "a"})
+    batch = [ScoreRequest(f"{pid}|e", labels, pid, "e", labels) for pid in ("p", "q")]
+    monkeypatch.setattr(zps.backends, "hashlib", types.SimpleNamespace(sha256=_TopDigest))
+    monkeypatch.setattr(synthetic_reference, "hashlib", types.SimpleNamespace(sha256=_TopDigest))
+    assert zps.backends._uniforms("x", [b"e", b"f"]).tolist() == [1 - 2**-53] * 2
+    assert synthetic_reference.hash01("x") == 1 - 2**-53
+    # the last choice, and the top of the quality range
+    assert derived_profile(0, ["p"], ["e"], labels) == ({"p": 0.55 + 0.4 * (1 - 2**-53)},
+                                                        {"e": "c"})
+    assert derived_profile(0, ["p"], ["e"], labels) == reference_profile(0, ["p"], ["e"], labels)
+    scores = backend.score_batch(batch)
+    assert scores.tolist() == [reference_scores(backend, req) for req in batch]
+    # quality 1.0 always hits; a miss has one winner, the last wrong choice
+    assert np.argmax(scores, axis=1).tolist() == [0, 2]
+    for row, winner in zip(scores, [0, 2]):
+        assert (np.delete(row, winner) < row[winner]).all()
