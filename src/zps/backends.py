@@ -32,7 +32,6 @@ from urllib.parse import quote, urlsplit
 
 import numpy as np
 
-from .cache import score_matrix
 from .errors import BackendError, ProtocolError, ValidationError
 
 if TYPE_CHECKING:
@@ -77,7 +76,7 @@ class ScorerBackend(ABC):
     @abstractmethod
     def score_batch(self, batch: Sequence[ScoreRequest]) -> np.ndarray | list[list[float]]:
         """Log-likelihood per candidate for each request, aligned with input order:
-        a (b, c) float array or one list of c numbers per request."""
+        a (b, c) float array or one list of c numbers per request; score_all checks it."""
 
     def close(self) -> None:
         """Release held resources such as connections; the default holds none."""
@@ -261,9 +260,10 @@ class RemoteBackend(ScorerBackend):
     [{"scores": [float, ...]}, ...]}`` with scores being natural-log
     likelihoods aligned with the candidates.
 
-    Transport failures and 5xx answers are retried with exponential backoff;
-    malformed or non-finite payloads raise immediately with an excerpt of the
-    offending payload.
+    Transport failures and 5xx answers are retried with exponential backoff.
+    A body that is not JSON or has no ``results`` list raises ProtocolError
+    with an excerpt of it; otherwise each result's ``scores`` comes back as
+    parsed (None for a non-object result) and ``score_all`` checks the rows.
     """
 
     def __init__(
@@ -276,8 +276,9 @@ class RemoteBackend(ScorerBackend):
         retries: int = DEFAULT_RETRIES,
         backoff: float = DEFAULT_BACKOFF,
     ):
-        if retries < 1:
-            raise ValidationError("retries must be >= 1")
+        if not (isinstance(retries, int) and retries >= 1 and timeout > 0 and backoff >= 0):
+            raise ValidationError("need an int retries >= 1, timeout > 0 and backoff >= 0, got "
+                                  f"{retries!r}, {timeout!r} and {backoff!r}")
         try:
             url = urlsplit(endpoint)
             port = url.port
@@ -366,7 +367,7 @@ class RemoteBackend(ScorerBackend):
             f"{last_error}"
         )
 
-    def score_batch(self, batch: Sequence[ScoreRequest]) -> list[list[float]]:
+    def score_batch(self, batch: Sequence[ScoreRequest]) -> list:
         if not batch:
             return []
         c = len(batch[0].candidates)
@@ -384,24 +385,10 @@ class RemoteBackend(ScorerBackend):
         except ValueError:
             raise ProtocolError("response is not JSON", _excerpt(data)) from None
         results = doc.get("results") if isinstance(doc, dict) else None
-        if not isinstance(results, list) or len(results) != len(batch):
-            raise ProtocolError(
-                f"expected {len(batch)} results, got "
-                f"{len(results) if isinstance(results, list) else type(results).__name__}",
-                payload_excerpt=_excerpt(data),
-            )
-        rows = [result.get("scores") if isinstance(result, dict) else None
+        if not isinstance(results, list):
+            raise ProtocolError("response has no results list", _excerpt(data))
+        return [result.get("scores") if isinstance(result, dict) else None
                 for result in results]
-        values = score_matrix(rows)
-        if values is None or values.shape[1] != c:
-            bad = next((req for req, row in zip(batch, rows)
-                        if (one := score_matrix([row])) is None or one.shape[1] != c),
-                       batch[0])
-            raise ProtocolError(
-                f"scores for example {bad.example_id!r} are not {c} finite numbers",
-                payload_excerpt=_excerpt(data),
-            )
-        return values.tolist()
 
 
 def _excerpt(body: bytes) -> str:

@@ -25,6 +25,9 @@ from .errors import ValidationError
 from .scoring import PredictionMatrix, ScoreTensor, label_indices, predict, score_all
 from .selection import STRATEGIES, EnsembleConfig, SelectionReport, pseudo_accuracy, select
 
+# Cap on len(base_qualities) x n_examples x choices: 1,000x the default spec.
+MAX_POPULATION_VALUES = 10_000_000
+
 
 @dataclass(frozen=True)
 class EvalReport:
@@ -181,6 +184,9 @@ class RobustnessSpec:
         EnsembleConfig(self.strategy)  # refuses an unknown strategy
         if self.choices < 2:
             raise ValidationError("choices must be >= 2")
+        if len(self.base_qualities) * self.n_examples * self.choices > MAX_POPULATION_VALUES:
+            raise ValidationError("len(base_qualities) x n_examples x choices must be at most "
+                                  f"{MAX_POPULATION_VALUES}")
 
     def to_json_dict(self) -> dict:
         return {

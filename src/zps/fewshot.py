@@ -81,11 +81,13 @@ def _refuse_bad_gaps(example_ids: Sequence[str], gaps: np.ndarray) -> None:
 
 
 def load_pseudo_labeled(path: str | Path, text: str | None = None) -> PseudoLabeledSet:
-    """Read a pseudo-val JSON Lines file as written by ``PseudoLabeledSet.save``."""
+    """Read a non-empty pseudo-val JSON Lines file as ``PseudoLabeledSet.save`` writes it."""
     entries = []
     for where, row in read_jsonl(path, text):
         check_fields(row, where, {"example_id": "label", "label": "label", "gap": "number"})
         entries.append((row["example_id"], row["label"], row["gap"]))
+    if not entries:
+        raise ValidationError(f"{path}: no pseudo-labeled examples found")
     try:
         return PseudoLabeledSet(entries=tuple(entries), provenance=f"file:{Path(path).name}")
     except ValidationError as exc:  # a negative gap or a repeated example id

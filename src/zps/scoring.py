@@ -212,7 +212,7 @@ def predict(tensor: ScoreTensor) -> PredictionMatrix:
 def log_softmax(raw: np.ndarray, axis: int) -> np.ndarray:
     """Log-probabilities over ``axis``, shifted by the max for stability.
 
-    ``raw`` must be finite, which both backends and the cache guarantee.
+    ``raw`` must be finite, which ``score_all``'s check and the cache guarantee.
     """
     shifted = raw - raw.max(axis, keepdims=True)
     return shifted - np.log(np.exp(shifted).sum(axis, keepdims=True))
@@ -240,7 +240,8 @@ def score_all(
     the cache with one ``put_many`` per scored chunk. A chunk the backend
     fails, or answers with other than c finite scores per cell, is retried cell
     by cell; cells that still fail are reported by (prompt_id, example_id).
-    Repeated prompt or example ids are refused before any cell is scored.
+    Repeated prompt or example ids, and a backend ``max_batch_size`` that is
+    not an int >= 1, are refused before any cell is scored.
     """
     if not prompts or not examples:
         raise ValidationError("score_all needs at least one prompt and one example")
@@ -248,6 +249,9 @@ def score_all(
         raise ValidationError(f"normalize must be one of {NORMALIZE_MODES}")
     if jobs < 1:
         raise ValidationError("jobs must be >= 1")
+    size = backend.max_batch_size
+    if not (isinstance(size, int) and size >= 1):
+        raise ValidationError(f"backend max_batch_size must be an int >= 1, not {size!r}")
     _refuse_duplicate_ids(prompt_id=[p.prompt_id for p in prompts],
                           example_id=[e.example_id for e in examples])
 
@@ -322,7 +326,7 @@ def score_all(
         failed = [j for j in part if len(part) == 1 or not score(range(j, j + 1))]
         return [(requests[j].prompt_id, requests[j].example_id) for j in failed]
 
-    chunks = _chunk(range(len(requests)), backend.max_batch_size)
+    chunks = _chunk(range(len(requests)), size)
     failed: list[tuple[str, str]] = []
     if jobs == 1 or len(chunks) <= 1:
         for chunk in chunks:

@@ -2,21 +2,24 @@
 
 import gc
 import socket
+import sys
 import warnings
 from collections import Counter
 
 import numpy as np
 import pytest
 
-import zps.backends
 from zps import (
     BackendError,
     Prompt,
     PromptTemplate,
     ProtocolError,
     RemoteBackend,
+    ScoreCache,
     ScoreRequest,
+    ScoringFailedError,
     SyntheticBackend,
+    UnlabeledExample,
     ValidationError,
     Verbalizer,
     derived_profile,
@@ -40,6 +43,20 @@ def requests_for(prompt_ids, example_ids, choices):
         for pid in prompt_ids
         for eid in example_ids
     ]
+
+
+def one_prompt_setup(c, n):
+    """A c-choice task, prompt p0 rendering each example as its text, and
+    examples e0.. with texts x0.."""
+    task = make_task(c)
+    verbalizer = Verbalizer({lab: f"phrase {lab}" for lab in task.choices})
+    prompts = [Prompt("p0", PromptTemplate("{{text}}"), verbalizer)]
+    return task, prompts, [UnlabeledExample(f"e{k}", {"text": f"x{k}"}) for k in range(n)]
+
+
+def stub_rows(task, n):
+    """The stub server's scores for p0's cells on examples e0..e(n-1)."""
+    return [[stub_score(f"x{k}", f"phrase {lab}") for lab in task.choices] for k in range(n)]
 
 
 def test_score_request_is_an_immutable_tuple():
@@ -262,6 +279,14 @@ class TestRemoteBackend:
             backend.score_batch(requests_for(["p0"], ["e0"], ["0", "1"]))
         assert backend.retry_count == 1
 
+    @pytest.mark.parametrize("body", [{"nope": []}, {"results": "wat"}, [{"scores": [-1.0]}]])
+    def test_a_body_without_a_results_list_raises_protocol_error(self, body):
+        reqs = requests_for(["p0"], ["e0"], ["0", "1"])
+        with StubScorer([(200, body)]) as stub:
+            backend = RemoteBackend(endpoint=stub.url, model="m", retries=1)
+            with pytest.raises(ProtocolError, match="no results list"):
+                backend.score_batch(reqs)
+
     @pytest.mark.parametrize(
         "body",
         [
@@ -277,36 +302,59 @@ class TestRemoteBackend:
             {"results": [{"scores": [10**400, -1.0]}, {"scores": [-1.0, -2.0]}]},
         ],
     )
-    def test_malformed_payloads_raise_protocol_error(self, body):
-        reqs = requests_for(["p0"], ["e0", "e1"], ["0", "1"])
-        with StubScorer([(200, body)]) as stub:
+    def test_malformed_payloads_raise_protocol_error(self, body, tmp_path):
+        # score_batch (no results list) or score_all's check (bad rows) raises a
+        # ProtocolError that fails the chunk; each cell is then re-sent alone.
+        task, prompts, examples = one_prompt_setup(2, 2)
+        with StubScorer([(200, body)]) as stub, ScoreCache(tmp_path / "c") as cache:
             backend = RemoteBackend(endpoint=stub.url, model="m", retries=1)
-            with pytest.raises(ProtocolError):
-                backend.score_batch(reqs)
+            tensor = score_all(task, prompts, examples, backend, cache, normalize="none")
+            sent = [[item["input"] for item in payload["items"]] for payload in stub.requests]
+        assert sent == [["x0", "x1"], ["x0"], ["x1"]]
+        assert tensor.logprobs.tolist() == [stub_rows(task, len(examples))]
+        with StubScorer() as stub, ScoreCache(tmp_path / "c") as cache:
+            assert len(cache) == 2
+            backend = RemoteBackend(endpoint=stub.url, model="m")
+            again = score_all(task, prompts, examples, backend, cache, normalize="none")
+            assert stub.requests == []
+        assert np.array_equal(again.logprobs, tensor.logprobs)
 
     @pytest.mark.parametrize("bad", [2**64, 2**70, True, False, "-1", [-1.0]])
-    def test_bad_score_names_the_example(self, bad):
-        reqs = requests_for(["p0"], ["e0", "e1"], ["0", "1"])
-        body = {"results": [{"scores": [-1.0, -2.0]}, {"scores": [-1.0, bad]}]}
-        with StubScorer([(200, body)]) as stub:
+    def test_bad_score_names_the_example(self, bad, caplog):
+        task, prompts, examples = one_prompt_setup(2, 2)
+        script = [(200, {"results": [{"scores": [-1.0, -2.0]}, {"scores": [-1.0, bad]}]}),
+                  (200, {"results": [{"scores": [-1.0, -2.0]}]}),
+                  (200, {"results": [{"scores": [-1.0, bad]}]})]
+        with StubScorer(script) as stub:
             backend = RemoteBackend(endpoint=stub.url, model="m", retries=1)
-            with pytest.raises(ProtocolError, match="example 'e1'") as excinfo:
-                backend.score_batch(reqs)
-        assert '"results"' in str(excinfo.value)
+            with pytest.raises(ScoringFailedError) as excinfo:
+                score_all(task, prompts, examples, backend)
+            assert len(stub.requests) == 3
+        assert excinfo.value.failed == [("p0", "e1")]
+        assert "cell (p0, e1) failed: scores are not 1 rows of 2" in caplog.text
+        assert repr(bad) in caplog.text
 
-    def test_a_good_reply_is_checked_once(self, monkeypatch):
+    def test_a_good_reply_is_checked_once(self, monkeypatch, tmp_path):
         checked = []
 
         def counted(rows):
             checked.append(rows)
             return score_matrix(rows)
 
-        monkeypatch.setattr(zps.backends, "score_matrix", counted)
-        reqs = requests_for(["p0"], ["e0", "e1", "e2"], ["0", "1"])
-        with StubScorer() as stub:
-            scores = RemoteBackend(endpoint=stub.url, model="m").score_batch(reqs)
-        assert scores == [[stub_score(r.input, cand) for cand in r.candidates] for r in reqs]
-        assert len(checked) == 1
+        for name, module in list(sys.modules.items()):
+            if name.startswith("zps.") and getattr(module, "score_matrix", None) is score_matrix:
+                monkeypatch.setattr(module, "score_matrix", counted)
+        task, prompts, examples = one_prompt_setup(2, 5)
+        for cache, per_chunk in ((None, 1), (ScoreCache(tmp_path / "c"), 2)):
+            checked.clear()
+            with StubScorer() as stub:
+                backend = RemoteBackend(endpoint=stub.url, model="m", max_batch_size=2)
+                tensor = score_all(task, prompts, examples, backend, cache, normalize="none")
+                assert len(stub.requests) == 3
+            assert tensor.logprobs.tolist() == [stub_rows(task, len(examples))]
+            assert len(checked) == 3 * per_chunk
+            if cache is not None:
+                cache.close()
 
     def test_mixed_candidate_counts_are_refused_before_sending(self):
         reqs = [*requests_for(["p0"], ["e0"], ["0", "1"]),
@@ -323,13 +371,13 @@ class TestRemoteBackend:
             assert stub.requests == []
 
     def test_integer_scores_come_back_as_floats(self):
-        reqs = requests_for(["p0"], ["e0"], ["0", "1", "2"])
+        task, prompts, examples = one_prompt_setup(3, 1)
         body = {"results": [{"scores": [-1, 2**63, -2.5]}]}
         with StubScorer([(200, body)]) as stub:
             backend = RemoteBackend(endpoint=stub.url, model="m", retries=1)
-            scores = backend.score_batch(reqs)
-        assert scores == [[-1.0, float(2**63), -2.5]]
-        assert all(type(value) is float for value in scores[0])
+            tensor = score_all(task, prompts, examples, backend, normalize="none")
+        assert tensor.logprobs.dtype == np.float64
+        assert tensor.logprobs.tolist() == [[[-1.0, float(2**63), -2.5]]]
 
     def test_non_json_body_raises_protocol_error(self):
         reqs = requests_for(["p0"], ["e0"], ["0", "1"])
@@ -353,6 +401,20 @@ class TestRemoteBackend:
         assert backend.model_id == "m"
         with pytest.raises(ValidationError):
             RemoteBackend(endpoint="http://x/score", model="m", retries=0)
+
+    @pytest.mark.parametrize("option", [
+        {"max_batch_size": 0}, {"max_batch_size": -1}, {"max_batch_size": 2.0},
+        {"retries": 0}, {"retries": 2.5},
+        {"backoff": -1.0}, {"backoff": float("nan")},
+        {"timeout": -1.0}, {"timeout": 0}, {"timeout": float("nan")},
+    ], ids=repr)
+    def test_a_bad_number_is_refused_before_any_request(self, option):
+        task, prompts, examples = one_prompt_setup(2, 3)
+        with StubScorer() as stub:
+            with pytest.raises(ValidationError, match=next(iter(option))):
+                backend = RemoteBackend(endpoint=stub.url, model="m", **option)
+                score_all(task, prompts, examples, backend)
+            assert stub.requests == []
 
     @pytest.mark.parametrize(
         "endpoint",

@@ -333,6 +333,7 @@ class TestSelectCheckpoint:
         assert self.run(workdir, []) == 1
         err = capsys.readouterr().err
         assert "error:" in err and "internal" not in err
+        assert f"{workdir / 'pv.jsonl'}: no pseudo-labeled examples found" in err
         assert not (workdir / "ck.json").exists()
 
 

@@ -1,6 +1,7 @@
 """Gold evaluation and the synthetic robustness/strategy simulations."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -259,11 +260,18 @@ class TestRobustnessSpec:
             (dict(n_examples=0), "n_examples"),
             (dict(strategy="vibes"), "strategy"),
             (dict(choices=1), "choices"),
+            (dict(n_examples=2_500_001), "at most 10000000"),
+            (dict(n_examples=10**12, choices=10**6), "at most 10000000"),
         ],
     )
     def test_rejects_bad_fields(self, override, match):
         with pytest.raises(ValidationError, match=match):
             RobustnessSpec(**{**self.good_kwargs(), **override})
+
+    def test_population_at_the_cap_is_accepted(self):
+        # Only constructed: a spec this large is never run here.
+        spec = RobustnessSpec(**{**self.good_kwargs(), "n_examples": 2_500_000})
+        assert len(spec.base_qualities) * spec.n_examples * spec.choices == 10_000_000
 
     def test_default_spec_shape(self):
         spec = default_robustness_spec()
@@ -321,6 +329,15 @@ class TestLoadRobustnessSpec:
         path = tmp_path / "spec.json"
         path.write_text(doc if isinstance(doc, str) else json.dumps(doc), encoding="utf-8")
         with pytest.raises(ValidationError, match=match):
+            load_robustness_spec(path)
+
+    def test_spec_over_the_cap_is_malformed(self, tmp_path):
+        path = tmp_path / "spec.json"
+        doc = {"base_qualities": [0.7, 0.8], "adversarial_quality": [0.4, 0.5],
+               "ratios": [0.5], "seeds": [0], "n_examples": 10**12, "choices": 10**6}
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        malformed = re.escape(f"{path}: malformed spec: ")
+        with pytest.raises(ValidationError, match=malformed + ".* at most"):
             load_robustness_spec(path)
 
     def test_malformed_values(self, tmp_path):

@@ -71,6 +71,15 @@ class TestPseudoLabeledSet:
         path.write_text('{"example_id": "e0", "label": 1, "gap": 0.5}\n')
         assert load_pseudo_labeled(path).labels() == {"e0": "1"}
 
+    @pytest.mark.parametrize("text", ["", "\n\n"])
+    def test_loader_refuses_an_empty_file(self, tmp_path, text):
+        path = tmp_path / "pv.jsonl"
+        path.write_text(text)
+        found = f"^{re.escape(str(path))}: no pseudo-labeled examples found$"
+        with pytest.raises(ValidationError, match=found):
+            load_pseudo_labeled(path)
+        assert len(PseudoLabeledSet(entries=())) == 0  # an empty set is still allowed
+
     @pytest.mark.parametrize(
         "line,match",
         [
