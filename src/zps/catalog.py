@@ -222,6 +222,11 @@ def write_text(path: str | Path, text: str) -> None:
         raise
 
 
+def json_text(doc: Any) -> str:
+    """The one text form of every JSON document zps writes: keys sorted, indent 2."""
+    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+
 def _parse(text: str, where: str) -> Any:
     try:
         return json.loads(text)
@@ -304,7 +309,7 @@ def load_catalog(path: str | Path, text: str | None = None) -> tuple[TaskSpec, l
         {"task_id": "label", "fields": "list of string", "choices": "list of label"},
         {"gold_label_field": "string"})
     task = TaskSpec(
-        task_id=str(spec["task_id"]),
+        task_id=canon_label(spec["task_id"]),
         field_schema=tuple(spec["fields"]),
         choices=tuple(map(canon_label, spec["choices"])),
         gold_label_field=spec.get("gold_label_field"),
@@ -314,7 +319,7 @@ def load_catalog(path: str | Path, text: str | None = None) -> tuple[TaskSpec, l
         where = f"{path}: prompts[{k}]"
         check_fields(entry, where, {
             "prompt_id": "label", "template": "string", "verbalizer": "object of string"})
-        prompt_id = str(entry["prompt_id"])
+        prompt_id = canon_label(entry["prompt_id"])
         if prompt_id in prompts:
             raise ValidationError(f"{where}: duplicate prompt_id {prompt_id!r}")
         try:
@@ -373,7 +378,7 @@ def load_examples(path: str | Path, task: TaskSpec | None = None,
     examples: dict[str, UnlabeledExample] = {}
     for where, obj in read_jsonl(path, text):
         check_fields(obj, where, _EXAMPLE_KEYS, _EXAMPLE_GOLD)
-        example_id = str(obj["example_id"])
+        example_id = canon_label(obj["example_id"])
         fields = obj["fields"]
         gold = obj.get("gold_label")
         if gold is None and gold_field:

@@ -18,14 +18,13 @@ from __future__ import annotations
 import argparse
 import functools
 import hashlib
-import json
 import os
 import sys
 
 from .backends import RemoteBackend, ScorerBackend, SyntheticBackend, derived_profile
 from .cache import ScoreCache
-from .catalog import (canon_label, check_fields, gold_label_map, load_catalog, load_examples,
-                      read_json, read_text, write_text)
+from .catalog import (canon_label, check_fields, gold_label_map, json_text, load_catalog,
+                      load_examples, read_json, read_text, write_text)
 from .errors import BackendError, CacheCorruptionError, ValidationError
 from .evalsim import (
     compare_strategies,
@@ -71,10 +70,6 @@ def _run_config(args: argparse.Namespace) -> tuple[dict, dict[str, str]]:
     return config, texts
 
 
-def _dump(doc: dict) -> str:
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
-
-
 def _make_backend(args: argparse.Namespace, task, prompts, examples,
                   profile: str | None = None) -> ScorerBackend:
     if args.backend == "remote":
@@ -96,15 +91,23 @@ def _make_backend(args: argparse.Namespace, task, prompts, examples,
                            {"qualities": "object of number", "planted_labels": "object of label"},
                            {"default_quality": "number", "miss_margin_scale": "number"})
         scale = doc.get("miss_margin_scale")
-        try:
+        planted = {k: canon_label(v) for k, v in doc["planted_labels"].items()}
+        unrated = [p for p in prompt_ids if p not in doc["qualities"]]
+        unplanted = [e for e in example_ids if planted.get(e) not in task.choices]
+        try:  # every cell must be scorable before a backend call is made
+            if unrated and doc.get("default_quality") is None:
+                raise ValidationError(f"prompt {unrated[0]!r}: no quality and no default_quality")
+            if unplanted:
+                raise ValidationError(
+                    f"example {unplanted[0]!r}: no planted label among the choices")
             return SyntheticBackend(
                 seed=args.seed,
                 prompt_quality={k: float(v) for k, v in doc["qualities"].items()},
-                planted_labels={k: canon_label(v) for k, v in doc["planted_labels"].items()},
+                planted_labels=planted,
                 default_quality=doc.get("default_quality"),
                 **({} if scale is None else {"miss_margin_scale": float(scale)}),
             )
-        except ValidationError as exc:  # a quality outside [0, 1], an id with \x1f
+        except ValidationError as exc:  # an uncovered id, a quality outside [0, 1], a \x1f
             raise ValidationError(f"{args.synthetic_profile}: {exc}") from None
     qualities, planted = derived_profile(
         args.seed, prompt_ids, example_ids, task.choices
@@ -155,7 +158,7 @@ def cmd_select(args: argparse.Namespace) -> int:
         no_filter=args.no_filter,
         score_all_prompts=args.score_all_prompts,
     )
-    write_text(args.out, _dump({"config": config, "report": report.to_json_dict()}))
+    write_text(args.out, json_text({"config": config, "report": report.to_json_dict()}))
     print(f"selected {report.selected} "
           f"(pseudo accuracy {report.pseudo_acc[report.selected]:.4f}); "
           f"report written to {args.out}")
@@ -179,7 +182,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         score_all_prompts=True,
     )
     eval_report = evaluate(report, predict(tensor), gold)
-    write_text(args.out, _dump({"config": config, "report": eval_report.to_json_dict()}))
+    write_text(args.out, json_text({"config": config, "report": eval_report.to_json_dict()}))
     header = f"{'prompt':<14} {'pseudo acc':>10} {'true acc':>9}"
     print(header)
     print("-" * len(header))
@@ -201,8 +204,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     print()
     print(format_strategy_table(strategies))
     if args.out:
-        write_text(args.out, _dump({"config": config, "robustness": robustness.to_json_dict(),
-                                    "strategies": strategies.to_json_dict()}))
+        write_text(args.out, json_text({"config": config, "robustness": robustness.to_json_dict(),
+                                        "strategies": strategies.to_json_dict()}))
         print(f"tables written to {args.out}")
     return 0
 
@@ -216,7 +219,7 @@ def cmd_pseudo_val(args: argparse.Namespace) -> int:
     write_text(args.out, pseudo.to_jsonl())
     # The JSONL line format is fixed, so the run config rides in a sidecar.
     write_text(f"{args.out}.meta.json",
-               _dump({"config": config, "provenance": pseudo.provenance, "size": len(pseudo)}))
+               json_text({"config": config, "provenance": pseudo.provenance, "size": len(pseudo)}))
     print(f"{len(pseudo)} pseudo-labeled examples written to {args.out}")
     return 0
 
@@ -229,7 +232,7 @@ def cmd_select_checkpoint(args: argparse.Namespace) -> int:
     agreements = checkpoint_agreements(candidates, pseudo)
     best = best_checkpoint(agreements)
     if args.out:
-        write_text(args.out, _dump({
+        write_text(args.out, json_text({
             "config": config,
             "selected_checkpoint": best,
             "agreement": agreements,

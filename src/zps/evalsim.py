@@ -177,8 +177,8 @@ class RobustnessSpec:
         # Ratio 0 is allowed as the degenerate no-adversary population.
         if not self.ratios or any(not 0.0 <= r <= 1.0 for r in self.ratios):
             raise ValidationError("ratios must be a non-empty list of fractions in [0,1]")
-        if not self.seeds:
-            raise ValidationError("seeds must not be empty")
+        if not self.seeds or min(self.seeds) < 0:
+            raise ValidationError("seeds must be a non-empty list of whole numbers >= 0")
         if self.n_examples < 1:
             raise ValidationError("n_examples must be >= 1")
         EnsembleConfig(self.strategy)  # refuses an unknown strategy

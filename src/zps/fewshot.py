@@ -38,7 +38,7 @@ class PseudoLabeledSet:
         object.__setattr__(
             self,
             "entries",
-            tuple((str(e), canon_label(lab), float(g)) for e, lab, g in self.entries),
+            tuple((canon_label(e), canon_label(lab), float(g)) for e, lab, g in self.entries),
         )
         _refuse_duplicate_ids(example_id=self.example_ids)
         _refuse_bad_gaps(self.example_ids, np.array([g for _, _, g in self.entries]))
@@ -154,13 +154,11 @@ def load_checkpoint_predictions(
     choices = tuple(canon_label(c) for c in choices)
     # checkpoint -> prompt -> [(example_id, predicted label)]
     rows: dict[str, dict[str, list[tuple[str, str]]]] = {}
+    keys = dict.fromkeys(("checkpoint_id", "prompt_id", "example_id", "pred"), "label")
     for where, row in read_jsonl(path, text):
-        check_fields(row, where, dict.fromkeys(
-            ("checkpoint_id", "prompt_id", "example_id", "pred"), "label"))
-        ckpt = str(row["checkpoint_id"])
-        prompt = str(row["prompt_id"])
-        per_prompt = rows.setdefault(ckpt, {}).setdefault(prompt, [])
-        per_prompt.append((str(row["example_id"]), canon_label(row["pred"])))
+        check_fields(row, where, keys)
+        ckpt, prompt, example_id, pred = (canon_label(row[key]) for key in keys)
+        rows.setdefault(ckpt, {}).setdefault(prompt, []).append((example_id, pred))
 
     if not rows:
         raise ValidationError(f"{path}: no checkpoint predictions found")

@@ -71,6 +71,14 @@ def _read_only(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
+def _set_axes(obj, field: str, arr: np.ndarray) -> None:
+    """Freeze ``arr`` as ``obj.<field>`` and the three id axes as tuples; refuse a repeat."""
+    object.__setattr__(obj, field, _read_only(arr))
+    for axis in ("prompt_ids", "example_ids", "choices"):
+        object.__setattr__(obj, axis, tuple(getattr(obj, axis)))
+    _refuse_duplicate_ids(prompt_id=obj.prompt_ids, example_id=obj.example_ids, choice=obj.choices)
+
+
 def top2_gap(values: np.ndarray) -> np.ndarray:
     """Largest minus second-largest entry along the last axis; 0 on a tie.
 
@@ -121,12 +129,7 @@ class ScoreTensor:
             raise ValidationError("tensor contains NaN or infinite entries")
         if self.normalized and np.any(arr > 1e-9):
             raise ValidationError("normalized tensor has log-probabilities above 0")
-        object.__setattr__(self, "logprobs", _read_only(arr))
-        object.__setattr__(self, "prompt_ids", tuple(self.prompt_ids))
-        object.__setattr__(self, "example_ids", tuple(self.example_ids))
-        object.__setattr__(self, "choices", tuple(self.choices))
-        _refuse_duplicate_ids(prompt_id=self.prompt_ids, example_id=self.example_ids,
-                              choice=self.choices)
+        _set_axes(self, "logprobs", arr)
 
     @property
     def shape(self) -> tuple[int, int, int]:
@@ -161,7 +164,7 @@ class ScoreTensor:
 
 @dataclass(frozen=True)
 class PredictionMatrix:
-    """Per-(prompt, example) argmax choices, stored as choice indices."""
+    """Argmax choice indices, p x n, read-only, in ``np.min_scalar_type(len(choices))``."""
 
     prompt_ids: tuple[str, ...]
     example_ids: tuple[str, ...]
@@ -169,23 +172,13 @@ class PredictionMatrix:
     indices: np.ndarray
 
     def __post_init__(self):
-        arr = np.array(self.indices, dtype=np.int64, order="C")
+        arr = np.asarray(self.indices, dtype=np.int64)
         expected = (len(self.prompt_ids), len(self.example_ids))
         if arr.shape != expected:
             raise ValidationError(f"prediction shape {arr.shape} != {expected}")
         if arr.size and (arr.min() < 0 or arr.max() >= len(self.choices)):
             raise ValidationError("prediction index outside the choice set")
-        object.__setattr__(self, "indices", _read_only(arr))
-        object.__setattr__(self, "prompt_ids", tuple(self.prompt_ids))
-        object.__setattr__(self, "example_ids", tuple(self.example_ids))
-        object.__setattr__(self, "choices", tuple(self.choices))
-        _refuse_duplicate_ids(prompt_id=self.prompt_ids, example_id=self.example_ids,
-                              choice=self.choices)
-
-    @cached_property
-    def narrow_indices(self) -> np.ndarray:
-        """``indices`` in the narrowest unsigned dtype that holds ``len(choices)`` (read-only)."""
-        return _read_only(self.indices.astype(np.min_scalar_type(len(self.choices))))
+        _set_axes(self, "indices", arr.astype(np.min_scalar_type(len(self.choices)), order="C"))
 
     def labels_row(self, prompt_id: str) -> list[str]:
         row, = prompt_rows(self.prompt_ids, [prompt_id])

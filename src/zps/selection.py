@@ -14,12 +14,12 @@ was permuted.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
+from .catalog import json_text
 from .errors import ValidationError
 from .scoring import (PredictionMatrix, ScoreTensor, _refuse_duplicate_ids, label_indices,
                       predict, prompt_rows)
@@ -106,7 +106,7 @@ class SelectionReport:
 
     def to_json(self) -> str:
         """Deterministic byte representation (keys sorted)."""
-        return json.dumps(self.to_json_dict(), sort_keys=True, indent=2) + "\n"
+        return json_text(self.to_json_dict())
 
 
 def confidence_scores(tensor: ScoreTensor) -> np.ndarray:
@@ -215,7 +215,7 @@ def ensemble_vote(tensor: ScoreTensor, config: EnsembleConfig,
         scores = _row_sum(cells[r] for r in rows) / len(rows)
         return scores, np.argmax(scores, axis=1)
     # Each prompt's argmax prediction is one vote for its choice.
-    kept = predict(tensor).narrow_indices[rows]
+    kept = predict(tensor).indices[rows]
     scores = np.stack([_counts(kept == j, 0) for j in range(len(tensor.choices))],
                       axis=1).astype(np.float64)
     pseudo_idx = np.argmax(scores, axis=1)
@@ -257,9 +257,9 @@ def pseudo_accuracy(
         raise ValidationError("agreement needs at least one labeled example")
     # Exact counts in the predictions' narrow dtype, so the shares equal a bool
     # mean; a target outside [0, c) becomes c there, which no prediction equals.
-    narrow, c = preds.narrow_indices, len(preds.choices)
-    targets = np.where((targets >= 0) & (targets < c), targets, c).astype(narrow.dtype)
-    agreement = _counts(narrow == targets, 1) / targets.size
+    indices, c = preds.indices, len(preds.choices)
+    targets = np.where((targets >= 0) & (targets < c), targets, c).astype(indices.dtype)
+    agreement = _counts(indices == targets, 1) / targets.size
     ids = preds.prompt_ids if prompt_ids is None else prompt_ids
     return dict(zip(ids, agreement[prompt_rows(preds.prompt_ids, ids)].tolist()))
 

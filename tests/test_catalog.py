@@ -308,6 +308,16 @@ def test_load_examples_rejects_duplicates_and_empty(tmp_path):
         load_examples(path)
 
 
+def test_example_ids_are_labels(tmp_path):
+    # true and "true" are one id, as 1 and "1" are
+    path = tmp_path / "ex.jsonl"
+    rows = [{"example_id": True, "fields": {}}, {"example_id": "true", "fields": {}}]
+    path.write_text("\n".join(json.dumps(r) for r in rows), encoding="utf-8")
+    with pytest.raises(ValidationError) as exc:
+        load_examples(path)
+    assert str(exc.value) == f"{path}:2: duplicate example_id 'true'"
+
+
 @settings(max_examples=50, deadline=None)
 @given(
     values=st.dictionaries(

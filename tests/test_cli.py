@@ -148,6 +148,30 @@ class TestSelect:
         doc = json.loads((workdir / "report.json").read_text())
         assert set(doc["report"]["pseudo_acc"]) == {"p00", "p01", "p02"}
 
+    @pytest.mark.parametrize("gap,offender", [
+        ({"qualities": {"p00": 0.9}}, "prompt 'p01': no quality and no default_quality"),
+        ({"planted_labels": {"e000": "0"}}, "example 'e001': no planted label among the choices"),
+        ({"planted_labels": {f"e{k:03d}": "2" for k in range(8)}},
+         "example 'e000': no planted label among the choices"),
+    ])
+    def test_profile_that_leaves_a_cell_unscored_is_refused_first(self, workdir, capsys, caplog,
+                                                                  monkeypatch, gap, offender):
+        import zps.cli as cli_module
+
+        profile = workdir / "profile.json"
+        profile.write_text(json.dumps({**json.loads(profile.read_text()), **gap}))
+        monkeypatch.setattr(cli_module, "score_all", lambda *a, **k: pytest.fail("scored"))
+        assert main(select_args(workdir, "--cache", str(workdir / "cache.bin"))) == 1
+        assert capsys.readouterr().err == f"error: {profile}: {offender}\n"
+        assert "failed:" not in caplog.text and not (workdir / "cache.bin").exists()
+
+    def test_default_quality_covers_unrated_prompts(self, workdir):
+        profile = workdir / "profile.json"
+        doc = {**json.loads(profile.read_text()), "qualities": {"p00": 0.95},
+               "default_quality": 0.6}
+        profile.write_text(json.dumps(doc))
+        assert main(select_args(workdir)) == 0
+
     def test_missing_catalog_is_input_error(self, workdir, capsys):
         args = select_args(workdir)
         args[args.index("--catalog") + 1] = str(workdir / "nope.json")

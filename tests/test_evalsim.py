@@ -340,6 +340,16 @@ class TestLoadRobustnessSpec:
         with pytest.raises(ValidationError, match=malformed + ".* at most"):
             load_robustness_spec(path)
 
+    def test_negative_seed_is_malformed(self, tmp_path):
+        # numpy refuses a negative seed only once a population is built
+        path = tmp_path / "spec.json"
+        doc = {"base_qualities": [0.7, 0.8], "adversarial_quality": [0.4, 0.5],
+               "ratios": [0.5], "seeds": [0, -1], "n_examples": 25}
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        malformed = re.escape(f"{path}: malformed spec: seeds must be")
+        with pytest.raises(ValidationError, match=malformed + ".* >= 0"):
+            load_robustness_spec(path)
+
     def test_malformed_values(self, tmp_path):
         path = tmp_path / "spec.json"
         doc = {

@@ -230,6 +230,16 @@ class TestCheckpointLoading:
         assert first.example_ids == ("e0", "e1")
         assert first.indices.tolist() == [[0, 1], [1, 1]]
 
+    def test_ids_are_read_as_labels(self, tmp_path):
+        path = tmp_path / "ckpts.jsonl"
+        write_checkpoint_file(path, {True: {1: [(True, 1), (0.5, 0)]}})
+        candidate, = load_checkpoint_predictions(path, ["0", "1"])
+        assert candidate.checkpoint_id == "true"
+        assert candidate.preds.prompt_ids == ("1",)
+        assert candidate.preds.example_ids == ("true", "0.5")
+        pseudo_val = PseudoLabeledSet(entries=(("true", "1", 0.5),))
+        assert checkpoint_agreement(candidate, pseudo_val) == 1.0
+
     def test_unknown_pred_label(self, tmp_path):
         path = tmp_path / "ckpts.jsonl"
         write_checkpoint_file(path, {"c": {"p": [("e0", "maybe")]}})

@@ -89,7 +89,7 @@ class TestScoreTensor:
         tensor = ScoreTensor(*ids, tensor_in, normalized=False)
         matrix = PredictionMatrix(*ids, matrix_in)
         for held, dtype, expected, source in ((tensor.logprobs, np.float64, logprobs, tensor_in),
-                                              (matrix.indices, np.int64, indices, matrix_in)):
+                                              (matrix.indices, np.uint8, indices, matrix_in)):
             assert held.dtype == dtype and np.array_equal(held, expected)
             assert held.flags.c_contiguous and not held.flags.writeable
             assert not np.shares_memory(held, np.asarray(source))

@@ -122,13 +122,13 @@ class TestTensorViews:
         assert probs.tobytes() == np.exp(tensor.logprobs).tobytes()
 
     @pytest.mark.parametrize("c,dtype", [(2, np.uint8), (255, np.uint8), (256, np.uint16)])
-    def test_narrow_indices_leave_room_for_one_more_value(self, c, dtype):
+    def test_indices_leave_room_for_one_more_value(self, c, dtype):
         indices = np.array([[0, c - 1, c // 2]])
         matrix = PredictionMatrix(("p0",), ("e0", "e1", "e2"),
                                   tuple(f"c{j}" for j in range(c)), indices)
-        narrow = matrix.narrow_indices
-        assert narrow is matrix.narrow_indices and not narrow.flags.writeable
-        assert narrow.dtype == dtype and np.array_equal(narrow, indices)
+        held = matrix.indices
+        assert held.dtype == dtype == np.min_scalar_type(c) and np.array_equal(held, indices)
+        assert held.flags.c_contiguous and not held.flags.writeable
 
     def test_returned_confidences_cannot_be_changed(self):
         tensor = varied_tensor(2, "softmax")
