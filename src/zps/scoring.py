@@ -6,6 +6,11 @@ prompt x example x choice tensor everything downstream consumes. Results are
 written position-addressed, so the tensor is bit-identical no matter how
 requests are batched, parallelized, or served from cache.
 
+The grid is walked once, and each chunk of cache misses goes to the backend
+as soon as it is full, so memory follows the chunks in flight, not the grid.
+Every input refusal comes before the walk; only a cached row of the wrong
+width is met during it, after earlier chunks were scored and appended.
+
 Phrase scores are the sum of token log-likelihoods as returned by the
 backend; ``length_norm`` divides each by the phrase's whitespace token count.
 ``normalize="softmax"`` renormalizes over the choice set so per-cell
@@ -17,7 +22,8 @@ raw likelihoods for raw-likelihood studies.
 from __future__ import annotations
 
 import logging
-from concurrent.futures import ThreadPoolExecutor
+from collections import deque
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
@@ -228,13 +234,21 @@ def score_all(
 ) -> ScoreTensor:
     """Fill the full p x n x c score tensor.
 
-    Each cell is hashed into one cache key; cells present in the cache are
-    served without backend calls, and newly computed cells are appended to
-    the cache with one ``put_many`` per scored chunk. A chunk the backend
-    fails, or answers with other than c finite scores per cell, is retried cell
-    by cell; cells that still fail are reported by (prompt_id, example_id).
-    Repeated prompt or example ids, and a backend ``max_batch_size`` that is
-    not an int >= 1, are refused before any cell is scored.
+    One walk in (prompt, example) order renders each cell, hashes it into one
+    cache key and looks it up. Hits need no backend call; misses gather into
+    chunks of ``max_batch_size``, each scored as soon as it is full: inline
+    with ``jobs == 1``, else on ``jobs`` threads, the walk waiting for the
+    oldest chunk once more than ``jobs`` are pending. So at most ``jobs + 1``
+    chunks of rendered inputs are alive at once. Each scored chunk is appended
+    to the cache with one ``put_many``. A chunk the backend fails, or answers
+    with other than c finite scores per cell, is retried cell by cell; cells
+    that still fail are reported by (prompt_id, example_id).
+
+    Refused before any cell is scored, in this order: repeated ids, a backend
+    ``max_batch_size`` that is not an int >= 1, then per prompt a verbalizer
+    missing a choice and an example missing a field the template renders. A
+    cached row whose width is not c is refused when the walk reaches it, so
+    chunks scored before it stay cached.
     """
     if not prompts or not examples:
         raise ValidationError("score_all needs at least one prompt and one example")
@@ -255,45 +269,64 @@ def score_all(
     model_id, choices = backend.model_id, task.choices
     content_addressed = backend.content_addressed
 
-    # Cells to score: request, row in flat, cache key (hashed once). Cache hits:
-    # row in flat, and their values end to end in one flat list.
-    requests: list[ScoreRequest] = []
-    rows: list[int] = []
-    keys: list[bytes] = []
-    hit_rows: list[int] = []
-    hits: list[float] = []
+    # Phrases, and every example's fields, before the walk, so that a cell that
+    # cannot render is refused before any chunk is scored.
+    needed = set().union(*(p.template.placeholders() for p in prompts))
+    gaps = [e for e in examples if not needed <= e.fields.keys()]
+    phrase_sets = []
     for i, prompt in enumerate(prompts):
-        prompt_id = prompt.prompt_id
         phrases = candidate_phrases(task, prompt)
+        phrase_sets.append(phrases)
         tokens[i] = [max(1, len(phrase.split())) for phrase in phrases]
-        for row, example in enumerate(examples, i * n):
-            text = render(prompt, example)
-            example_id = example.example_id
-            if cache is not None:
-                key = make_cache_key(model_id, text, phrases, length_norm,
-                                     None if content_addressed else (prompt_id, example_id))
-                cached = cache.get(key)
-                if cached is not None:
-                    if len(cached) != c:
-                        raise CacheCorruptionError(
-                            f"cache {cache.path} holds {len(cached)} values for a cell "
-                            f"with {c} candidates; delete or move the file to reset it"
-                        )
-                    hit_rows.append(row)
-                    hits += cached
-                    continue
-                keys.append(key)
-            requests.append(ScoreRequest(text, phrases, prompt_id, example_id, choices))
-            rows.append(row)
-    if hits:
-        flat[hit_rows] = np.reshape(hits, (-1, c))
-    at = np.asarray(rows, dtype=np.intp)
+        for example in gaps:
+            render(prompt, example)  # raises for the first cell this prompt cannot fill
 
-    def score(part: range) -> bool:
+    def walk():
+        """Chunks of misses, each a list of (request, row in flat, cache key).
+        Cache hits (rows, and their values end to end) go into raw at the end."""
+        misses, hit_rows, hits = [], [], []
+        # Only a content-addressed backend gives two cells one key. A key queued in
+        # this run is a miss again, as if every lookup came before every append.
+        queued: set[bytes] = set()
+        for i, prompt in enumerate(prompts):
+            prompt_id, phrases = prompt.prompt_id, phrase_sets[i]
+            for row, example in enumerate(examples, i * n):
+                text = render(prompt, example)
+                example_id = example.example_id
+                key = None
+                if cache is not None:
+                    key = make_cache_key(model_id, text, phrases, length_norm,
+                                         None if content_addressed else (prompt_id, example_id))
+                    cached = cache.get(key)
+                    if cached is not None:
+                        if key not in queued:
+                            if len(cached) != c:
+                                raise CacheCorruptionError(
+                                    f"cache {cache.path} holds {len(cached)} values for a "
+                                    f"cell with {c} candidates; delete or move the file to "
+                                    "reset it"
+                                )
+                            hit_rows.append(row)
+                            hits.extend(cached)
+                            continue
+                        cache.hits -= 1  # this run's own append
+                        cache.misses += 1
+                    if content_addressed:
+                        queued.add(key)
+                misses.append((ScoreRequest(text, phrases, prompt_id, example_id, choices),
+                               row, key))
+                if len(misses) == size:
+                    yield from _chunk(misses, size)
+                    misses = []
+        yield from _chunk(misses, size)
+        if hits:
+            flat[hit_rows] = np.reshape(hits, (-1, c))
+
+    def score(chunk: Sequence[tuple]) -> bool:
         """Score cells into raw and the cache; False if the backend fails them."""
-        batch = requests[part.start : part.stop]
+        batch, rows, keys = zip(*chunk)
         try:
-            reply = backend.score_batch(batch)
+            reply = backend.score_batch(list(batch))
             values = score_matrix(reply)
             if values is None or values.shape != (len(batch), c):
                 raise ProtocolError(f"scores are not {len(batch)} rows of {c} finite numbers",
@@ -304,30 +337,34 @@ def score_all(
                 logger.error("cell (%s, %s) failed: %s",
                              batch[0].prompt_id, batch[0].example_id, str(exc))
             return False
-        cells = at[part.start : part.stop]
+        cells = np.array(rows, dtype=np.intp)
         if length_norm:
             values /= tokens[cells // n]
         flat[cells] = values
         if cache is not None:
-            cache.put_many(keys[part.start : part.stop], values)
+            cache.put_many(keys, values)
         return True
 
-    def score_chunk(part: range) -> list[tuple[str, str]]:
+    def score_chunk(chunk: Sequence[tuple]) -> list[tuple[str, str]]:
         """The coordinates of the chunk's cells that fail whole and then alone."""
-        if score(part):
+        if score(chunk):
             return []
-        failed = [j for j in part if len(part) == 1 or not score(range(j, j + 1))]
-        return [(requests[j].prompt_id, requests[j].example_id) for j in failed]
+        failed = [miss for miss in chunk if len(chunk) == 1 or not score([miss])]
+        return [(request.prompt_id, request.example_id) for request, _, _ in failed]
 
-    chunks = _chunk(range(len(requests)), size)
     failed: list[tuple[str, str]] = []
-    if jobs == 1 or len(chunks) <= 1:
-        for chunk in chunks:
+    if jobs == 1:
+        for chunk in walk():
             failed.extend(score_chunk(chunk))
     else:
         with ThreadPoolExecutor(max_workers=jobs) as pool:
-            for result in pool.map(score_chunk, chunks):
-                failed.extend(result)
+            pending: deque[Future] = deque()
+            for chunk in walk():
+                pending.append(pool.submit(score_chunk, chunk))
+                if len(pending) > jobs:
+                    failed.extend(pending.popleft().result())
+            for future in pending:
+                failed.extend(future.result())
     if failed:
         raise ScoringFailedError(failed)
 

@@ -13,10 +13,11 @@ from pathlib import Path
 import pytest
 
 import zps
-from zps import RemoteBackend
+from zps import RemoteBackend, ScoreCache
 from zps.cli import TOKEN_ENV, main
 
-from .helpers import BAD_INPUT_CASES, INPUT_FILES, StubScorer, segment_bytes, write_bad_input
+from .helpers import (BAD_INPUT_CASES, INPUT_FILES, StubScorer, read_segments, segment_bytes,
+                      write_bad_input)
 
 
 def test_import_loads_no_scipy():
@@ -420,6 +421,18 @@ class TestScore:
         err = capsys.readouterr().err
         assert f"is corrupt at {where}; refusing to recompute silently" in err
         assert (workdir / "cache.jsonl").read_bytes() == data
+
+    def test_cached_row_of_the_wrong_width_exits_two(self, workdir, capsys):
+        # One cell's real key, stored with 3 values for a 2-choice task.
+        assert main(self.score_args(workdir)) == 0
+        key = read_segments(workdir / "cache.jsonl")[-1][-1][0]
+        bad = workdir / "bad.cache"
+        with ScoreCache(bad) as cache:
+            cache.put_many([key], [[-1.0, -2.0, -3.0]])
+        capsys.readouterr()
+        assert main(select_args(workdir, "--cache", str(bad))) == 2
+        err = capsys.readouterr().err
+        assert f"cache {bad} holds 3 values for a cell with 2 candidates" in err
 
 
 class TestRemoteErrors:

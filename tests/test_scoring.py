@@ -1,6 +1,10 @@
 """Score tensor container and the batch scoring driver."""
 
 import gc
+import hashlib
+import re
+import sys
+import tracemalloc
 import weakref
 from contextlib import nullcontext
 
@@ -14,11 +18,14 @@ from zps import (
     PredictionMatrix,
     Prompt,
     PromptTemplate,
+    RemoteBackend,
     ScoreCache,
     ScorerBackend,
     ScoreTensor,
     ScoringFailedError,
     SyntheticBackend,
+    TaskSpec,
+    UnlabeledExample,
     ValidationError,
     Verbalizer,
     candidate_phrases,
@@ -30,12 +37,15 @@ from zps import (
 from zps.scoring import log_softmax
 
 from .helpers import (
+    StubScorer,
     make_examples,
     make_prompts,
     make_task,
     plant_labels,
     raw_tensor,
     read_segments,
+    segment_bytes,
+    stub_score,
     synthetic_setup,
 )
 from .synthetic_reference import hash01
@@ -463,6 +473,159 @@ class TestScoreAll:
                              cache, normalize="none", length_norm=True)
         assert np.array_equal(cold.logprobs, expected)
         assert np.array_equal(warm.logprobs, expected)
+
+    def test_cached_row_one_value_too_wide_is_refused_after_finished_chunks(self, tmp_path):
+        # The walk meets the bad row at the last cell, after two chunks of 2 were
+        # scored and appended; those stay cached for a rerun.
+        task, prompts, examples, _, planted = synthetic_setup(p=2, n=3, c=3)
+        backend = SyntheticBackend(seed=0, prompt_quality={p.prompt_id: 0.7 for p in prompts},
+                                   planted_labels=planted, max_batch_size=2)
+        prompt, example = prompts[1], examples[2]
+        key = make_cache_key(backend.model_id, render(prompt, example),
+                             candidate_phrases(task, prompt), False,
+                             (prompt.prompt_id, example.example_id))
+        path = tmp_path / "c"
+        with ScoreCache(path) as cache:
+            cache.put_many([key], [[-1.0] * 4])
+            with pytest.raises(CacheCorruptionError, match=re.escape(
+                    f"cache {path} holds 4 values for a cell with 3 candidates")):
+                score_all(task, prompts, examples, backend, cache)
+        assert backend.calls == 2
+        with ScoreCache(path) as cache:
+            assert len(cache) == 1 + 4
+
+
+def _yes_no_task():
+    task = TaskSpec("t", ("text", "extra"), ("0", "1"))
+    verb = Verbalizer({"0": "no", "1": "yes"})
+    return task, verb
+
+
+def _remote_score(path, task, prompts, examples, jobs):
+    """score_all through RemoteBackend(max_batch_size=4) against a StubScorer, on a
+    fresh cache at ``path``; returns (tensor or the raised error, stub, cache)."""
+    with StubScorer() as stub, ScoreCache(path) as cache:
+        backend = RemoteBackend(stub.url, model="m", max_batch_size=4)
+        try:
+            result = score_all(task, prompts, examples, backend, cache, jobs=jobs)
+        except ValidationError as exc:
+            result = exc
+        finally:
+            backend.close()
+    return result, stub, cache
+
+
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+class _TextBackend(ScorerBackend):
+    """Content-addressed in-process scorer: ``stub_score`` of each (input, candidate)."""
+
+    model_id, max_batch_size = "text", 3
+
+    def score_batch(self, batch):
+        return [[stub_score(r.input, cand) for cand in r.candidates] for r in batch]
+
+
+# The repeated-key grid below through _remote_score: the sha256 of each request body,
+# sorted; of the tensor's logprobs; of the cache file written by one worker; and of
+# one segment holding the file's cells in sorted order, which is the same whichever
+# of two workers appends a repeated key first.
+REPEATED_KEY_BODIES = [
+    "205f1b49926090a3b05aff7e38205fb09675ad41dfdc05d3938f990fafc6beb5",
+    "40b863a5b174d4872e3e120a384a891c50d65a34636a54845aee05702d6297e5",
+    "cb70d810536868721b70192d0dfc19f8d8deb7f2c9e1aa67565f3f3553c4fe2e",
+    "d918b9b302667df7b8206fa16e580a30b231cf2d0636c94b4aad04afe4c85674",
+    "e9e49fe139e3a4d656d660b655d970ef315ce757dcd6f41a04f8011c76417ffa",
+    "fd69ec9c12508e546c6de3c6c7d1801cd0ed2813115bed95f22f83751057fcaf",
+]
+REPEATED_KEY_TENSOR = "ea5ded3fe12ccba83eacc05129db3c06866e7b3f7758651a4a265300c64eb0e2"
+REPEATED_KEY_FILE = "4b6f8ee3de37c9f2967fddc03cb6ca9ba523e42706abc6b2dc7babab4e1a0904"
+REPEATED_KEY_CELLS = "153619996f840ce12c1400d2431518b35d46b93cdad81d9f7fcdfe9119b97c90"
+
+
+class TestStreamingWalk:
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_missing_field_is_refused_before_any_request(self, tmp_path, jobs):
+        task, verb = _yes_no_task()
+        prompts = [Prompt("p0", PromptTemplate("{{text}}"), verb),
+                   Prompt("p1", PromptTemplate("{{text}} {{extra}}"), verb)]
+        examples = [UnlabeledExample(f"e{k}", {"text": f"x{k}", "extra": f"y{k}"})
+                    for k in range(9)] + [UnlabeledExample("e9", {"text": "x9"})]
+        path = tmp_path / "c"
+        error, stub, _ = _remote_score(path, task, prompts, examples, jobs)
+        assert isinstance(error, ValidationError)
+        assert str(error) == "prompt 'p1', example 'e9': missing fields ['extra']"
+        assert stub.bodies == []
+        assert path.stat().st_size == 0
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_a_key_repeated_within_a_run_is_a_miss_each_time(self, tmp_path, jobs):
+        # Two prompts render the same text, and the examples' fields repeat every 3:
+        # 21 cells over 6 keys, every one sent and counted a miss, as when every
+        # lookup came before every append.
+        task, verb = _yes_no_task()
+        prompts = [Prompt("p0", PromptTemplate("A: {{text}}"), verb),
+                   Prompt("p1", PromptTemplate("A: {{text}}"), verb),
+                   Prompt("p2", PromptTemplate("B: {{text}}"), verb)]
+        examples = [UnlabeledExample(f"e{k}", {"text": f"x{k % 3}"}) for k in range(7)]
+        path = tmp_path / "c"
+        tensor, stub, cache = _remote_score(path, task, prompts, examples, jobs)
+        assert sorted(map(_sha256, stub.bodies)) == REPEATED_KEY_BODIES
+        assert _sha256(tensor.logprobs.tobytes()) == REPEATED_KEY_TENSOR
+        cells = sorted(cell for segment in read_segments(path) for cell in segment)
+        assert _sha256(segment_bytes(cells)) == REPEATED_KEY_CELLS
+        if jobs == 1:
+            assert _sha256(path.read_bytes()) == REPEATED_KEY_FILE
+        assert (cache.hits, cache.misses) == (0, 21)
+
+    def test_repeated_keys_under_many_threads(self, tmp_path):
+        # More workers than cores and a short switch interval, so appends land
+        # while the walk is still looking keys up: every cell stays a miss.
+        task, verb = _yes_no_task()
+        prompts = [Prompt(f"p{i}", PromptTemplate("A: {{text}}" if i < 2 else "B: {{text}}"),
+                          verb) for i in range(3)]
+        examples = [UnlabeledExample(f"e{k}", {"text": f"x{k % 5}"}) for k in range(60)]
+
+        def run(jobs):
+            with ScoreCache(tmp_path / f"jobs{jobs}") as cache:
+                tensor = score_all(task, prompts, examples, _TextBackend(), cache, jobs=jobs)
+                return tensor.logprobs, (cache.hits, cache.misses), len(cache)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            serial, parallel = run(1), run(8)
+        finally:
+            sys.setswitchinterval(interval)
+        assert np.array_equal(parallel[0], serial[0])
+        assert parallel[1:] == serial[1:] == ((0, 180), 10)
+
+    def test_peak_memory_follows_the_chunks_in_flight(self):
+        # tracemalloc counts bytes, so this does not depend on timing. A score_all
+        # that held every cell's rendered input at once peaked at 34.8 MiB at
+        # n = 2,000 and 8.7 MiB at n = 500.
+        def peak(n):
+            task = make_task(3)
+            verb = Verbalizer({"0": "no", "1": "maybe", "2": "yes"})
+            prompts = [Prompt(f"p{i}", PromptTemplate(f"{i}: {{{{text}}}}"), verb)
+                       for i in range(8)]
+            examples = [UnlabeledExample(f"e{k:04d}", {"text": f"{k:04d}" * 500})
+                        for k in range(n)]  # 2,000-character fields
+            backend = SyntheticBackend(seed=0,
+                                       prompt_quality={p.prompt_id: 0.7 for p in prompts},
+                                       planted_labels=plant_labels(task, examples))
+            tracemalloc.start()
+            try:
+                score_all(task, prompts, examples, backend)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        small, large = peak(500), peak(2000)
+        assert large < 4 * 2**20
+        assert large < 2 * small
 
 
 class _SpoilingBackend(ScorerBackend):
