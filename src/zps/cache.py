@@ -13,16 +13,16 @@ count ``b``, value count ``c``, payload length and the ``zlib.crc32`` of the
 payload -- followed by the payload: the ``b`` keys as raw 32-byte sha256
 digests, then the ``b x c`` values as little-endian float64.
 
-Reads are lock-free after load. Appends are serialized and made per chunk:
-``put_many`` writes its whole segment with one write to an unbuffered
-append-mode handle. A key keeps its first value, on load as on append. A
-damaged cache raises instead of being silently recomputed over; the one
-exception is a last segment that is cut short or fails its CRC, the torn
-tail of a killed run, which is truncated with a warning. Every other file
-that does not read as v3 segments -- the JSON Lines of an earlier version,
-any other text, a bad header or CRC before the last segment, a non-finite
-value -- is refused with one "corrupt at segment N" message and never
-rewritten.
+Reads are lock-free after load. ``put_many`` appends a chunk as one segment
+in one write, under a lock, to an unbuffered append-mode handle; ``score_all``
+makes every append from its calling thread, in walk order. A key keeps its
+first value, on load as on append. A damaged cache raises instead of being
+silently recomputed over; the one exception is a last segment that is cut
+short or fails its CRC, the torn tail of a killed run, which is truncated with
+a warning. Every other file that does not read as v3 segments -- the JSON
+Lines of an earlier version, any other text, a bad header or CRC before the
+last segment, a non-finite value -- is refused with one "corrupt at segment N"
+message and never rewritten.
 """
 
 from __future__ import annotations

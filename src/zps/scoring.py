@@ -6,11 +6,6 @@ prompt x example x choice tensor everything downstream consumes. Results are
 written position-addressed, so the tensor is bit-identical no matter how
 requests are batched, parallelized, or served from cache.
 
-The grid is walked once, and each chunk of cache misses goes to the backend
-as soon as it is full, so memory follows the chunks in flight, not the grid.
-Every input refusal comes before the walk; only a cached row of the wrong
-width is met during it, after earlier chunks were scored and appended.
-
 Phrase scores are the sum of token log-likelihoods as returned by the
 backend; ``length_norm`` divides each by the phrase's whitespace token count.
 ``normalize="softmax"`` renormalizes over the choice set so per-cell
@@ -236,26 +231,26 @@ def score_all(
 
     One walk in (prompt, example) order renders each cell, hashes it into one
     cache key and looks it up. Hits need no backend call; misses gather into
-    chunks of ``max_batch_size``, each scored as soon as it is full: inline
-    with ``jobs == 1``, else on ``jobs`` threads, the walk waiting for the
-    oldest chunk once more than ``jobs`` are pending. So at most ``jobs + 1``
-    chunks of rendered inputs are alive at once. Each scored chunk is appended
-    to the cache with one ``put_many``. A chunk the backend fails, or answers
-    with other than c finite scores per cell, is retried cell by cell; cells
-    that still fail are reported by (prompt_id, example_id).
+    chunks of ``max_batch_size``, each sent to the backend as soon as it is
+    full: inline with ``jobs == 1``, else on ``jobs`` threads, so at most
+    ``jobs + 1`` chunks of rendered inputs are alive. The calling thread takes
+    them back in walk order and is the cache's one writer, one ``put_many`` per
+    scored chunk, so the file is the same at any ``jobs``. It retries a chunk the
+    backend fails, or answers with other than c finite scores per cell, cell by
+    cell; cells that still fail are reported by (prompt_id, example_id).
 
-    Refused before any cell is scored, in this order: repeated ids, a backend
-    ``max_batch_size`` that is not an int >= 1, then per prompt a verbalizer
-    missing a choice and an example missing a field the template renders. A
-    cached row whose width is not c is refused when the walk reaches it, so
-    chunks scored before it stay cached.
+    Refused before any cell is scored, in this order: a ``jobs`` or backend
+    ``max_batch_size`` that is not an int >= 1, repeated ids, then per prompt a
+    verbalizer missing a choice and an example missing a field the template
+    renders. A cached row whose width is not c is refused when the walk
+    reaches it, after the chunks scored before it are appended.
     """
     if not prompts or not examples:
         raise ValidationError("score_all needs at least one prompt and one example")
     if normalize not in NORMALIZE_MODES:
         raise ValidationError(f"normalize must be one of {NORMALIZE_MODES}")
-    if jobs < 1:
-        raise ValidationError("jobs must be >= 1")
+    if not (isinstance(jobs, int) and jobs >= 1):
+        raise ValidationError(f"jobs must be an int >= 1, not {jobs!r}")
     size = backend.max_batch_size
     if not (isinstance(size, int) and size >= 1):
         raise ValidationError(f"backend max_batch_size must be an int >= 1, not {size!r}")
@@ -322,9 +317,9 @@ def score_all(
         if hits:
             flat[hit_rows] = np.reshape(hits, (-1, c))
 
-    def score(chunk: Sequence[tuple]) -> bool:
-        """Score cells into raw and the cache; False if the backend fails them."""
-        batch, rows, keys = zip(*chunk)
+    def score(chunk: Sequence[tuple]) -> np.ndarray | None:
+        """Score a chunk's cells into raw: their values, or None if the backend fails them."""
+        batch, rows, _ = zip(*chunk)
         try:
             reply = backend.score_batch(list(batch))
             values = score_matrix(reply)
@@ -336,35 +331,45 @@ def score_all(
                 # str(exc): a kept record must not hold the traceback's frames alive.
                 logger.error("cell (%s, %s) failed: %s",
                              batch[0].prompt_id, batch[0].example_id, str(exc))
-            return False
+            return None
         cells = np.array(rows, dtype=np.intp)
         if length_norm:
             values /= tokens[cells // n]
         flat[cells] = values
-        if cache is not None:
-            cache.put_many(keys, values)
-        return True
-
-    def score_chunk(chunk: Sequence[tuple]) -> list[tuple[str, str]]:
-        """The coordinates of the chunk's cells that fail whole and then alone."""
-        if score(chunk):
-            return []
-        failed = [miss for miss in chunk if len(chunk) == 1 or not score([miss])]
-        return [(request.prompt_id, request.example_id) for request, _, _ in failed]
+        return values
 
     failed: list[tuple[str, str]] = []
+
+    def finish(chunk: Sequence[tuple], values: np.ndarray | None) -> None:
+        """Append a scored chunk; retry a failed one cell by cell, appending each
+        cell that scores and recording each that fails again."""
+        parts = [(chunk, values)]
+        if values is None and len(chunk) > 1:
+            parts = (([miss], score([miss])) for miss in chunk)
+        for part, scored in parts:
+            if scored is None:
+                failed.append((part[0][0].prompt_id, part[0][0].example_id))
+            elif cache is not None:
+                cache.put_many([key for _, _, key in part], scored)
+
     if jobs == 1:
         for chunk in walk():
-            failed.extend(score_chunk(chunk))
+            finish(chunk, score(chunk))
     else:
         with ThreadPoolExecutor(max_workers=jobs) as pool:
-            pending: deque[Future] = deque()
-            for chunk in walk():
-                pending.append(pool.submit(score_chunk, chunk))
-                if len(pending) > jobs:
-                    failed.extend(pending.popleft().result())
-            for future in pending:
-                failed.extend(future.result())
+            pending: deque[tuple[Sequence[tuple], Future]] = deque()
+            try:
+                for chunk in walk():
+                    pending.append((chunk, pool.submit(score, chunk)))
+                    if len(pending) > jobs:
+                        chunk, future = pending.popleft()
+                        finish(chunk, future.result())
+            except CacheCorruptionError:  # met by the walk: cache what was scored before it
+                for chunk, future in pending:
+                    finish(chunk, future.result())
+                raise
+            for chunk, future in pending:
+                finish(chunk, future.result())
     if failed:
         raise ScoringFailedError(failed)
 

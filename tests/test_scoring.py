@@ -2,8 +2,11 @@
 
 import gc
 import hashlib
+import random
 import re
 import sys
+import threading
+import time
 import tracemalloc
 import weakref
 from contextlib import nullcontext
@@ -14,6 +17,7 @@ from scipy.special import log_softmax as scipy_log_softmax
 
 import zps.scoring
 from zps import (
+    BackendError,
     CacheCorruptionError,
     PredictionMatrix,
     Prompt,
@@ -393,16 +397,13 @@ class TestScoreAll:
             path = tmp_path / f"jobs{jobs}.jsonl"
             with ScoreCache(path) as cache:
                 score_all(task, prompts, examples, backend, cache, jobs=jobs)
-            return read_segments(path)
+            return path
 
         serial, parallel = run(1), run(3)
-        assert len(serial) == 17  # one segment per chunk of 2
-        assert sum(map(len, serial)) == 3 * 11  # one cell per (prompt, example)
-        assert sorted(parallel) == sorted(serial)
-        with ScoreCache(tmp_path / "jobs1.jsonl") as a, \
-                ScoreCache(tmp_path / "jobs3.jsonl") as b:
-            keys = [key for segment in serial for key, _ in segment]
-            assert [a.get(k) for k in keys] == [b.get(k) for k in keys]
+        segments = read_segments(serial)
+        assert len(segments) == 17  # one segment per chunk of 2
+        assert sum(map(len, segments)) == 3 * 11  # one cell per (prompt, example)
+        assert parallel.read_bytes() == serial.read_bytes()
 
     def test_isolated_cells_stay_cached_after_a_failure(self, tmp_path):
         task = make_task(2)
@@ -452,6 +453,14 @@ class TestScoreAll:
         with pytest.raises(ValidationError, match="jobs"):
             score_all(task, prompts, examples, backend, jobs=0)
 
+    @pytest.mark.parametrize("jobs", [0, -1, 2.5, "2", None, 1.0])
+    def test_jobs_that_is_not_an_int_of_at_least_one_is_refused(self, jobs):
+        task, prompts, examples, backend, _ = synthetic_setup(p=2, n=3)
+        with pytest.raises(ValidationError) as excinfo:
+            score_all(task, prompts, examples, backend, jobs=jobs)
+        assert str(excinfo.value) == f"jobs must be an int >= 1, not {jobs!r}"
+        assert backend.calls == 0
+
     def test_length_norm_divides_by_each_prompts_token_counts(self, tmp_path):
         # chunks of 3 over 2 prompts x 4 examples span both prompts
         task = make_task(2)
@@ -474,9 +483,12 @@ class TestScoreAll:
         assert np.array_equal(cold.logprobs, expected)
         assert np.array_equal(warm.logprobs, expected)
 
-    def test_cached_row_one_value_too_wide_is_refused_after_finished_chunks(self, tmp_path):
+    @pytest.mark.parametrize("jobs", [1, 2, 4])
+    def test_cached_row_one_value_too_wide_is_refused_after_finished_chunks(
+            self, tmp_path, monkeypatch, jobs):
         # The walk meets the bad row at the last cell, after two chunks of 2 were
-        # scored and appended; those stay cached for a rerun.
+        # scored; the calling thread appends both, in walk order, before the
+        # refusal propagates, and they stay cached for a rerun.
         task, prompts, examples, _, planted = synthetic_setup(p=2, n=3, c=3)
         backend = SyntheticBackend(seed=0, prompt_quality={p.prompt_id: 0.7 for p in prompts},
                                    planted_labels=planted, max_batch_size=2)
@@ -487,10 +499,18 @@ class TestScoreAll:
         path = tmp_path / "c"
         with ScoreCache(path) as cache:
             cache.put_many([key], [[-1.0] * 4])
+            appends = _spy_on_appends(monkeypatch)
             with pytest.raises(CacheCorruptionError, match=re.escape(
                     f"cache {path} holds 4 values for a cell with 3 candidates")):
-                score_all(task, prompts, examples, backend, cache)
+                score_all(task, prompts, examples, backend, cache, jobs=jobs)
         assert backend.calls == 2
+        assert appends == [threading.get_ident()] * 2
+        segments = read_segments(path)
+        assert [len(segment) for segment in segments] == [1, 2, 2]
+        walked = [make_cache_key(backend.model_id, render(pr, ex), candidate_phrases(task, pr),
+                                 False, (pr.prompt_id, ex.example_id))
+                  for pr in prompts for ex in examples][:4]
+        assert [k for segment in segments[1:] for k, _ in segment] == walked
         with ScoreCache(path) as cache:
             assert len(cache) == 1 + 4
 
@@ -529,9 +549,8 @@ class _TextBackend(ScorerBackend):
 
 
 # The repeated-key grid below through _remote_score: the sha256 of each request body,
-# sorted; of the tensor's logprobs; of the cache file written by one worker; and of
-# one segment holding the file's cells in sorted order, which is the same whichever
-# of two workers appends a repeated key first.
+# sorted; of the tensor's logprobs; of the cache file, the same at any jobs; and of
+# one segment holding the file's cells in sorted order.
 REPEATED_KEY_BODIES = [
     "205f1b49926090a3b05aff7e38205fb09675ad41dfdc05d3938f990fafc6beb5",
     "40b863a5b174d4872e3e120a384a891c50d65a34636a54845aee05702d6297e5",
@@ -576,8 +595,7 @@ class TestStreamingWalk:
         assert _sha256(tensor.logprobs.tobytes()) == REPEATED_KEY_TENSOR
         cells = sorted(cell for segment in read_segments(path) for cell in segment)
         assert _sha256(segment_bytes(cells)) == REPEATED_KEY_CELLS
-        if jobs == 1:
-            assert _sha256(path.read_bytes()) == REPEATED_KEY_FILE
+        assert _sha256(path.read_bytes()) == REPEATED_KEY_FILE
         assert (cache.hits, cache.misses) == (0, 21)
 
     def test_repeated_keys_under_many_threads(self, tmp_path):
@@ -589,9 +607,10 @@ class TestStreamingWalk:
         examples = [UnlabeledExample(f"e{k}", {"text": f"x{k % 5}"}) for k in range(60)]
 
         def run(jobs):
-            with ScoreCache(tmp_path / f"jobs{jobs}") as cache:
+            path = tmp_path / f"jobs{jobs}"
+            with ScoreCache(path) as cache:
                 tensor = score_all(task, prompts, examples, _TextBackend(), cache, jobs=jobs)
-                return tensor.logprobs, (cache.hits, cache.misses), len(cache)
+                return tensor.logprobs, (cache.hits, cache.misses), len(cache), path.read_bytes()
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -600,7 +619,8 @@ class TestStreamingWalk:
         finally:
             sys.setswitchinterval(interval)
         assert np.array_equal(parallel[0], serial[0])
-        assert parallel[1:] == serial[1:] == ((0, 180), 10)
+        assert parallel[1:3] == serial[1:3] == ((0, 180), 10)
+        assert parallel[3] == serial[3]
 
     def test_peak_memory_follows_the_chunks_in_flight(self):
         # tracemalloc counts bytes, so this does not depend on timing. A score_all
@@ -626,6 +646,98 @@ class TestStreamingWalk:
         small, large = peak(500), peak(2000)
         assert large < 4 * 2**20
         assert large < 2 * small
+
+
+def _spy_on_appends(monkeypatch, fail_at=None):
+    """The thread of each ``ScoreCache.put_many`` call from now on, in call order;
+    call number ``fail_at`` raises OSError instead of writing."""
+    threads = []
+    put_many = ScoreCache.put_many
+
+    def spy(cache, keys, values):
+        threads.append(threading.get_ident())
+        if len(threads) == fail_at:
+            raise OSError("disk full")
+        return put_many(cache, keys, values)
+
+    monkeypatch.setattr(ScoreCache, "put_many", spy)
+    return threads
+
+
+class _DelayedBackend(_TextBackend):
+    """``_TextBackend`` scores in chunks of 8, each after a delay of 0-3 ms that the
+    seed and the chunk's first cell set, so chunks sent together finish out of walk
+    order; a chunk holding a cell in ``fail`` raises BackendError instead."""
+
+    max_batch_size = 8
+
+    def __init__(self, seed, fail=()):
+        self.seed, self.fail = seed, set(fail)
+        self.calls: list[tuple[int, int]] = []  # (cells, thread) per call
+
+    def score_batch(self, batch):
+        self.calls.append((len(batch), threading.get_ident()))
+        first = f"{self.seed}:{batch[0].prompt_id}:{batch[0].example_id}"
+        time.sleep(random.Random(first).uniform(0, 0.003))
+        if any((r.prompt_id, r.example_id) in self.fail for r in batch):
+            raise BackendError("refused")
+        return super().score_batch(batch)
+
+
+def _delay_grid():
+    """4 prompts x 40 examples, 20 chunks of 8: p0 and p1 render the same text and
+    the fields repeat every 10 examples, so 160 cells share 30 keys."""
+    task, verb = _yes_no_task()
+    prompts = [Prompt(f"p{i}", PromptTemplate(f"{'AABC'[i]}: {{{{text}}}}"), verb)
+               for i in range(4)]
+    examples = [UnlabeledExample(f"e{k:02d}", {"text": f"x{k % 10}"}) for k in range(40)]
+    return task, prompts, examples
+
+
+class TestOneWriter:
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_delayed_chunks_write_the_same_file_at_any_jobs(self, tmp_path, seed):
+        task, prompts, examples = _delay_grid()
+
+        def run(jobs):
+            path = tmp_path / f"jobs{jobs}"
+            with ScoreCache(path) as cache:
+                tensor = score_all(task, prompts, examples, _DelayedBackend(seed), cache,
+                                   jobs=jobs)
+            return tensor.logprobs.tobytes(), path.read_bytes()
+
+        serial = run(1)
+        assert len(read_segments(tmp_path / "jobs1")) == 6  # the chunks with a new key
+        assert run(2) == serial
+        assert run(4) == serial
+
+    @pytest.mark.parametrize("jobs", [2, 4])
+    def test_only_the_calling_thread_appends_and_retries(self, tmp_path, monkeypatch, jobs):
+        # The chunk holding (p2, e13) fails whole on a pool thread; its 8 cells are
+        # then sent one by one from the calling thread, and 7 of them score.
+        task, prompts, examples = _delay_grid()
+        backend = _DelayedBackend(0, fail={("p2", "e13")})
+        appends = _spy_on_appends(monkeypatch)
+        with ScoreCache(tmp_path / "c") as cache:
+            with pytest.raises(ScoringFailedError) as excinfo:
+                score_all(task, prompts, examples, backend, cache, jobs=jobs)
+        assert excinfo.value.failed == [("p2", "e13")]
+        me = threading.get_ident()
+        assert appends == [me] * (19 + 7)
+        assert sorted(cells for cells, thread in backend.calls if thread == me) == [1] * 8
+        assert sorted(cells for cells, thread in backend.calls if thread != me) == [8] * 20
+
+    @pytest.mark.parametrize("jobs", [1, 2, 4])
+    def test_nothing_is_appended_after_an_append_fails(self, tmp_path, monkeypatch, jobs):
+        task, prompts, examples = _delay_grid()
+        appends = _spy_on_appends(monkeypatch, fail_at=3)
+        path = tmp_path / "c"
+        with ScoreCache(path) as cache:
+            with pytest.raises(OSError, match="disk full"):
+                score_all(task, prompts, examples, _DelayedBackend(0), cache, jobs=jobs)
+        assert len(appends) == 3
+        # the first two chunks, e00-e07 and e08-e15 of p0, hold 8 and 2 new keys
+        assert [len(segment) for segment in read_segments(path)] == [8, 2]
 
 
 class _SpoilingBackend(ScorerBackend):
