@@ -276,7 +276,8 @@ class RemoteBackend(ScorerBackend):
         retries: int = DEFAULT_RETRIES,
         backoff: float = DEFAULT_BACKOFF,
     ):
-        if not (isinstance(retries, int) and retries >= 1 and timeout > 0 and backoff >= 0):
+        if not (isinstance(retries, int) and not isinstance(retries, bool) and retries >= 1
+                and timeout > 0 and backoff >= 0):
             raise ValidationError("need an int retries >= 1, timeout > 0 and backoff >= 0, got "
                                   f"{retries!r}, {timeout!r} and {backoff!r}")
         try:

@@ -21,12 +21,13 @@ from collections import deque
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import count, repeat
 from typing import Sequence
 
 import numpy as np
 
 from .backends import ScoreRequest, ScorerBackend
-from .cache import ScoreCache, make_cache_key, score_matrix
+from .cache import ScoreCache, ids_digest, make_block_key, make_cache_key, score_matrix
 from .catalog import Prompt, TaskSpec, UnlabeledExample, candidate_phrases, render
 from .errors import (BackendError, CacheCorruptionError, ProtocolError, ScoringFailedError,
                      ValidationError)
@@ -34,6 +35,11 @@ from .errors import (BackendError, CacheCorruptionError, ProtocolError, ScoringF
 logger = logging.getLogger(__name__)
 
 NORMALIZE_MODES = ("softmax", "none")
+
+# Cells per block record: with a cache, the walk takes each prompt's examples in
+# windows of this many, and a warm run finds a window's cell keys with one hash.
+# A window's rendered inputs are alive together.
+BLOCK_CELLS = 512
 
 
 def label_indices(labels: Sequence[str], choices: Sequence[str]) -> np.ndarray:
@@ -229,30 +235,35 @@ def score_all(
 ) -> ScoreTensor:
     """Fill the full p x n x c score tensor.
 
-    One walk in (prompt, example) order renders each cell, hashes it into one
-    cache key and looks it up. Hits need no backend call; misses gather into
-    chunks of ``max_batch_size``, each sent to the backend as soon as it is
-    full: inline with ``jobs == 1``, else on ``jobs`` threads, so at most
-    ``jobs + 1`` chunks of rendered inputs are alive. The calling thread takes
-    them back in walk order and is the cache's one writer, one ``put_many`` per
-    scored chunk, so the file is the same at any ``jobs``. It retries a chunk the
-    backend fails, or answers with other than c finite scores per cell, cell by
-    cell; cells that still fail are reported by (prompt_id, example_id).
+    One walk in (prompt, example) order renders each cell once. With a cache,
+    it takes each prompt's examples in windows of ``BLOCK_CELLS``: one block
+    key per window finds the block record listing the window's cell keys, and
+    each listed key is looked up. A window without a usable block has each
+    cell hashed into one cache key and looked up, and gets its block once every
+    cell is cached. Hits need no backend call; misses gather into chunks of
+    ``max_batch_size``, each sent to the backend as soon as it is full: inline
+    with ``jobs == 1``, else on ``jobs`` threads, so at most ``jobs + 1`` chunks
+    of rendered inputs are alive. The calling thread takes them back in walk
+    order and is the cache's one writer, one ``put_many`` per scored chunk,
+    each followed by the blocks it completes, so the file is the same at any
+    ``jobs``. It retries a chunk the backend fails, or answers with other than
+    c finite scores per cell, cell by cell; cells that still fail are reported
+    by (prompt_id, example_id), and their windows get no block.
 
     Refused before any cell is scored, in this order: a ``jobs`` or backend
-    ``max_batch_size`` that is not an int >= 1, repeated ids, then per prompt a
-    verbalizer missing a choice and an example missing a field the template
-    renders. A cached row whose width is not c is refused when the walk
+    ``max_batch_size`` that is not an int >= 1 (a bool is not), repeated ids,
+    then per prompt a verbalizer missing a choice and an example missing a
+    field the template renders. A cached row whose width is not c is refused when the walk
     reaches it, after the chunks scored before it are appended.
     """
     if not prompts or not examples:
         raise ValidationError("score_all needs at least one prompt and one example")
     if normalize not in NORMALIZE_MODES:
         raise ValidationError(f"normalize must be one of {NORMALIZE_MODES}")
-    if not (isinstance(jobs, int) and jobs >= 1):
+    if not (isinstance(jobs, int) and not isinstance(jobs, bool) and jobs >= 1):
         raise ValidationError(f"jobs must be an int >= 1, not {jobs!r}")
     size = backend.max_batch_size
-    if not (isinstance(size, int) and size >= 1):
+    if not (isinstance(size, int) and not isinstance(size, bool) and size >= 1):
         raise ValidationError(f"backend max_batch_size must be an int >= 1, not {size!r}")
     _refuse_duplicate_ids(prompt_id=[p.prompt_id for p in prompts],
                           example_id=[e.example_id for e in examples])
@@ -276,46 +287,95 @@ def score_all(
         for example in gaps:
             render(prompt, example)  # raises for the first cell this prompt cannot fill
 
+    # With a cache, each window's example ids are hashed once, for every prompt.
+    step = n if cache is None else BLOCK_CELLS
+    starts = range(0, n, step)
+    ids = {}
+    if cache is not None and not content_addressed:
+        ids = {s: ids_digest([e.example_id for e in examples[s : s + step]]) for s in starts}
+    done = 0  # chunks finished
+    # Blocks not yet appended, in walk order: (the chunk they follow, block key, cell keys).
+    waiting: deque[tuple[int, bytes, list[bytes]]] = deque()
+
+    def wrong_width(cached: tuple[float, ...]) -> CacheCorruptionError:
+        return CacheCorruptionError(
+            f"cache {cache.path} holds {len(cached)} values for a cell with {c} candidates; "
+            "delete or move the file to reset it"
+        )
+
     def walk():
         """Chunks of misses, each a list of (request, row in flat, cache key).
-        Cache hits (rows, and their values end to end) go into raw at the end."""
+        Cache hits (rows, and their values end to end) go into raw at the end.
+
+        With a cache, a window whose block record lists only cells the cache
+        holds, none of them queued, is read through it. Any other window is
+        walked cell by cell, and its block then waits for the chunk that holds
+        its last miss, or the walk's last miss before it."""
         misses, hit_rows, hits = [], [], []
         # Only a content-addressed backend gives two cells one key. A key queued in
         # this run is a miss again, as if every lookup came before every append.
         queued: set[bytes] = set()
+        chunks = 0  # chunks yielded
         for i, prompt in enumerate(prompts):
             prompt_id, phrases = prompt.prompt_id, phrase_sets[i]
-            for row, example in enumerate(examples, i * n):
-                text = render(prompt, example)
-                example_id = example.example_id
-                key = None
-                if cache is not None:
-                    key = make_cache_key(model_id, text, phrases, length_norm,
-                                         None if content_addressed else (prompt_id, example_id))
-                    cached = cache.get(key)
-                    if cached is not None:
-                        if key not in queued:
+            for start in starts:
+                window = examples[start : start + step]
+                first = i * n + start
+                if cache is None:
+                    texts = map(render, repeat(prompt), window)
+                else:
+                    texts = [render(prompt, example) for example in window]
+                    block = make_block_key(model_id, texts, phrases, length_norm,
+                                           None if content_addressed else (prompt_id, ids[start]))
+                    listed = cache.block(block)
+                    if (listed is not None and len(listed) == len(texts)
+                            and (not queued or queued.isdisjoint(listed))):
+                        for key in listed:
+                            cached = cache.get(key)
                             if len(cached) != c:
-                                raise CacheCorruptionError(
-                                    f"cache {cache.path} holds {len(cached)} values for a "
-                                    f"cell with {c} candidates; delete or move the file to "
-                                    "reset it"
-                                )
-                            hit_rows.append(row)
+                                raise wrong_width(cached)
                             hits.extend(cached)
-                            continue
-                        cache.hits -= 1  # this run's own append
-                        cache.misses += 1
-                    if content_addressed:
-                        queued.add(key)
-                misses.append((ScoreRequest(text, phrases, prompt_id, example_id, choices),
-                               row, key))
-                if len(misses) == size:
-                    yield from _chunk(misses, size)
-                    misses = []
+                        hit_rows.extend(range(first, first + len(listed)))
+                        continue
+                    keys = []
+                for row, example, text in zip(count(first), window, texts):
+                    example_id = example.example_id
+                    key = None
+                    if cache is not None:
+                        coords = None if content_addressed else (prompt_id, example_id)
+                        key = make_cache_key(model_id, text, phrases, length_norm, coords)
+                        keys.append(key)
+                        cached = cache.get(key)
+                        if cached is not None:
+                            if key not in queued:
+                                if len(cached) != c:
+                                    raise wrong_width(cached)
+                                hit_rows.append(row)
+                                hits.extend(cached)
+                                continue
+                            cache.hits -= 1  # this run's own append
+                            cache.misses += 1
+                        if content_addressed:
+                            queued.add(key)
+                    misses.append((ScoreRequest(text, phrases, prompt_id, example_id, choices),
+                                   row, key))
+                    if len(misses) == size:
+                        yield from _chunk(misses, size)
+                        misses = []
+                        chunks += 1
+                if cache is not None:
+                    waiting.append((chunks if misses else chunks - 1, block, keys))
+                    append_blocks()
         yield from _chunk(misses, size)
         if hits:
             flat[hit_rows] = np.reshape(hits, (-1, c))
+
+    def append_blocks() -> None:
+        """Append, in walk order, each waiting block whose chunk is finished;
+        ``put_block`` writes none that lists a failed cell."""
+        while waiting and waiting[0][0] < done:
+            _, block, keys = waiting.popleft()
+            cache.put_block(block, keys)
 
     def score(chunk: Sequence[tuple]) -> np.ndarray | None:
         """Score a chunk's cells into raw: their values, or None if the backend fails them."""
@@ -341,8 +401,10 @@ def score_all(
     failed: list[tuple[str, str]] = []
 
     def finish(chunk: Sequence[tuple], values: np.ndarray | None) -> None:
-        """Append a scored chunk; retry a failed one cell by cell, appending each
-        cell that scores and recording each that fails again."""
+        """Append a scored chunk, then the blocks that follow it; retry a failed
+        chunk cell by cell, appending each cell that scores and recording each
+        that fails again."""
+        nonlocal done
         parts = [(chunk, values)]
         if values is None and len(chunk) > 1:
             parts = (([miss], score([miss])) for miss in chunk)
@@ -351,6 +413,8 @@ def score_all(
                 failed.append((part[0][0].prompt_id, part[0][0].example_id))
             elif cache is not None:
                 cache.put_many([key for _, _, key in part], scored)
+        done += 1
+        append_blocks()
 
     if jobs == 1:
         for chunk in walk():

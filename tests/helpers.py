@@ -264,15 +264,17 @@ def write_bad_input(path, kind, case):
     return f"{path}:2" if lines else str(path)
 
 
-# The score cache's format v3, restated here so that tests check zps's files
-# against an independent reader and build damaged files with an independent
-# writer: a header of magic, version, cell count b, value count c, payload
-# length and payload crc32, then b sha256 digests and b x c float64 values.
+# The score cache's format, restated here so that tests check zps's files against
+# an independent reader and build damaged files with an independent writer. A
+# segment is a header of magic, version, count b, value count c, payload length
+# and payload crc32, then the payload. A cell segment (version 3) holds b sha256
+# digests and b x c float64 values; a block segment (version 4, c = 0) holds a
+# block key and the b cell keys it lists.
 CACHE_HEADER = struct.Struct("<4sHIHQI")
 
 
 def segment_bytes(cells):
-    """One v3 cache segment holding ``cells``, a list of (32-byte key, values)."""
+    """One cell segment holding ``cells``, a list of (32-byte key, values)."""
     c = len(cells[0][1])
     payload = b"".join(key for key, _ in cells) + b"".join(
         struct.pack(f"<{c}d", *values) for _, values in cells)
@@ -280,19 +282,43 @@ def segment_bytes(cells):
                              zlib.crc32(payload)) + payload
 
 
-def read_segments(path):
-    """The segments of a v3 cache file, each a list of (32-byte key, values) cells;
-    asserts that every header and CRC is sound."""
+def block_bytes(key, listed):
+    """One block segment: block ``key`` lists the cell keys ``listed``."""
+    payload = key + b"".join(listed)
+    return CACHE_HEADER.pack(b"ZPSC", 4, len(listed), 0, len(payload),
+                             zlib.crc32(payload)) + payload
+
+
+def read_records(path):
+    """Each segment of a cache file, in file order: a list of (32-byte key,
+    values) cells, or a (block key, [cell keys]) block; asserts that every
+    header and CRC is sound."""
     data = Path(path).read_bytes()
-    segments, offset = [], 0
+    records, offset = [], 0
     while offset < len(data):
         magic, version, b, c, length, crc = CACHE_HEADER.unpack_from(data, offset)
         offset += CACHE_HEADER.size
         payload = data[offset : offset + length]
         offset += length
-        assert (magic, version, length) == (b"ZPSC", 3, b * (32 + 8 * c))
+        block = version == 4
+        assert magic == b"ZPSC" and b and version in (3, 4) and bool(c) != block
+        assert length == (32 * (b + 1) if block else b * (32 + 8 * c))
         assert len(payload) == length and zlib.crc32(payload) == crc
+        keys = [payload[32 * i : 32 * i + 32] for i in range(b + block)]
+        if block:
+            records.append((keys[0], keys[1:]))
+            continue
         values = struct.unpack_from(f"<{b * c}d", payload, 32 * b)
-        segments.append([(payload[32 * i : 32 * i + 32], values[c * i : c * i + c])
-                         for i in range(b)])
-    return segments
+        records.append([(key, values[c * i : c * i + c]) for i, key in enumerate(keys)])
+    return records
+
+
+def read_segments(path):
+    """The cell segments of a cache file, each a list of (32-byte key, values)
+    cells, without its block records."""
+    return [record for record in read_records(path) if isinstance(record, list)]
+
+
+def read_blocks(path):
+    """The block records of a cache file, each (block key, [cell keys])."""
+    return [record for record in read_records(path) if isinstance(record, tuple)]

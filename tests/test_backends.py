@@ -404,7 +404,7 @@ class TestRemoteBackend:
 
     @pytest.mark.parametrize("option", [
         {"max_batch_size": 0}, {"max_batch_size": -1}, {"max_batch_size": 2.0},
-        {"retries": 0}, {"retries": 2.5},
+        {"max_batch_size": True}, {"retries": 0}, {"retries": 2.5}, {"retries": True},
         {"backoff": -1.0}, {"backoff": float("nan")},
         {"timeout": -1.0}, {"timeout": 0}, {"timeout": float("nan")},
     ], ids=repr)

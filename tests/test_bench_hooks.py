@@ -73,6 +73,35 @@ def test_traced_counts_match_the_work_done(tmp_path):
     assert metrics["backends.cells"] == cells == backend.cells_scored
 
 
+
+def test_traced_warm_run_over_blocks_hashes_no_cell_key(tmp_path):
+    # The cold run leaves a block record per window of a prompt's cells; a warm
+    # run finds each window through it: one render and one cache lookup per
+    # cell, every lookup a hit, and no cell key hashed.
+    tracing = load_tracing()
+    task = make_task(3)
+    prompts, examples = make_prompts(task, 4), make_examples(30)
+    backend = SyntheticBackend(seed=0, prompt_quality={p.prompt_id: 0.8 for p in prompts},
+                               planted_labels=plant_labels(task, examples),
+                               max_batch_size=16)
+    with ScoreCache(tmp_path / "cache") as cache:
+        score_all(task, prompts, examples, backend, cache)
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        tracer.start_op(0)
+        with ScoreCache(tmp_path / "cache") as cache:
+            score_all(task, prompts, examples, backend, cache)
+    finally:
+        tracer.uninstall()
+    metrics = tracing.layer_metrics(tracing.op_layer_stats(tracer.spans)[0], {})
+    cells = 4 * 30
+    assert metrics["catalog.render_calls"] == cells
+    assert metrics["cache.get_calls"] == cells
+    assert metrics["cache.hit_ratio"] == 1.0
+    assert metrics["cache.key_calls"] == 0
+    assert metrics["backends.requests"] == 0
+
 def test_traced_selection_records_one_span_per_stage():
     # select must reach each stage through the zps.selection module globals,
     # or the per-layer selection metrics silently read zero.

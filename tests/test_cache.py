@@ -18,8 +18,10 @@ from hypothesis import strategies as st
 
 import zps
 from zps import CacheCorruptionError, ScoreCache, ValidationError, make_cache_key
+from zps.cache import ids_digest, make_block_key
 
-from .helpers import CACHE_HEADER, read_segments, segment_bytes
+from .helpers import (CACHE_HEADER, block_bytes, read_blocks, read_records, read_segments,
+                      segment_bytes)
 
 
 def digest(name) -> bytes:
@@ -203,9 +205,11 @@ def test_corrupt_line_raises_with_reset_advice(tmp_path):
         ScoreCache(path)
 
 
-def _damaged(field, value):
-    """A sound segment whose header ``field`` is replaced by ``value`` (CRC kept)."""
-    data = segment_bytes([(A, [-1.0, -2.0]), (B, [-3.0, -4.0])])
+def _damaged(field, value, block=False):
+    """A sound cell segment, or block segment, whose header ``field`` is
+    replaced by ``value`` (CRC kept)."""
+    data = (block_bytes(digest("block"), [A, B]) if block
+            else segment_bytes([(A, [-1.0, -2.0]), (B, [-3.0, -4.0])]))
     fields = dict(zip(("magic", "version", "b", "c", "length", "crc"),
                       CACHE_HEADER.unpack_from(data)))
     fields[field] = value
@@ -227,9 +231,17 @@ def _damaged(field, value):
         segment_bytes([(A, [-1.0, float("nan")])]),
         segment_bytes([(A, [float("inf"), -1.0])]),
         segment_bytes([(A, [-1.0]), (B, [float("-inf")])]),
+        _damaged("version", 3, block=True),
+        _damaged("version", 5, block=True),
+        _damaged("b", 0, block=True),
+        _damaged("b", 1, block=True),
+        _damaged("c", 1, block=True),
+        _damaged("length", 2 * 32, block=True),
     ],
     ids=["magic", "version-2", "version-4", "no-cells", "cell-count", "no-values",
-         "value-count", "no-length", "length", "nan", "inf", "-inf"],
+         "value-count", "no-length", "length", "nan", "inf", "-inf", "block-version-3",
+         "block-version-5", "block-no-cells", "block-cell-count", "block-values",
+         "block-length"],
 )
 @pytest.mark.parametrize("last", [False, True], ids=["middle", "last"])
 def test_damaged_segments_raise(tmp_path, segment, last):
@@ -789,3 +801,133 @@ def test_keys_ending_in_nul_bytes_load_whole_with_exact_value_bits(tmp_path):
     with ScoreCache(path) as cache:
         for k, v in cells + more:
             assert _bits(cache.get(k)) == _bits(v)
+
+
+K = digest("block")
+
+
+def test_block_record_lists_cells_and_counts_none(tmp_path):
+    path = tmp_path / "c.cache"
+    with ScoreCache(path) as cache:
+        cache.put_many([A, B], [[-1.0, -0.5], [-2.0, -0.5]])
+        cache.put_block(K, [B, A])
+        assert cache.block(K) == [B, A] and cache.block(C) is None
+        assert len(cache) == 2
+    with ScoreCache(path) as cache:
+        assert cache.block(K) == [B, A]
+        assert len(cache) == 2 and (cache.hits, cache.misses) == (0, 0)
+    assert read_records(path) == [[(A, (-1.0, -0.5)), (B, (-2.0, -0.5))], (K, [B, A])]
+    assert path.read_bytes()[-(24 + 3 * 32):] == block_bytes(K, [B, A])
+
+
+def test_block_is_written_once_and_only_over_held_cells(tmp_path):
+    path = tmp_path / "c.cache"
+    with ScoreCache(path) as cache:
+        cache.put(A, [-1.0])
+        size = path.stat().st_size
+        cache.put_block(K, [A, C])  # C is not held
+        cache.put_block(K, [])
+        assert path.stat().st_size == size and cache.block(K) is None
+        cache.put_block(K, [A])
+        cache.put(B, [-2.0])
+        cache.put_block(K, [B])  # the block key keeps its first list
+        assert cache.block(K) == [A]
+    assert read_blocks(path) == [(K, [A])]
+
+
+def test_load_keeps_a_blocks_first_list(tmp_path):
+    # Two files concatenated: the same block key listing other cells.
+    path = tmp_path / "c.cache"
+    path.write_bytes(segment_bytes([(A, [-1.0]), (B, [-2.0])]) + block_bytes(K, [A])
+                     + block_bytes(K, [B]))
+    with ScoreCache(path) as cache:
+        assert cache.block(K) == [A] and len(cache) == 2
+
+
+def test_block_listing_a_key_not_held_is_not_found(tmp_path):
+    path = tmp_path / "c.cache"
+    path.write_bytes(segment_bytes([(A, [-1.0])]) + block_bytes(K, [A, C]))
+    with ScoreCache(path) as cache:
+        assert cache.block(K) is None
+        cache.put(C, [-3.0])
+        assert cache.block(K) == [A, C]
+
+
+def test_bad_block_key_raises_and_writes_nothing(tmp_path):
+    path = tmp_path / "c.cache"
+    with ScoreCache(path) as cache:
+        cache.put(A, [-1.0])
+        size = path.stat().st_size
+        for key in (K.hex(), K[:31], bytearray(K)):
+            with pytest.raises(ValidationError, match="32-byte digest"):
+                cache.put_block(key, [A])
+        assert path.stat().st_size == size
+
+
+def test_short_block_write_records_nothing(tmp_path):
+    path = tmp_path / "c.cache"
+    with ScoreCache(path) as cache:
+        cache.put(A, [-1.0])
+        size = path.stat().st_size
+        cache._handle = _FailingHandle(cache._handle, short=True)
+        with pytest.raises(OSError, match="short write"):
+            cache.put_block(K, [A])
+        assert cache.block(K) is None and path.stat().st_size == size
+        cache.put_block(K, [A])  # the same handle, retried
+    assert read_blocks(path) == [(K, [A])]
+
+
+def test_torn_last_block_is_cut_at_every_offset(tmp_path, caplog):
+    kept = segment_bytes([(A, [-1.0]), (B, [-2.0])]) + block_bytes(K, [A])
+    block = block_bytes(C, [A, B])
+    path = tmp_path / "c.cache"
+    for cut in range(1, len(block)):
+        path.write_bytes(kept + block[:cut])
+        caplog.clear()
+        with caplog.at_level(logging.WARNING, logger="zps.cache"):
+            with ScoreCache(path) as cache:
+                assert cache.block(K) == [A] and cache.block(C) is None
+        assert [r.getMessage() for r in caplog.records] == [
+            f"cache {path}: dropped torn last segment 3 ({cut} bytes)"]
+        assert path.read_bytes() == kept
+
+
+def test_block_with_a_bad_crc_is_cut_only_as_the_last_segment(tmp_path):
+    cells = segment_bytes([(A, [-1.0])])
+    damaged = bytearray(block_bytes(K, [A]))
+    damaged[-1] ^= 0x01  # one bit of the listed key, under the CRC
+    path = tmp_path / "c.cache"
+    path.write_bytes(cells + bytes(damaged) + cells)
+    with pytest.raises(CacheCorruptionError, match=rf"segment 2 \(byte {len(cells)}\)"):
+        ScoreCache(path)
+    path.write_bytes(cells + bytes(damaged))
+    with ScoreCache(path) as cache:
+        assert cache.block(K) is None and len(cache) == 1
+    assert path.read_bytes() == cells
+
+
+def test_block_key_sensitivity():
+    base = dict(model_id="m", rendered_inputs=["i", "j"], candidates=("a", "b"),
+                length_norm=False)
+    key = make_block_key(**base)
+    ids = ids_digest(["e0", "e1"])
+    for change in ({"model_id": "m2"}, {"rendered_inputs": ["i", "k"]},
+                   {"rendered_inputs": ["j", "i"]}, {"rendered_inputs": ["ij", ""]},
+                   {"rendered_inputs": ["i"]}, {"candidates": ("b", "a")},
+                   {"candidates": ("a", "b", "")}, {"length_norm": True}):
+        assert make_block_key(**{**base, **change}) != key
+    assert make_block_key(**base, coords=("p0", ids)) != key
+    assert make_block_key(**base, coords=("p1", ids)) != make_block_key(**base, coords=("p0", ids))
+    assert ids_digest(["e0", "e2"]) != ids and ids_digest(["e0e", "1"]) != ids
+    # no block key is a cell key: the two hash different texts
+    assert make_block_key("m", ["i"], ("a",), False) != make_cache_key("m", "i", ("a",), False)
+    assert make_block_key(**{**base, "rendered_inputs": ("i", "j")}) == key
+
+
+def test_block_key_bytes_are_pinned():
+    # Files written by this version must keep hitting their block records.
+    assert make_block_key("m", ["input", _UNICODE_INPUT], ("yes", "no"), False).hex() == \
+        "9633b54070684a008c38860e2a6e424893b6b00499c3da561fdc6ee3dbb3d38e"
+    assert make_block_key("m", ["input", _UNICODE_INPUT], ("yes", "no"), True,
+                          ("prompt/é", ids_digest(["ex-7", "ex-8"]))).hex() == \
+        "dbb8558d3977e2dae3334e8bae56d7e015e4c2468e479f987c4dcfb6a18980ad"

@@ -42,11 +42,14 @@ from zps.scoring import log_softmax
 
 from .helpers import (
     StubScorer,
+    block_bytes,
     make_examples,
     make_prompts,
     make_task,
     plant_labels,
     raw_tensor,
+    read_blocks,
+    read_records,
     read_segments,
     segment_bytes,
     stub_score,
@@ -292,6 +295,8 @@ class TestScoreAll:
                          for i, k in cells[1::2]]
 
     def test_one_cache_key_per_cell(self, tmp_path, monkeypatch):
+        # One key per cell on the cold run; the warm run finds each prompt's
+        # window through its block record and hashes no cell key.
         task, prompts, examples, backend, _ = synthetic_setup(p=3, n=5, c=3)
         hashed = []
 
@@ -303,7 +308,7 @@ class TestScoreAll:
         for _ in range(2):  # cold, then warm
             with ScoreCache(tmp_path / "c.jsonl") as cache:
                 score_all(task, prompts, examples, backend, cache)
-        assert len(hashed) == 2 * 3 * 5
+        assert len(hashed) == 3 * 5
         assert all(len(args[2]) == 3 for args in hashed)  # every candidate in one key
 
     @pytest.mark.parametrize("axis", ["prompt_id", "example_id"])
@@ -379,8 +384,9 @@ class TestScoreAll:
             handle = cache._handle = _CountingHandle(cache._handle)
             score_all(task, prompts, examples, backend, cache)
             assert backend.calls == 8  # 30 cells in chunks of 4
-            # one segment per chunk, each in one write to the unbuffered handle
-            assert (handle.writes, handle.flushes) == (8, 0)
+            # one segment per chunk and one block per prompt, each in one write
+            # to the unbuffered handle
+            assert (handle.writes, handle.flushes) == (8 + 3, 0)
             assert len(cache) == 30
 
     def test_parallel_jobs_write_the_same_cache(self, tmp_path):
@@ -403,6 +409,7 @@ class TestScoreAll:
         segments = read_segments(serial)
         assert len(segments) == 17  # one segment per chunk of 2
         assert sum(map(len, segments)) == 3 * 11  # one cell per (prompt, example)
+        assert len(read_blocks(serial)) == 3  # one block per prompt
         assert parallel.read_bytes() == serial.read_bytes()
 
     def test_isolated_cells_stay_cached_after_a_failure(self, tmp_path):
@@ -453,7 +460,7 @@ class TestScoreAll:
         with pytest.raises(ValidationError, match="jobs"):
             score_all(task, prompts, examples, backend, jobs=0)
 
-    @pytest.mark.parametrize("jobs", [0, -1, 2.5, "2", None, 1.0])
+    @pytest.mark.parametrize("jobs", [0, -1, 2.5, "2", None, 1.0, True])
     def test_jobs_that_is_not_an_int_of_at_least_one_is_refused(self, jobs):
         task, prompts, examples, backend, _ = synthetic_setup(p=2, n=3)
         with pytest.raises(ValidationError) as excinfo:
@@ -560,7 +567,7 @@ REPEATED_KEY_BODIES = [
     "fd69ec9c12508e546c6de3c6c7d1801cd0ed2813115bed95f22f83751057fcaf",
 ]
 REPEATED_KEY_TENSOR = "ea5ded3fe12ccba83eacc05129db3c06866e7b3f7758651a4a265300c64eb0e2"
-REPEATED_KEY_FILE = "4b6f8ee3de37c9f2967fddc03cb6ca9ba523e42706abc6b2dc7babab4e1a0904"
+REPEATED_KEY_FILE = "e019dea119c065ba959b025c0aaaff358145ca9cf21f1f6040faa39e87c2e9ef"
 REPEATED_KEY_CELLS = "153619996f840ce12c1400d2431518b35d46b93cdad81d9f7fcdfe9119b97c90"
 
 
@@ -708,6 +715,8 @@ class TestOneWriter:
 
         serial = run(1)
         assert len(read_segments(tmp_path / "jobs1")) == 6  # the chunks with a new key
+        # p0 and p1 render the same texts, so they share one block
+        assert len(read_blocks(tmp_path / "jobs1")) == 3
         assert run(2) == serial
         assert run(4) == serial
 
@@ -736,8 +745,157 @@ class TestOneWriter:
             with pytest.raises(OSError, match="disk full"):
                 score_all(task, prompts, examples, _DelayedBackend(0), cache, jobs=jobs)
         assert len(appends) == 3
-        # the first two chunks, e00-e07 and e08-e15 of p0, hold 8 and 2 new keys
+        # the first two chunks, e00-e07 and e08-e15 of p0, hold 8 and 2 new keys;
+        # p0's block waits for its last chunk, which is never appended
         assert [len(segment) for segment in read_segments(path)] == [8, 2]
+        assert read_blocks(path) == []
+
+
+def _count_calls(monkeypatch):
+    """Calls of ``make_cache_key`` and ``render`` through zps.scoring and of
+    ``ScoreCache.get`` from now on, by name."""
+    calls = {"make_cache_key": 0, "render": 0, "get": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in ("make_cache_key", "render"):
+        monkeypatch.setattr(zps.scoring, name, counted(name, getattr(zps.scoring, name)))
+    monkeypatch.setattr(ScoreCache, "get", counted("get", ScoreCache.get))
+    return calls
+
+
+def _cells_only(path, out):
+    """Write ``path``'s cell segments, without its block records, to ``out``."""
+    out.write_bytes(b"".join(map(segment_bytes, read_segments(path))))
+    return out
+
+
+class TestBlockRecords:
+    # Windows of 4 over 10 examples: 3 windows, of 4, 4 and 2 cells, per prompt.
+
+    @pytest.fixture(autouse=True)
+    def small_windows(self, monkeypatch):
+        monkeypatch.setattr(zps.scoring, "BLOCK_CELLS", 4)
+
+    def cold(self, path, **kw):
+        task, prompts, examples, backend, _ = synthetic_setup(p=3, n=10, c=3, **kw)
+        with ScoreCache(path) as cache:
+            tensor = score_all(task, prompts, examples, backend, cache)
+        return task, prompts, examples, backend, tensor
+
+    def test_warm_run_over_blocks_hashes_no_cell_key(self, tmp_path, monkeypatch):
+        path = tmp_path / "c"
+        task, prompts, examples, backend, cold = self.cold(path)
+        assert [len(listed) for _, listed in read_blocks(path)] == [4, 4, 2] * 3
+        per_cell = _cells_only(path, tmp_path / "cells")
+        calls = _count_calls(monkeypatch)
+        with ScoreCache(path) as cache:
+            warm = score_all(task, prompts, examples, backend, cache)
+            assert (cache.hits, cache.misses) == (30, 0)
+        assert calls == {"make_cache_key": 0, "render": 30, "get": 30}
+        with ScoreCache(per_cell) as cache:
+            plain = score_all(task, prompts, examples, backend, cache)
+            assert (cache.hits, cache.misses) == (30, 0)
+        assert calls == {"make_cache_key": 30, "render": 60, "get": 60}
+        assert backend.calls == 1  # the cold run's one chunk
+        assert warm.logprobs.tobytes() == plain.logprobs.tobytes() == cold.logprobs.tobytes()
+
+    def test_block_free_file_gets_each_windows_block_once(self, tmp_path, monkeypatch):
+        path = tmp_path / "c"
+        task, prompts, examples, backend, _ = self.cold(path)
+        blocks = read_blocks(path)
+        cells = _cells_only(path, tmp_path / "cells")
+        before = cells.read_bytes()
+        calls = _count_calls(monkeypatch)
+        with ScoreCache(cells) as cache:
+            score_all(task, prompts, examples, backend, cache)
+        assert calls["make_cache_key"] == 30
+        assert read_blocks(cells) == blocks
+        grown = cells.read_bytes()
+        assert grown[:len(before)] == before
+        with ScoreCache(cells) as cache:
+            score_all(task, prompts, examples, backend, cache)
+            assert (cache.hits, cache.misses) == (30, 0)
+        assert calls["make_cache_key"] == 30  # none on the second warm run
+        assert cells.read_bytes() == grown
+        assert backend.calls == 1
+
+    def test_block_listing_a_missing_cell_falls_back_to_the_cells(self, tmp_path, monkeypatch):
+        # p01's second window (e0004-e0007) lists e0005, which the file lacks.
+        path = tmp_path / "c"
+        task, prompts, examples, backend, cold = self.cold(path)
+        lost = make_cache_key(backend.model_id, render(prompts[1], examples[5]),
+                              candidate_phrases(task, prompts[1]), False, ("p01", "e0005"))
+        cells = [cell for segment in read_segments(path) for cell in segment if cell[0] != lost]
+        damaged = tmp_path / "damaged"
+        damaged.write_bytes(segment_bytes(cells) + b"".join(
+            block_bytes(key, listed) for key, listed in read_blocks(path)))
+        calls = _count_calls(monkeypatch)
+        with ScoreCache(damaged) as cache:
+            warm = score_all(task, prompts, examples, backend, cache)
+            assert (cache.hits, cache.misses) == (29, 1)
+        assert calls == {"make_cache_key": 4, "render": 30, "get": 30}
+        assert backend.calls == 1 + 1 and backend.cells_scored == 30 + 1
+        assert warm.logprobs.tobytes() == cold.logprobs.tobytes()
+        # the cell is appended; its window keeps its first block, which now hits
+        with ScoreCache(damaged) as cache:
+            assert lost in cache
+            score_all(task, prompts, examples, backend, cache)
+            assert (cache.hits, cache.misses) == (30, 0)
+        assert calls["make_cache_key"] == 4
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_jobs_write_one_file_with_blocks(self, tmp_path, seed):
+        task, prompts, examples = _delay_grid()
+
+        def run(jobs):
+            path = tmp_path / f"jobs{jobs}"
+            with ScoreCache(path) as cache:
+                tensor = score_all(task, prompts, examples, _DelayedBackend(seed), cache,
+                                   jobs=jobs)
+            return tensor.logprobs.tobytes(), path.read_bytes()
+
+        serial = run(1)
+        # Windows start at fields x0, x4, x8, x2 and x6, for each of the three
+        # templates; a repeated window reuses the first one's block.
+        assert len(read_blocks(tmp_path / "jobs1")) == 5 * 3
+        assert run(2) == serial
+        assert run(4) == serial
+
+    def test_blocks_follow_the_chunk_that_completes_their_window(self, tmp_path):
+        # Chunks of 3 over windows of 4: each block is appended right after the
+        # chunk holding its window's last cell, or the last chunk at the end.
+        task, prompts, examples, _, planted = synthetic_setup(p=2, n=10, c=2)
+        backend = SyntheticBackend(seed=0, prompt_quality={p.prompt_id: 0.7 for p in prompts},
+                                   planted_labels=planted, max_batch_size=3)
+        path = tmp_path / "c"
+        with ScoreCache(path) as cache:
+            score_all(task, prompts, examples, backend, cache)
+        records = [len(r) if isinstance(r, list) else "block" for r in read_records(path)]
+        assert records == [3, 3, "block", 3, "block", 3, "block", 3, "block", 3, "block",
+                           2, "block"]
+
+    def test_window_with_a_failed_cell_gets_no_block(self, tmp_path):
+        task = make_task(2)
+        prompts, examples = make_prompts(task, 2), make_examples(10)
+        planted = {**plant_labels(task, examples), "e0005": "intruder"}
+        backend = SyntheticBackend(seed=0, prompt_quality={p.prompt_id: 0.7 for p in prompts},
+                                   planted_labels=planted, max_batch_size=4)
+        path = tmp_path / "c"
+        with ScoreCache(path) as cache:
+            with pytest.raises(ScoringFailedError) as excinfo:
+                score_all(task, prompts, examples, backend, cache)
+            assert len(cache) == 2 * 9
+        assert excinfo.value.failed == [("p00", "e0005"), ("p01", "e0005")]
+        # each prompt's first and last windows, not the one holding e0005
+        assert [listed for _, listed in read_blocks(path)] == [
+            [make_cache_key(backend.model_id, render(p, e), candidate_phrases(task, p), False,
+                            (p.prompt_id, e.example_id)) for e in examples[start : start + 4]]
+            for p in prompts for start in (0, 8)]
 
 
 class _SpoilingBackend(ScorerBackend):
