@@ -73,7 +73,6 @@ def test_traced_counts_match_the_work_done(tmp_path):
     assert metrics["backends.cells"] == cells == backend.cells_scored
 
 
-
 def test_traced_warm_run_over_blocks_hashes_no_cell_key(tmp_path):
     # The cold run leaves a block record per window of a prompt's cells; a warm
     # run finds each window through it: one render and one cache lookup per
@@ -101,6 +100,7 @@ def test_traced_warm_run_over_blocks_hashes_no_cell_key(tmp_path):
     assert metrics["cache.hit_ratio"] == 1.0
     assert metrics["cache.key_calls"] == 0
     assert metrics["backends.requests"] == 0
+
 
 def test_traced_selection_records_one_span_per_stage():
     # select must reach each stage through the zps.selection module globals,
