@@ -32,6 +32,7 @@ from urllib.parse import quote, urlsplit
 
 import numpy as np
 
+from .catalog import finite
 from .errors import BackendError, ProtocolError, ValidationError
 
 if TYPE_CHECKING:
@@ -135,6 +136,10 @@ class SyntheticBackend(ScorerBackend):
                 raise ValidationError(f"quality for prompt {pid!r} out of [0,1]: {q}")
         if default_quality is not None and not 0.0 <= default_quality <= 1.0:
             raise ValidationError(f"default_quality out of [0,1]: {default_quality}")
+        scale = finite(miss_margin_scale)
+        if scale is None or scale < 0:
+            raise ValidationError(
+                f"miss_margin_scale must be a finite number >= 0, not {miss_margin_scale!r}")
         _check_ids("prompt", prompt_quality, ValidationError)
         _check_ids("example", planted_labels, ValidationError)
         self.seed = seed

@@ -16,12 +16,14 @@ little-endian float64. A block segment (version 4, ``c`` = 0), one per
 ``put_block`` call, holds a block key, then the ``b`` cell keys it lists, in
 order: ``score_all`` writes one per window of a prompt's cells once every
 cell of the window is cached, right after the chunk that completes it, so
-that a later run finds the window's keys with one hash. A block only lists
-keys, never values, so a key keeps one value on every path. Blocks cost 32
-bytes per cell and 56 per window (the benchmark's 3,200-cell select-cold file
-grows from 179,512 to 282,360 bytes). A file without blocks, as earlier
-versions wrote, reads as before, and gets its blocks on its next warm run; a
-zps from before block segments refuses a file holding one as corrupt.
+that a later run finds the window's keys with one hash. A block only
+supplies keys, never values: each listed key is looked up like any other,
+so a key keeps one value on every path, and one the file lacks is one miss.
+Blocks cost 32 bytes per cell and 56 per window (the benchmark's 3,200-cell
+select-cold file grows from 179,512 to 282,360 bytes). A file without
+blocks, as earlier versions wrote, reads as before, and gets its blocks on
+its next warm run; a zps from before block segments refuses a file holding
+one as corrupt.
 
 Reads are lock-free after load. Each ``put_many`` or ``put_block`` appends
 one segment in one write, under a lock, to an unbuffered append-mode handle;
@@ -240,12 +242,10 @@ class ScoreCache:
 
     def block(self, key: bytes) -> list[bytes] | None:
         """The cell keys the block record ``key`` lists, in order; None if there
-        is no such block or it lists a key this cache does not hold."""
+        is no such block. A block only supplies keys: a listed key this cache
+        does not hold misses on ``get`` like any other."""
         listed = self._blocks.get(key)
-        if listed is None:
-            return None
-        listed = np.frombuffer(listed, "V32").tolist()
-        return listed if all(map(self._entries.__contains__, listed)) else None
+        return None if listed is None else np.frombuffer(listed, "V32").tolist()
 
     def __contains__(self, key: bytes) -> bool:
         return key in self._entries

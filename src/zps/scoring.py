@@ -36,9 +36,9 @@ logger = logging.getLogger(__name__)
 
 NORMALIZE_MODES = ("softmax", "none")
 
-# Cells per block record: with a cache, the walk takes each prompt's examples in
-# windows of this many, and a warm run finds a window's cell keys with one hash.
-# A window's rendered inputs are alive together.
+# Cells per block record: the walk takes each prompt's examples in windows of
+# this many, and with a cache a warm run finds a window's cell keys with one
+# hash. A window's rendered inputs are alive together.
 BLOCK_CELLS = 512
 
 
@@ -235,20 +235,22 @@ def score_all(
 ) -> ScoreTensor:
     """Fill the full p x n x c score tensor.
 
-    One walk in (prompt, example) order renders each cell once. With a cache,
-    it takes each prompt's examples in windows of ``BLOCK_CELLS``: one block
-    key per window finds the block record listing the window's cell keys, and
-    each listed key is looked up. A window without a usable block has each
-    cell hashed into one cache key and looked up, and gets its block once every
-    cell is cached. Hits need no backend call; misses gather into chunks of
-    ``max_batch_size``, each sent to the backend as soon as it is full: inline
-    with ``jobs == 1``, else on ``jobs`` threads, so at most ``jobs + 1`` chunks
-    of rendered inputs are alive. The calling thread takes them back in walk
-    order and is the cache's one writer, one ``put_many`` per scored chunk,
-    each followed by the blocks it completes, so the file is the same at any
-    ``jobs``. It retries a chunk the backend fails, or answers with other than
-    c finite scores per cell, cell by cell; cells that still fail are reported
-    by (prompt_id, example_id), and their windows get no block.
+    One walk in (prompt, example) order takes each prompt's examples in
+    windows of ``BLOCK_CELLS`` and renders each cell once. With a cache, one
+    block key per window finds the block record listing the window's cell
+    keys; a window whose block is missing, or lists other than one key per
+    cell, has each cell hashed into its key instead. Every key is then looked
+    up, so a listed key the cache lacks is one miss, and a window gets its
+    block once every cell is cached. Hits need no backend call; misses gather
+    into chunks of ``max_batch_size``, each sent to the backend as soon as it
+    is full: inline with ``jobs == 1``, else on ``jobs`` threads, so at most
+    ``jobs + 1`` chunks, and one window, of rendered inputs are alive. The
+    calling thread takes them back in walk order and is the cache's one
+    writer, one ``put_many`` per scored chunk, each followed by the blocks of
+    the windows closed before it, so the file is the same at any ``jobs``. It
+    retries a chunk the backend fails, or answers with other than c finite
+    scores per cell, cell by cell; cells that still fail are reported by
+    (prompt_id, example_id), and their windows get no block.
 
     Refused before any cell is scored, in this order: a ``jobs`` or backend
     ``max_batch_size`` that is not an int >= 1 (a bool is not), repeated ids,
@@ -287,69 +289,49 @@ def score_all(
         for example in gaps:
             render(prompt, example)  # raises for the first cell this prompt cannot fill
 
-    # With a cache, each window's example ids are hashed once, for every prompt.
-    step = n if cache is None else BLOCK_CELLS
-    starts = range(0, n, step)
+    # Each window's example ids are hashed once, for every prompt.
+    starts = range(0, n, BLOCK_CELLS)
     ids = {}
     if cache is not None and not content_addressed:
-        ids = {s: ids_digest([e.example_id for e in examples[s : s + step]]) for s in starts}
-    done = 0  # chunks finished
-    # Blocks not yet appended, in walk order: (the chunk they follow, block key, cell keys).
-    waiting: deque[tuple[int, bytes, list[bytes]]] = deque()
-
-    def wrong_width(cached: tuple[float, ...]) -> CacheCorruptionError:
-        return CacheCorruptionError(
-            f"cache {cache.path} holds {len(cached)} values for a cell with {c} candidates; "
-            "delete or move the file to reset it"
-        )
+        ids = {s: ids_digest([e.example_id for e in examples[s : s + BLOCK_CELLS]])
+               for s in starts}
 
     def walk():
-        """Chunks of misses, each a list of (request, row in flat, cache key).
-        Cache hits (rows, and their values end to end) go into raw at the end.
-
-        With a cache, a window whose block record lists only cells the cache
-        holds, none of them queued, is read through it. Any other window is
-        walked cell by cell, and its block then waits for the chunk that holds
-        its last miss, or the walk's last miss before it."""
-        misses, hit_rows, hits = [], [], []
+        """(chunk, blocks) pairs in walk order. A chunk is a list of misses, each
+        (request, row in flat, cache key); blocks, each (block key, cell keys),
+        are the windows closed while its cells were gathered, and a window
+        closed with no miss pending goes out with an empty chunk. Cache hits
+        (rows, and their values end to end) go into raw at the end."""
+        misses, blocks, hit_rows, hits = [], [], [], []
         # Only a content-addressed backend gives two cells one key. A key queued in
         # this run is a miss again, as if every lookup came before every append.
         queued: set[bytes] = set()
-        chunks = 0  # chunks yielded
+        keys = repeat(None)  # without a cache, no cell has a key
         for i, prompt in enumerate(prompts):
             prompt_id, phrases = prompt.prompt_id, phrase_sets[i]
             for start in starts:
-                window = examples[start : start + step]
+                window = examples[start : start + BLOCK_CELLS]
                 first = i * n + start
-                if cache is None:
-                    texts = map(render, repeat(prompt), window)
-                else:
-                    texts = [render(prompt, example) for example in window]
+                texts = [render(prompt, example) for example in window]
+                if cache is not None:
                     block = make_block_key(model_id, texts, phrases, length_norm,
                                            None if content_addressed else (prompt_id, ids[start]))
-                    listed = cache.block(block)
-                    if (listed is not None and len(listed) == len(texts)
-                            and (not queued or queued.isdisjoint(listed))):
-                        for key in listed:
-                            cached = cache.get(key)
-                            if len(cached) != c:
-                                raise wrong_width(cached)
-                            hits.extend(cached)
-                        hit_rows.extend(range(first, first + len(listed)))
-                        continue
-                    keys = []
-                for row, example, text in zip(count(first), window, texts):
-                    example_id = example.example_id
-                    key = None
+                    keys = cache.block(block)
+                    if keys is None or len(keys) != len(texts):
+                        keys = [make_cache_key(model_id, text, phrases, length_norm,
+                                               None if content_addressed
+                                               else (prompt_id, example.example_id))
+                                for example, text in zip(window, texts)]
+                for row, example, text, key in zip(count(first), window, texts, keys):
                     if cache is not None:
-                        coords = None if content_addressed else (prompt_id, example_id)
-                        key = make_cache_key(model_id, text, phrases, length_norm, coords)
-                        keys.append(key)
                         cached = cache.get(key)
                         if cached is not None:
                             if key not in queued:
                                 if len(cached) != c:
-                                    raise wrong_width(cached)
+                                    raise CacheCorruptionError(
+                                        f"cache {cache.path} holds {len(cached)} values for a "
+                                        f"cell with {c} candidates; delete or move the file "
+                                        "to reset it")
                                 hit_rows.append(row)
                                 hits.extend(cached)
                                 continue
@@ -357,28 +339,25 @@ def score_all(
                             cache.misses += 1
                         if content_addressed:
                             queued.add(key)
-                    misses.append((ScoreRequest(text, phrases, prompt_id, example_id, choices),
-                                   row, key))
-                    if len(misses) == size:
-                        yield from _chunk(misses, size)
-                        misses = []
-                        chunks += 1
+                    misses.append((ScoreRequest(text, phrases, prompt_id, example.example_id,
+                                                choices), row, key))
+                    if len(misses) == size:  # one chunk, with the blocks closed meanwhile
+                        yield from zip(_chunk(misses, size), [blocks])
+                        misses, blocks = [], []
                 if cache is not None:
-                    waiting.append((chunks if misses else chunks - 1, block, keys))
-                    append_blocks()
-        yield from _chunk(misses, size)
+                    blocks.append((block, keys))
+                    if not misses:
+                        yield [], blocks
+                        blocks = []
+        yield from zip(_chunk(misses, size), [blocks])
         if hits:
             flat[hit_rows] = np.reshape(hits, (-1, c))
 
-    def append_blocks() -> None:
-        """Append, in walk order, each waiting block whose chunk is finished;
-        ``put_block`` writes none that lists a failed cell."""
-        while waiting and waiting[0][0] < done:
-            _, block, keys = waiting.popleft()
-            cache.put_block(block, keys)
-
     def score(chunk: Sequence[tuple]) -> np.ndarray | None:
-        """Score a chunk's cells into raw: their values, or None if the backend fails them."""
+        """Score a chunk's cells into raw: their values, or None if the backend
+        fails them or the chunk is empty."""
+        if not chunk:
+            return None
         batch, rows, _ = zip(*chunk)
         try:
             reply = backend.score_batch(list(batch))
@@ -400,12 +379,11 @@ def score_all(
 
     failed: list[tuple[str, str]] = []
 
-    def finish(chunk: Sequence[tuple], values: np.ndarray | None) -> None:
-        """Append a scored chunk, then the blocks that follow it; retry a failed
-        chunk cell by cell, appending each cell that scores and recording each
-        that fails again."""
-        nonlocal done
-        parts = [(chunk, values)]
+    def finish(chunk: Sequence[tuple], blocks: list[tuple], values: np.ndarray | None) -> None:
+        """Append a scored chunk, then its blocks; retry a failed chunk cell by
+        cell, appending each cell that scores and recording each that fails
+        again. ``put_block`` writes no block that lists a failed cell."""
+        parts = [(chunk, values)] if chunk else []
         if values is None and len(chunk) > 1:
             parts = (([miss], score([miss])) for miss in chunk)
         for part, scored in parts:
@@ -413,27 +391,27 @@ def score_all(
                 failed.append((part[0][0].prompt_id, part[0][0].example_id))
             elif cache is not None:
                 cache.put_many([key for _, _, key in part], scored)
-        done += 1
-        append_blocks()
+        for block, keys in blocks:
+            cache.put_block(block, keys)
 
     if jobs == 1:
-        for chunk in walk():
-            finish(chunk, score(chunk))
+        for chunk, blocks in walk():
+            finish(chunk, blocks, score(chunk))
     else:
         with ThreadPoolExecutor(max_workers=jobs) as pool:
-            pending: deque[tuple[Sequence[tuple], Future]] = deque()
+            pending: deque[tuple[Sequence[tuple], list[tuple], Future]] = deque()
             try:
-                for chunk in walk():
-                    pending.append((chunk, pool.submit(score, chunk)))
+                for chunk, blocks in walk():
+                    pending.append((chunk, blocks, pool.submit(score, chunk)))
                     if len(pending) > jobs:
-                        chunk, future = pending.popleft()
-                        finish(chunk, future.result())
+                        chunk, blocks, future = pending.popleft()
+                        finish(chunk, blocks, future.result())
             except CacheCorruptionError:  # met by the walk: cache what was scored before it
-                for chunk, future in pending:
-                    finish(chunk, future.result())
+                for chunk, blocks, future in pending:
+                    finish(chunk, blocks, future.result())
                 raise
-            for chunk, future in pending:
-                finish(chunk, future.result())
+            for chunk, blocks, future in pending:
+                finish(chunk, blocks, future.result())
     if failed:
         raise ScoringFailedError(failed)
 

@@ -150,6 +150,13 @@ class TestSyntheticBackend:
                 seed=0, prompt_quality={}, planted_labels={}, default_quality=-0.1
             )
 
+    @pytest.mark.parametrize("scale", [float("nan"), float("inf"), -float("inf"), -0.5,
+                                       True, "0.5", None])
+    def test_miss_margin_scale_must_be_a_finite_number_at_least_0(self, scale):
+        with pytest.raises(ValidationError, match="miss_margin_scale must be a finite number"):
+            SyntheticBackend(seed=0, prompt_quality={"p0": 0.5}, planted_labels={"e0": "1"},
+                             miss_margin_scale=scale)
+
     def test_default_quality_covers_unlisted_prompts(self):
         backend = SyntheticBackend(
             seed=0, prompt_quality={}, planted_labels={"e0": "1"}, default_quality=1.0

@@ -844,13 +844,15 @@ def test_load_keeps_a_blocks_first_list(tmp_path):
         assert cache.block(K) == [A] and len(cache) == 2
 
 
-def test_block_listing_a_key_not_held_is_not_found(tmp_path):
+def test_block_lists_a_key_not_held(tmp_path):
+    # A block only supplies keys: one the file lacks misses on get like any other.
     path = tmp_path / "c.cache"
     path.write_bytes(segment_bytes([(A, [-1.0])]) + block_bytes(K, [A, C]))
     with ScoreCache(path) as cache:
-        assert cache.block(K) is None
-        cache.put(C, [-3.0])
         assert cache.block(K) == [A, C]
+        assert cache.get(C) is None and (cache.hits, cache.misses) == (0, 1)
+        cache.put(C, [-3.0])
+        assert cache.block(K) == [A, C] and cache.get(C) == (-3.0,)
 
 
 def test_bad_block_key_raises_and_writes_nothing(tmp_path):

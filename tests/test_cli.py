@@ -118,6 +118,19 @@ class TestSelect:
         assert doc["report"]["selected"] == "p00"
         assert doc["report"]["strategy"] == "logprob_mean"
 
+    def test_negative_miss_margin_scale_is_refused_before_scoring(self, workdir, capsys,
+                                                                   monkeypatch):
+        profile = workdir / "profile.json"
+        profile.write_text(json.dumps({**json.loads(profile.read_text(encoding="utf-8")),
+                                       "miss_margin_scale": -1}), encoding="utf-8")
+        calls = []
+        monkeypatch.setattr(zps.SyntheticBackend, "score_batch",
+                            lambda backend, batch: calls.append(batch))
+        assert main(select_args(workdir)) == 1
+        assert (f"{profile}: miss_margin_scale must be a finite number >= 0, not -1.0"
+                in capsys.readouterr().err)
+        assert calls == [] and not (workdir / "report.json").exists()
+
     def test_input_hashes_recorded(self, workdir):
         main(select_args(workdir))
         doc = json.loads((workdir / "report.json").read_text())

@@ -629,6 +629,30 @@ class TestStreamingWalk:
         assert parallel[1:3] == serial[1:3] == ((0, 180), 10)
         assert parallel[3] == serial[3]
 
+    def test_windows_without_a_cache_send_the_same_batches(self, monkeypatch):
+        # Windows of 4 over 10 examples, with chunks of 3 that cross them.
+        task, prompts, examples, _, planted = synthetic_setup(p=3, n=10, c=3)
+        backend = SyntheticBackend(seed=0, prompt_quality={p.prompt_id: 0.7 for p in prompts},
+                                   planted_labels=planted, max_batch_size=3)
+        batches = []
+        score_batch = backend.score_batch
+
+        def spy(batch):
+            batches.append([(r.prompt_id, r.example_id) for r in batch])
+            return score_batch(batch)
+
+        monkeypatch.setattr(backend, "score_batch", spy)
+
+        def run(cells):
+            monkeypatch.setattr(zps.scoring, "BLOCK_CELLS", cells)
+            batches.clear()
+            tensor = score_all(task, prompts, examples, backend)
+            return tensor.logprobs.tobytes(), list(batches)
+
+        windowed = run(4)
+        assert windowed == run(10) == run(512)
+        assert [len(batch) for batch in windowed[1]] == [3] * 10
+
     def test_peak_memory_follows_the_chunks_in_flight(self):
         # tracemalloc counts bytes, so this does not depend on timing. A score_all
         # that held every cell's rendered input at once peaked at 34.8 MiB at
@@ -804,7 +828,10 @@ class TestBlockRecords:
         assert backend.calls == 1  # the cold run's one chunk
         assert warm.logprobs.tobytes() == plain.logprobs.tobytes() == cold.logprobs.tobytes()
 
-    def test_block_free_file_gets_each_windows_block_once(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("jobs", [1, 2, 4])
+    def test_block_free_file_gets_each_windows_block_once(self, tmp_path, monkeypatch, jobs):
+        # Every window of the warm runs is all hits, so each block goes out
+        # with an empty chunk.
         path = tmp_path / "c"
         task, prompts, examples, backend, _ = self.cold(path)
         blocks = read_blocks(path)
@@ -812,20 +839,21 @@ class TestBlockRecords:
         before = cells.read_bytes()
         calls = _count_calls(monkeypatch)
         with ScoreCache(cells) as cache:
-            score_all(task, prompts, examples, backend, cache)
+            score_all(task, prompts, examples, backend, cache, jobs=jobs)
         assert calls["make_cache_key"] == 30
         assert read_blocks(cells) == blocks
         grown = cells.read_bytes()
         assert grown[:len(before)] == before
         with ScoreCache(cells) as cache:
-            score_all(task, prompts, examples, backend, cache)
+            score_all(task, prompts, examples, backend, cache, jobs=jobs)
             assert (cache.hits, cache.misses) == (30, 0)
         assert calls["make_cache_key"] == 30  # none on the second warm run
         assert cells.read_bytes() == grown
         assert backend.calls == 1
 
-    def test_block_listing_a_missing_cell_falls_back_to_the_cells(self, tmp_path, monkeypatch):
-        # p01's second window (e0004-e0007) lists e0005, which the file lacks.
+    def test_a_listed_cell_the_file_lacks_is_one_miss(self, tmp_path, monkeypatch):
+        # p01's second window (e0004-e0007) lists e0005, which the file lacks: its
+        # listed key is looked up, missed, scored and appended, and no cell is hashed.
         path = tmp_path / "c"
         task, prompts, examples, backend, cold = self.cold(path)
         lost = make_cache_key(backend.model_id, render(prompts[1], examples[5]),
@@ -838,7 +866,7 @@ class TestBlockRecords:
         with ScoreCache(damaged) as cache:
             warm = score_all(task, prompts, examples, backend, cache)
             assert (cache.hits, cache.misses) == (29, 1)
-        assert calls == {"make_cache_key": 4, "render": 30, "get": 30}
+        assert calls == {"make_cache_key": 0, "render": 30, "get": 30}
         assert backend.calls == 1 + 1 and backend.cells_scored == 30 + 1
         assert warm.logprobs.tobytes() == cold.logprobs.tobytes()
         # the cell is appended; its window keeps its first block, which now hits
@@ -846,7 +874,7 @@ class TestBlockRecords:
             assert lost in cache
             score_all(task, prompts, examples, backend, cache)
             assert (cache.hits, cache.misses) == (30, 0)
-        assert calls["make_cache_key"] == 4
+        assert calls["make_cache_key"] == 0
 
     @pytest.mark.parametrize("seed", [0, 1])
     def test_jobs_write_one_file_with_blocks(self, tmp_path, seed):
@@ -866,15 +894,18 @@ class TestBlockRecords:
         assert run(2) == serial
         assert run(4) == serial
 
-    def test_blocks_follow_the_chunk_that_completes_their_window(self, tmp_path):
+    @pytest.mark.parametrize("jobs", [1, 2, 4])
+    def test_blocks_follow_the_chunk_that_completes_their_window(self, tmp_path, jobs):
         # Chunks of 3 over windows of 4: each block is appended right after the
         # chunk holding its window's last cell, or the last chunk at the end.
+        # p01's window e0004-e0007 closes on a chunk boundary, so its block
+        # goes out with an empty chunk.
         task, prompts, examples, _, planted = synthetic_setup(p=2, n=10, c=2)
         backend = SyntheticBackend(seed=0, prompt_quality={p.prompt_id: 0.7 for p in prompts},
                                    planted_labels=planted, max_batch_size=3)
         path = tmp_path / "c"
         with ScoreCache(path) as cache:
-            score_all(task, prompts, examples, backend, cache)
+            score_all(task, prompts, examples, backend, cache, jobs=jobs)
         records = [len(r) if isinstance(r, list) else "block" for r in read_records(path)]
         assert records == [3, 3, "block", 3, "block", 3, "block", 3, "block", 3, "block",
                            2, "block"]
