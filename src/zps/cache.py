@@ -1,45 +1,38 @@
 """Persistent score cache.
 
-Append-only binary file of segments. A cell segment (format v3), one per
-``put_many`` call, holds cells keyed by a content hash of (model, length-norm
-flag, rendered input, ordered candidate phrases), each with one float64 value
-per candidate in candidate order. Keys are content hashes, so a cache
-survives prompt/catalog reordering and is shared across runs. Backends whose
+Append-only binary file of segments, one per ``put_many`` call, each holding
+cells: a 64-byte key and one float64 value per candidate, in candidate order.
+A key is two sha256 digests side by side, built without rendering its cell:
+the prompt part (``prompt_key_part``) of model id, length-norm flag, template
+text and ordered candidate phrases, and the example part
+(``example_key_part``) of the values ``render`` substitutes, in placeholder
+order, each as ``format(value, "")``, the text ``render`` writes for it.
+Equal template text and equal values render one input, so equal keys mean
+one (model, flag, input, candidates) cell. Keys ignore prompt and catalog
+order and fields the template does not read, so a cache is shared across
+runs; two templates that render the same text get two keys. Backends whose
 scores are addressed by ids rather than content (the synthetic one) get the
-ids mixed into the key.
+prompt id mixed into the prompt part and the example id into the example part.
 
-A segment is a fixed little-endian header -- magic ``ZPSC``, version, count
+A segment is a fixed little-endian header -- magic ``ZPSC``, version 5, count
 ``b``, value count ``c``, payload length and the ``zlib.crc32`` of the
-payload -- followed by the payload. A cell segment (version 3) holds the
-``b`` keys as raw 32-byte sha256 digests, then the ``b x c`` values as
-little-endian float64. A block segment (version 4, ``c`` = 0), one per
-``put_block`` call, holds a block key, then the ``b`` cell keys it lists, in
-order: ``score_all`` writes one per window of a prompt's cells once every
-cell of the window is cached, right after the chunk that completes it, so
-that a later run finds the window's keys with one hash. A block only
-supplies keys, never values: each listed key is looked up like any other,
-so a key keeps one value on every path, and one the file lacks is one miss.
-Blocks cost 32 bytes per cell and 56 per window (the benchmark's 3,200-cell
-select-cold file grows from 179,512 to 282,360 bytes). A file without
-blocks, as earlier versions wrote, reads as before, and gets its blocks on
-its next warm run; a zps from before block segments refuses a file holding
-one as corrupt.
+payload -- followed by the payload: the ``b`` keys, then the ``b x c`` values
+as little-endian float64.
 
-Reads are lock-free after load. Each ``put_many`` or ``put_block`` appends
-one segment in one write, under a lock, to an unbuffered append-mode handle;
-``score_all`` makes every append from its calling thread, in walk order. A
-key, and a block key, keeps its first value, on load as on append. A damaged
-cache raises instead of being silently recomputed over; the one exception is
-a last segment that is cut short or fails its CRC, the torn tail of a killed
-run, which is truncated with a warning. Every other file that does not read
-as these segments -- the JSON Lines of an earlier version, any other text, a
-bad header or CRC before the last segment, a non-finite value -- is refused
-with one "corrupt at segment N" message and never rewritten.
+Reads are lock-free after load. Each ``put_many`` appends its segment in one
+write, under a lock, to an unbuffered append-mode handle; ``score_all`` makes
+every append from its calling thread, in walk order. A key keeps its first
+value, on load as on append. A damaged cache raises instead of being silently
+recomputed over; the one exception is a last segment that is cut short or
+fails its CRC, the torn tail of a killed run, which is truncated with a
+warning. Every other file that does not read as these segments -- one written
+before version 5, any other text, a bad header or CRC before the last
+segment, a non-finite value -- is refused with one "corrupt at segment N"
+message and never rewritten.
 """
 
 from __future__ import annotations
 
-import functools
 import hashlib
 import logging
 import struct
@@ -47,7 +40,7 @@ import threading
 import zlib
 from itertools import chain
 from pathlib import Path
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -56,79 +49,50 @@ from .errors import CacheCorruptionError, ValidationError
 logger = logging.getLogger(__name__)
 
 _MAGIC = b"ZPSC"
-_VERSION = 3  # cell segments
-_BLOCK_VERSION = 4  # block segments
+_VERSION = 5
 # magic, version, cells b, values per cell c, payload length, crc32 of the payload
 _HEADER = struct.Struct("<4sHIHQI")
-_DIGEST_SIZE = 32
+_KEY_SIZE = 64  # a prompt part and an example part
+_UINT64 = struct.Struct("<Q").pack
 
 
-def make_cache_key(
-    model_id: str,
-    rendered_input: str,
-    candidates: Sequence[str],
-    length_norm: bool,
-    coords: tuple[str, str] | None = None,
-) -> bytes:
-    """Content hash identifying one scored cell: a raw 32-byte sha256 digest,
-    the form a cache file stores.
-
-    ``candidates`` are the cell's candidate phrases in order. ``coords``
-    (prompt_id, example_id) is only mixed in for backends that are not
-    content-addressed. The hashed text, ``{flag};{count};[{lengths}]{parts}``,
-    states every part's length ahead of the parts themselves, so no two
-    different cells hash the same text.
-    """
-    prompt_id, example_id = coords or (None, "")
-    head, mid, model, tail = _key_parts(model_id, tuple(candidates), length_norm, prompt_id)
-    id_len = "" if prompt_id is None else len(example_id)
-    text = f"{head}{len(rendered_input)}{mid}{id_len}{model}{rendered_input}{tail}{example_id}"
-    return hashlib.sha256(text.encode("utf-8")).digest()
+def _part(tag: bytes, strings: Sequence[str]) -> bytes:
+    """sha256 of ``tag``, the count of ``strings``, then each string's UTF-8
+    bytes after their length, each number a little-endian uint64."""
+    out = [tag, _UINT64(len(strings))]
+    for text in strings:
+        data = text.encode("utf-8")
+        out += (_UINT64(len(data)), data)
+    return hashlib.sha256(b"".join(out)).digest()
 
 
-def make_block_key(
-    model_id: str,
-    rendered_inputs: Sequence[str],
-    candidates: Sequence[str],
-    length_norm: bool,
-    coords: tuple[str, bytes] | None = None,
-) -> bytes:
-    """Content hash of a window of one prompt's cells, the key of the block
-    record that lists their cell keys: a raw 32-byte sha256 digest.
-
-    It hashes what every cell key of the window hashes, so it fixes them all.
-    ``coords`` (prompt_id, ``ids_digest`` of the window's example ids) is
-    mixed in where ``make_cache_key`` mixes in a cell's ids. The hashed bytes
-    are ``block;`` and a cell key's text, with the window's cell count in place
-    of the input's length and without the input and example id; then every
-    input's length as a little-endian uint64, the inputs, and the ids digest.
-    """
-    prompt_id, ids = coords or (None, b"")
-    head, mid, model, tail = _key_parts(model_id, tuple(candidates), length_norm, prompt_id)
-    digest = hashlib.sha256(f"block;{head}{len(rendered_inputs)}{mid}{model}{tail}".encode())
-    digest.update(np.fromiter(map(len, rendered_inputs), "<u8", len(rendered_inputs)))
-    digest.update("".join(rendered_inputs).encode("utf-8"))
-    digest.update(ids)
-    return digest.digest()
+def prompt_key_part(model_id: str, length_norm: bool, template_text: str,
+                    candidates: Sequence[str], prompt_id: str | None = None) -> bytes:
+    """The first 32 bytes of every key of a prompt's cells: the ``_part`` of
+    model id, ``1`` or ``0`` for the flag, template text and the candidate
+    phrases in order, tagged ``zps5 prompt\\n``; for an id-addressed backend
+    the prompt id follows, tagged ``zps5 prompt+id\\n``."""
+    strings = [model_id, "1" if length_norm else "0", template_text, *candidates]
+    if prompt_id is None:
+        return _part(b"zps5 prompt\n", strings)
+    return _part(b"zps5 prompt+id\n", [*strings, prompt_id])
 
 
-def ids_digest(example_ids: Sequence[str]) -> bytes:
-    """The digest of a window's example ids that ``make_block_key`` takes."""
-    lengths = ",".join(map(str, map(len, example_ids)))
-    text = f"{len(example_ids)};[{lengths}]{''.join(example_ids)}"
-    return hashlib.sha256(text.encode("utf-8")).digest()
+def example_key_part(values: Iterable, example_id: str | None = None) -> bytes:
+    """The last 32 bytes of a cell's key: the ``_part`` of the values
+    ``render`` substitutes, in placeholder order, each as ``format(value, "")``,
+    tagged ``zps5 example\\n``; for an id-addressed backend the example id
+    follows, tagged ``zps5 example+id\\n``."""
+    strings = list(map(format, values))
+    if example_id is None:
+        return _part(b"zps5 example\n", strings)
+    return _part(b"zps5 example+id\n", [*strings, example_id])
 
 
-@functools.lru_cache(maxsize=1024)
-def _key_parts(model_id: str, candidates: tuple[str, ...], length_norm: bool,
-               prompt_id: str | None) -> tuple[str, str, str, str]:
-    """A key's text but for the input and example id: built once per prompt."""
-    mid = "".join(f", {len(phrase)}" for phrase in candidates)
-    tail = "".join(candidates)
-    if prompt_id is not None:
-        mid += f", {len(prompt_id)}, "
-        tail += prompt_id
-    return f"{length_norm:d};{len(candidates)};[{len(model_id)}, ", mid, f"]{model_id}", tail
+def make_cache_key(prompt_part: bytes, example_part: bytes) -> bytes:
+    """The 64-byte key of one cell, the form a cache file stores: its prompt's
+    part, then its example's part."""
+    return prompt_part + example_part
 
 
 class ScoreCache:
@@ -141,7 +105,6 @@ class ScoreCache:
         self.path = Path(path)
         self._lock = threading.Lock()
         self._entries: dict[bytes, tuple[float, ...]] = {}
-        self._blocks: dict[bytes, bytes] = {}  # block key -> the cell keys it lists, joined
         self._handle = None
         self._torn = False  # a short write left bytes that could not be cut off
         self.hits = 0
@@ -158,19 +121,14 @@ class ScoreCache:
         keys: list[bytes] = []
         rows: list[tuple[float, ...]] = []
         for payload, values in self._segments(data):
-            if values is None:
-                self._blocks.setdefault(bytes(payload[:_DIGEST_SIZE]),
-                                        bytes(payload[_DIGEST_SIZE:]))
-                continue
-            # V32, not S32: a bytes dtype would strip a key's trailing NUL bytes.
-            keys += np.frombuffer(payload, "V32", count=len(values)).tolist()
+            # V64, not S64: a bytes dtype would strip a key's trailing NUL bytes.
+            keys += np.frombuffer(payload, "V64", count=len(values)).tolist()
             rows += _rows(values)
         # Built back to front, so that a key keeps the first of its values.
         self._entries = dict(zip(reversed(keys), reversed(rows)))
 
-    def _segments(self, data: bytes) -> Iterator[tuple[memoryview, np.ndarray | None]]:
-        """Each sound segment's payload, and a cell segment's (b, c) values
-        (None for a block segment).
+    def _segments(self, data: bytes) -> Iterator[tuple[memoryview, np.ndarray]]:
+        """Each sound segment's payload and its (b, c) values.
 
         A short or bad-CRC last segment is cut off; other damage raises.
         """
@@ -186,9 +144,8 @@ class ScoreCache:
                 self._cut_torn_tail(size, offset, segment)
                 return
             magic, version, b, c, length, crc = _HEADER.unpack(header)
-            expected = (b * (_DIGEST_SIZE + 8 * c) if version == _VERSION and c else
-                        (b + 1) * _DIGEST_SIZE if version == _BLOCK_VERSION and not c else None)
-            if magic != _MAGIC or not b or length != expected:
+            if (magic != _MAGIC or version != _VERSION or not b or not c
+                    or length != b * (_KEY_SIZE + 8 * c)):
                 raise self._corrupt(segment, offset)
             start = offset + _HEADER.size
             payload = view[start : start + length]
@@ -197,11 +154,9 @@ class ScoreCache:
                     raise self._corrupt(segment, offset)
                 self._cut_torn_tail(size, offset, segment)
                 return
-            values = None
-            if c:
-                values = np.frombuffer(payload, "<f8", offset=b * _DIGEST_SIZE).reshape(b, c)
-                if not np.isfinite(values).all():
-                    raise self._corrupt(segment, offset)
+            values = np.frombuffer(payload, "<f8", offset=b * _KEY_SIZE).reshape(b, c)
+            if not np.isfinite(values).all():
+                raise self._corrupt(segment, offset)
             yield payload, values
             offset = start + length
 
@@ -240,13 +195,6 @@ class ScoreCache:
             self.hits += 1
         return values
 
-    def block(self, key: bytes) -> list[bytes] | None:
-        """The cell keys the block record ``key`` lists, in order; None if there
-        is no such block. A block only supplies keys: a listed key this cache
-        does not hold misses on ``get`` like any other."""
-        listed = self._blocks.get(key)
-        return None if listed is None else np.frombuffer(listed, "V32").tolist()
-
     def __contains__(self, key: bytes) -> bool:
         return key in self._entries
 
@@ -263,7 +211,7 @@ class ScoreCache:
 
         ``values`` holds one row per key, as a (b, c) array or a list of
         rows. A key already present keeps its first value. A key that is not
-        a 32-byte ``bytes`` digest (as ``make_cache_key`` returns), or rows
+        a 64-byte ``bytes`` object (as ``make_cache_key`` returns), or rows
         that ``score_matrix`` refuses, raise ValidationError before anything
         is written. The cells are recorded only once the write has returned
         in full. A short write raises OSError; the part it wrote is cut off
@@ -285,43 +233,21 @@ class ScoreCache:
             if not fresh:
                 return
             array = array[list(fresh.values())]
-            self._append(_VERSION, len(fresh), array.shape[1], b"".join(fresh) + array.tobytes())
+            payload = b"".join(fresh) + array.tobytes()
+            segment = _HEADER.pack(_MAGIC, _VERSION, len(fresh), array.shape[1], len(payload),
+                                   zlib.crc32(payload)) + payload
+            if self._torn:
+                raise OSError(f"cache {self.path} ends in a torn segment that this handle "
+                              "could not cut off; reopen the cache to append to it")
+            written = self._handle.write(segment)
+            if written != len(segment):
+                try:
+                    end = self._handle.tell()
+                    self._torn = not self._truncate(end, end - written)
+                except OSError:
+                    self._torn = True
+                raise OSError(f"short write to cache {self.path}")
             self._entries.update(zip(fresh, _rows(array)))
-
-    def put_block(self, key: bytes, cells: Sequence[bytes]) -> None:
-        """Record, as one segment with one write, that block ``key`` lists the
-        cell keys ``cells`` in order.
-
-        Nothing is written when the block key is present already, which keeps
-        its first list, or when a listed cell is not held: a block only lists
-        cells that the file holds ahead of it. The block key is checked, and a
-        short write is handled, as by ``put_many``.
-        """
-        cells = list(cells)
-        _check_keys([key])
-        with self._lock:
-            if not cells or key in self._blocks or not all(map(self._entries.__contains__, cells)):
-                return
-            listed = b"".join(cells)
-            self._append(_BLOCK_VERSION, len(cells), 0, key + listed)
-            self._blocks[key] = listed
-
-    def _append(self, version: int, b: int, c: int, payload: bytes) -> None:
-        """Write one segment in one write; the caller holds the lock and records
-        what it wrote only once this returns."""
-        segment = _HEADER.pack(_MAGIC, version, b, c, len(payload),
-                               zlib.crc32(payload)) + payload
-        if self._torn:
-            raise OSError(f"cache {self.path} ends in a torn segment that this handle "
-                          "could not cut off; reopen the cache to append to it")
-        written = self._handle.write(segment)
-        if written != len(segment):
-            try:
-                end = self._handle.tell()
-                self._torn = not self._truncate(end, end - written)
-            except OSError:
-                self._torn = True
-            raise OSError(f"short write to cache {self.path}")
 
     def close(self) -> None:
         if self._handle is not None:
@@ -336,11 +262,11 @@ class ScoreCache:
 
 
 def _check_keys(keys: list) -> None:
-    """Refuse a key that is not a 32-byte ``bytes`` digest, naming it."""
+    """Refuse a key that is not a 64-byte ``bytes`` object, naming it."""
     for key in keys:
-        if type(key) is not bytes or len(key) != _DIGEST_SIZE:
+        if type(key) is not bytes or len(key) != _KEY_SIZE:
             shown = key.hex() if isinstance(key, (bytes, bytearray, memoryview)) else repr(key)
-            raise ValidationError(f"cache key must be a {_DIGEST_SIZE}-byte digest, not "
+            raise ValidationError(f"cache key must be {_KEY_SIZE} bytes, not "
                                   f"{type(key).__name__} {shown}")
 
 

@@ -108,6 +108,8 @@ def build_pseudo_val(
     """
     config = config or EnsembleConfig()
     n = len(tensor.example_ids)
+    if size is not None and (isinstance(size, bool) or not isinstance(size, (int, np.integer))):
+        raise ValidationError(f"size must be an int, not {size!r}")
     if size is not None and not 1 <= size <= n:
         raise ValidationError(f"size must be in [1, {n}], got {size}")
     scores, pseudo_idx = ensemble_vote(tensor, config)

@@ -27,7 +27,7 @@ from typing import Sequence
 import numpy as np
 
 from .backends import ScoreRequest, ScorerBackend
-from .cache import ScoreCache, ids_digest, make_block_key, make_cache_key, score_matrix
+from .cache import ScoreCache, example_key_part, make_cache_key, prompt_key_part, score_matrix
 from .catalog import Prompt, TaskSpec, UnlabeledExample, candidate_phrases, render
 from .errors import (BackendError, CacheCorruptionError, ProtocolError, ScoringFailedError,
                      ValidationError)
@@ -35,11 +35,6 @@ from .errors import (BackendError, CacheCorruptionError, ProtocolError, ScoringF
 logger = logging.getLogger(__name__)
 
 NORMALIZE_MODES = ("softmax", "none")
-
-# Cells per block record: the walk takes each prompt's examples in windows of
-# this many, and with a cache a warm run finds a window's cell keys with one
-# hash. A window's rendered inputs are alive together.
-BLOCK_CELLS = 512
 
 
 def label_indices(labels: Sequence[str], choices: Sequence[str]) -> np.ndarray:
@@ -235,28 +230,23 @@ def score_all(
 ) -> ScoreTensor:
     """Fill the full p x n x c score tensor.
 
-    One walk in (prompt, example) order takes each prompt's examples in
-    windows of ``BLOCK_CELLS`` and renders each cell once. With a cache, one
-    block key per window finds the block record listing the window's cell
-    keys; a window whose block is missing, or lists other than one key per
-    cell, has each cell hashed into its key instead. Every key is then looked
-    up, so a listed key the cache lacks is one miss, and a window gets its
-    block once every cell is cached. Hits need no backend call; misses gather
-    into chunks of ``max_batch_size``, each sent to the backend as soon as it
-    is full: inline with ``jobs == 1``, else on ``jobs`` threads, so at most
-    ``jobs + 1`` chunks, and one window, of rendered inputs are alive. The
+    One walk in (prompt, example) order looks each cell up by its cache key,
+    its prompt's key part joined to its example's (see ``zps.cache``), so no
+    cell is rendered to be found. Hits need no backend call; misses are
+    rendered and gather into chunks of ``max_batch_size``, each sent to the
+    backend as soon as it is full: inline with ``jobs == 1``, else on ``jobs``
+    threads, so at most ``jobs + 1`` chunks of rendered inputs are alive. The
     calling thread takes them back in walk order and is the cache's one
-    writer, one ``put_many`` per scored chunk, each followed by the blocks of
-    the windows closed before it, so the file is the same at any ``jobs``. It
-    retries a chunk the backend fails, or answers with other than c finite
-    scores per cell, cell by cell; cells that still fail are reported by
-    (prompt_id, example_id), and their windows get no block.
+    writer, one ``put_many`` per scored chunk, so the file is the same at any
+    ``jobs``. It retries a chunk the backend fails, or answers with other than
+    c finite scores per cell, cell by cell; cells that still fail are reported
+    by (prompt_id, example_id).
 
     Refused before any cell is scored, in this order: a ``jobs`` or backend
     ``max_batch_size`` that is not an int >= 1 (a bool is not), repeated ids,
     then per prompt a verbalizer missing a choice and an example missing a
-    field the template renders. A cached row whose width is not c is refused when the walk
-    reaches it, after the chunks scored before it are appended.
+    field the template renders. A cached row whose width is not c is refused
+    when the walk reaches it, after the chunks scored before it are appended.
     """
     if not prompts or not examples:
         raise ValidationError("score_all needs at least one prompt and one example")
@@ -289,75 +279,64 @@ def score_all(
         for example in gaps:
             render(prompt, example)  # raises for the first cell this prompt cannot fill
 
-    # Each window's example ids are hashed once, for every prompt.
-    starts = range(0, n, BLOCK_CELLS)
-    ids = {}
-    if cache is not None and not content_addressed:
-        ids = {s: ids_digest([e.example_id for e in examples[s : s + BLOCK_CELLS]])
-               for s in starts}
+    # With a cache, each prompt's key part and its examples' key parts. An
+    # example's part holds only the values its template reads, so it is built
+    # once per distinct tuple of placeholders.
+    key_parts: list[tuple[bytes, list[bytes]]] = []
+    if cache is not None:
+        by_names: dict[tuple[str, ...], list[bytes]] = {}
+        for prompt, phrases in zip(prompts, phrase_sets):
+            names = prompt.template.placeholders()
+            if names not in by_names:
+                by_names[names] = [
+                    example_key_part([example.fields[name] for name in names],
+                                     None if content_addressed else example.example_id)
+                    for example in examples]
+            key_parts.append((prompt_key_part(model_id, length_norm,
+                                              prompt.template.template_text, phrases,
+                                              None if content_addressed else prompt.prompt_id),
+                              by_names[names]))
 
     def walk():
-        """(chunk, blocks) pairs in walk order. A chunk is a list of misses, each
-        (request, row in flat, cache key); blocks, each (block key, cell keys),
-        are the windows closed while its cells were gathered, and a window
-        closed with no miss pending goes out with an empty chunk. Cache hits
-        (rows, and their values end to end) go into raw at the end."""
-        misses, blocks, hit_rows, hits = [], [], [], []
+        """Chunks of misses, each a list of (request, row in flat, cache key).
+        Cache hits (rows, and their values end to end) go into raw at the end."""
+        misses, hit_rows, hits = [], [], []
         # Only a content-addressed backend gives two cells one key. A key queued in
         # this run is a miss again, as if every lookup came before every append.
         queued: set[bytes] = set()
-        keys = repeat(None)  # without a cache, no cell has a key
         for i, prompt in enumerate(prompts):
             prompt_id, phrases = prompt.prompt_id, phrase_sets[i]
-            for start in starts:
-                window = examples[start : start + BLOCK_CELLS]
-                first = i * n + start
-                texts = [render(prompt, example) for example in window]
+            prompt_part, parts = key_parts[i] if key_parts else (None, repeat(None))
+            for row, example, part in zip(count(i * n), examples, parts):
+                key = None
                 if cache is not None:
-                    block = make_block_key(model_id, texts, phrases, length_norm,
-                                           None if content_addressed else (prompt_id, ids[start]))
-                    keys = cache.block(block)
-                    if keys is None or len(keys) != len(texts):
-                        keys = [make_cache_key(model_id, text, phrases, length_norm,
-                                               None if content_addressed
-                                               else (prompt_id, example.example_id))
-                                for example, text in zip(window, texts)]
-                for row, example, text, key in zip(count(first), window, texts, keys):
-                    if cache is not None:
-                        cached = cache.get(key)
-                        if cached is not None:
-                            if key not in queued:
-                                if len(cached) != c:
-                                    raise CacheCorruptionError(
-                                        f"cache {cache.path} holds {len(cached)} values for a "
-                                        f"cell with {c} candidates; delete or move the file "
-                                        "to reset it")
-                                hit_rows.append(row)
-                                hits.extend(cached)
-                                continue
-                            cache.hits -= 1  # this run's own append
-                            cache.misses += 1
-                        if content_addressed:
-                            queued.add(key)
-                    misses.append((ScoreRequest(text, phrases, prompt_id, example.example_id,
-                                                choices), row, key))
-                    if len(misses) == size:  # one chunk, with the blocks closed meanwhile
-                        yield from zip(_chunk(misses, size), [blocks])
-                        misses, blocks = [], []
-                if cache is not None:
-                    blocks.append((block, keys))
-                    if not misses:
-                        yield [], blocks
-                        blocks = []
-        yield from zip(_chunk(misses, size), [blocks])
+                    key = make_cache_key(prompt_part, part)
+                    cached = cache.get(key)
+                    if cached is not None:
+                        if key not in queued:
+                            if len(cached) != c:
+                                raise CacheCorruptionError(
+                                    f"cache {cache.path} holds {len(cached)} values for a "
+                                    f"cell with {c} candidates; delete or move the file to "
+                                    "reset it")
+                            hit_rows.append(row)
+                            hits.extend(cached)
+                            continue
+                        cache.hits -= 1  # this run's own append
+                        cache.misses += 1
+                    if content_addressed:
+                        queued.add(key)
+                misses.append((ScoreRequest(render(prompt, example), phrases, prompt_id,
+                                            example.example_id, choices), row, key))
+                if len(misses) == size:
+                    yield from _chunk(misses, size)
+                    misses = []
+        yield from _chunk(misses, size)
         if hits:
             flat[hit_rows] = np.reshape(hits, (-1, c))
 
     def score(chunk: Sequence[tuple]) -> np.ndarray | None:
-        """Score a chunk's cells into raw: their values, or None if the backend
-        fails them or the chunk is empty."""
-        if not chunk:
-            return None
+        """Score a chunk's cells into raw: their values, or None if the backend fails them."""
         batch, rows, _ = zip(*chunk)
         try:
             reply = backend.score_batch(list(batch))
@@ -379,11 +358,10 @@ def score_all(
 
     failed: list[tuple[str, str]] = []
 
-    def finish(chunk: Sequence[tuple], blocks: list[tuple], values: np.ndarray | None) -> None:
-        """Append a scored chunk, then its blocks; retry a failed chunk cell by
-        cell, appending each cell that scores and recording each that fails
-        again. ``put_block`` writes no block that lists a failed cell."""
-        parts = [(chunk, values)] if chunk else []
+    def finish(chunk: Sequence[tuple], values: np.ndarray | None) -> None:
+        """Append a scored chunk; retry a failed one cell by cell, appending each
+        cell that scores and recording each that fails again."""
+        parts = [(chunk, values)]
         if values is None and len(chunk) > 1:
             parts = (([miss], score([miss])) for miss in chunk)
         for part, scored in parts:
@@ -391,27 +369,25 @@ def score_all(
                 failed.append((part[0][0].prompt_id, part[0][0].example_id))
             elif cache is not None:
                 cache.put_many([key for _, _, key in part], scored)
-        for block, keys in blocks:
-            cache.put_block(block, keys)
 
     if jobs == 1:
-        for chunk, blocks in walk():
-            finish(chunk, blocks, score(chunk))
+        for chunk in walk():
+            finish(chunk, score(chunk))
     else:
         with ThreadPoolExecutor(max_workers=jobs) as pool:
-            pending: deque[tuple[Sequence[tuple], list[tuple], Future]] = deque()
+            pending: deque[tuple[Sequence[tuple], Future]] = deque()
             try:
-                for chunk, blocks in walk():
-                    pending.append((chunk, blocks, pool.submit(score, chunk)))
+                for chunk in walk():
+                    pending.append((chunk, pool.submit(score, chunk)))
                     if len(pending) > jobs:
-                        chunk, blocks, future = pending.popleft()
-                        finish(chunk, blocks, future.result())
+                        chunk, future = pending.popleft()
+                        finish(chunk, future.result())
             except CacheCorruptionError:  # met by the walk: cache what was scored before it
-                for chunk, blocks, future in pending:
-                    finish(chunk, blocks, future.result())
+                for chunk, future in pending:
+                    finish(chunk, future.result())
                 raise
-            for chunk, blocks, future in pending:
-                finish(chunk, blocks, future.result())
+            for chunk, future in pending:
+                finish(chunk, future.result())
     if failed:
         raise ScoringFailedError(failed)
 

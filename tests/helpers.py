@@ -21,6 +21,10 @@ from zps import (
     TaskSpec,
     UnlabeledExample,
     Verbalizer,
+    candidate_phrases,
+    example_key_part,
+    make_cache_key,
+    prompt_key_part,
     score_all,
 )
 
@@ -266,59 +270,63 @@ def write_bad_input(path, kind, case):
 
 # The score cache's format, restated here so that tests check zps's files against
 # an independent reader and build damaged files with an independent writer. A
-# segment is a header of magic, version, count b, value count c, payload length
-# and payload crc32, then the payload. A cell segment (version 3) holds b sha256
-# digests and b x c float64 values; a block segment (version 4, c = 0) holds a
-# block key and the b cell keys it lists.
+# segment is a header of magic, version 5, count b, value count c, payload length
+# and payload crc32, then the payload: b 64-byte keys and b x c float64 values.
 CACHE_HEADER = struct.Struct("<4sHIHQI")
 
 
+def raw_segment(version, b, c, payload):
+    """A segment of ``version`` whose header and CRC are sound for ``payload``."""
+    return CACHE_HEADER.pack(b"ZPSC", version, b, c, len(payload),
+                             zlib.crc32(payload)) + payload
+
+
 def segment_bytes(cells):
-    """One cell segment holding ``cells``, a list of (32-byte key, values)."""
+    """One segment holding ``cells``, a list of (64-byte key, values)."""
     c = len(cells[0][1])
     payload = b"".join(key for key, _ in cells) + b"".join(
         struct.pack(f"<{c}d", *values) for _, values in cells)
-    return CACHE_HEADER.pack(b"ZPSC", 3, len(cells), c, len(payload),
-                             zlib.crc32(payload)) + payload
+    return raw_segment(5, len(cells), c, payload)
 
 
-def block_bytes(key, listed):
-    """One block segment: block ``key`` lists the cell keys ``listed``."""
-    payload = key + b"".join(listed)
-    return CACHE_HEADER.pack(b"ZPSC", 4, len(listed), 0, len(payload),
-                             zlib.crc32(payload)) + payload
+# Segments as versions 3 and 4 wrote them: a cell segment of one 32-byte key and
+# its two values, and a block segment of a 32-byte block key and the one cell
+# key it lists.
+V3_CELL_SEGMENT = raw_segment(3, 1, 2, bytes(32) + struct.pack("<2d", -1.0, -2.0))
+V4_BLOCK_SEGMENT = raw_segment(4, 1, 0, bytes(64))
 
 
-def read_records(path):
-    """Each segment of a cache file, in file order: a list of (32-byte key,
-    values) cells, or a (block key, [cell keys]) block; asserts that every
-    header and CRC is sound."""
+def key_of(model_id, length_norm, template_text, candidates, values, ids=None):
+    """A cache key from its two parts; ``ids`` is (prompt_id, example_id) for
+    an id-addressed backend."""
+    prompt_id, example_id = ids or (None, None)
+    return make_cache_key(
+        prompt_key_part(model_id, length_norm, template_text, candidates, prompt_id),
+        example_key_part(values, example_id))
+
+
+def cell_key(model_id, task, prompt, example, ids, length_norm=False):
+    """The cache key of cell (prompt, example), with its ids mixed in if ``ids``."""
+    values = [example.fields[name] for name in prompt.template.placeholders()]
+    return key_of(model_id, length_norm, prompt.template.template_text,
+                  candidate_phrases(task, prompt), values,
+                  (prompt.prompt_id, example.example_id) if ids else None)
+
+
+def read_segments(path):
+    """Each segment of a cache file, in file order, as a list of (64-byte key,
+    values) cells; asserts that every header and CRC is sound."""
     data = Path(path).read_bytes()
-    records, offset = [], 0
+    segments, offset = [], 0
     while offset < len(data):
         magic, version, b, c, length, crc = CACHE_HEADER.unpack_from(data, offset)
         offset += CACHE_HEADER.size
         payload = data[offset : offset + length]
         offset += length
-        block = version == 4
-        assert magic == b"ZPSC" and b and version in (3, 4) and bool(c) != block
-        assert length == (32 * (b + 1) if block else b * (32 + 8 * c))
+        assert magic == b"ZPSC" and version == 5 and b and c
+        assert length == b * (64 + 8 * c)
         assert len(payload) == length and zlib.crc32(payload) == crc
-        keys = [payload[32 * i : 32 * i + 32] for i in range(b + block)]
-        if block:
-            records.append((keys[0], keys[1:]))
-            continue
-        values = struct.unpack_from(f"<{b * c}d", payload, 32 * b)
-        records.append([(key, values[c * i : c * i + c]) for i, key in enumerate(keys)])
-    return records
-
-
-def read_segments(path):
-    """The cell segments of a cache file, each a list of (32-byte key, values)
-    cells, without its block records."""
-    return [record for record in read_records(path) if isinstance(record, list)]
-
-
-def read_blocks(path):
-    """The block records of a cache file, each (block key, [cell keys])."""
-    return [record for record in read_records(path) if isinstance(record, tuple)]
+        values = struct.unpack_from(f"<{b * c}d", payload, 64 * b)
+        segments.append([(payload[64 * i : 64 * i + 64], values[c * i : c * i + c])
+                         for i in range(b)])
+    return segments

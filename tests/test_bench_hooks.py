@@ -73,10 +73,10 @@ def test_traced_counts_match_the_work_done(tmp_path):
     assert metrics["backends.cells"] == cells == backend.cells_scored
 
 
-def test_traced_warm_run_over_blocks_hashes_no_cell_key(tmp_path):
-    # The cold run leaves a block record per window of a prompt's cells; a warm
-    # run finds each window through it: one render and one cache lookup per
-    # cell, every lookup a hit, and no cell key hashed.
+def test_traced_warm_run_renders_no_cell(tmp_path):
+    # A warm run builds each cell's key from its prompt's and its example's key
+    # parts: one key and one cache lookup per cell, every lookup a hit, and no
+    # cell rendered.
     tracing = load_tracing()
     task = make_task(3)
     prompts, examples = make_prompts(task, 4), make_examples(30)
@@ -95,10 +95,10 @@ def test_traced_warm_run_over_blocks_hashes_no_cell_key(tmp_path):
         tracer.uninstall()
     metrics = tracing.layer_metrics(tracing.op_layer_stats(tracer.spans)[0], {})
     cells = 4 * 30
-    assert metrics["catalog.render_calls"] == cells
+    assert metrics["catalog.render_calls"] == 0
+    assert metrics["cache.key_calls"] == cells
     assert metrics["cache.get_calls"] == cells
     assert metrics["cache.hit_ratio"] == 1.0
-    assert metrics["cache.key_calls"] == 0
     assert metrics["backends.requests"] == 0
 
 

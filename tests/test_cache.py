@@ -17,16 +17,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import zps
-from zps import CacheCorruptionError, ScoreCache, ValidationError, make_cache_key
-from zps.cache import ids_digest, make_block_key
+from zps import CacheCorruptionError, ScoreCache, ValidationError
 
-from .helpers import (CACHE_HEADER, block_bytes, read_blocks, read_records, read_segments,
-                      segment_bytes)
+from .helpers import (CACHE_HEADER, V3_CELL_SEGMENT, V4_BLOCK_SEGMENT, key_of, raw_segment,
+                      read_segments, segment_bytes)
 
 
 def digest(name) -> bytes:
-    """A cache key: a raw 32-byte sha256 digest, as ``make_cache_key`` returns."""
-    return hashlib.sha256(str(name).encode()).digest()
+    """A cache key: 64 bytes, as ``make_cache_key`` returns."""
+    return hashlib.sha512(str(name).encode()).digest()
+
+
+def cell(text, candidates=("yes", "no"), length_norm=False):
+    """The key of the cell that renders ``{{text}}`` over ``text``."""
+    return key_of("m", length_norm, "{{text}}", candidates, [text])
 
 
 A, B, C = digest("a"), digest("b"), digest("c")
@@ -34,7 +38,7 @@ A, B, C = digest("a"), digest("b"), digest("c")
 
 def test_put_get_round_trip(tmp_path):
     with ScoreCache(tmp_path / "c.cache") as cache:
-        key = make_cache_key("m", "input", ("yes", "no"), False)
+        key = cell("input")
         assert cache.get(key) is None
         cache.put(key, [-1.25, -0.5])
         assert cache.get(key) == (-1.25, -0.5)
@@ -44,7 +48,7 @@ def test_put_get_round_trip(tmp_path):
 
 def test_persists_across_reopen(tmp_path):
     path = tmp_path / "c.cache"
-    key = make_cache_key("m", "i", ("a", "b", "c"), True)
+    key = cell("i", ("a", "b", "c"), True)
     with ScoreCache(path) as cache:
         cache.put(key, [-0.5, -1.5, -2.5])
     with ScoreCache(path) as cache:
@@ -54,7 +58,7 @@ def test_persists_across_reopen(tmp_path):
 
 def test_hit_and_miss_counters(tmp_path):
     with ScoreCache(tmp_path / "c.cache") as cache:
-        key = make_cache_key("m", "i", ("a", "b", "c"), False)
+        key = cell("i", ("a", "b", "c"))
         cache.get(key)
         cache.put(key, [-2.0, -1.0, -3.0])
         cache.get(key)
@@ -65,7 +69,7 @@ def test_hit_and_miss_counters(tmp_path):
 
 def test_duplicate_put_keeps_first_value(tmp_path):
     path = tmp_path / "c.cache"
-    key = make_cache_key("m", "i", ("a", "b"), False)
+    key = cell("i", ("a", "b"))
     with ScoreCache(path) as cache:
         cache.put(key, [-1.0, -2.0])
         cache.put(key, [-9.0, -9.0])
@@ -90,105 +94,122 @@ def test_load_keeps_first_value(tmp_path):
 
 
 def test_key_sensitivity():
-    base = dict(model_id="m", rendered_input="i", candidates=("a", "b"), length_norm=False)
-    key = make_cache_key(**base)
-    assert make_cache_key(**{**base, "model_id": "m2"}) != key
-    assert make_cache_key(**{**base, "rendered_input": "i2"}) != key
-    assert make_cache_key(**{**base, "candidates": ("a", "c")}) != key
-    assert make_cache_key(**{**base, "candidates": ("b", "a")}) != key  # order counts
-    assert make_cache_key(**{**base, "candidates": ("a",)}) != key
-    assert make_cache_key(**{**base, "candidates": ("a", "b", "")}) != key
-    assert make_cache_key(**{**base, "length_norm": True}) != key
-    assert make_cache_key(**base, coords=("p0", "e0")) != key
-    assert make_cache_key(**base, coords=("p0", "e1")) != \
-        make_cache_key(**base, coords=("p0", "e0"))
+    base = dict(model_id="m", length_norm=False, template_text="Review: {{text}}",
+                candidates=("a", "b"), values=["i"])
+    key = key_of(**base)
+    assert key_of(**{**base, "model_id": "m2"}) != key
+    assert key_of(**{**base, "length_norm": True}) != key
+    assert key_of(**{**base, "template_text": "Review {{text}}"}) != key
+    assert key_of(**{**base, "values": ["i2"]}) != key
+    assert key_of(**{**base, "candidates": ("a", "c")}) != key
+    assert key_of(**{**base, "candidates": ("b", "a")}) != key  # order counts
+    assert key_of(**{**base, "candidates": ("a",)}) != key
+    assert key_of(**{**base, "candidates": ("a", "b", "")}) != key
+    assert key_of(**base, ids=("p0", "e0")) != key
+    assert key_of(**base, ids=("p0", "e1")) != key_of(**base, ids=("p0", "e0"))
+    assert key_of(**base, ids=("p1", "e0")) != key_of(**base, ids=("p0", "e0"))
     # same parts, same key, whatever the sequence type
-    assert make_cache_key(**base) == key
-    assert make_cache_key(**{**base, "candidates": ["a", "b"]}) == key
+    assert key_of(**base) == key
+    assert key_of(**{**base, "candidates": ["a", "b"], "values": ("i",)}) == key
+    assert len(key) == 64
+
+
+@pytest.mark.parametrize(
+    "left, right",
+    [
+        # the template/candidate boundary
+        (("m", "t\x1fa", ("b",), []), ("m", "t", ("a\x1fb",), [])),
+        (("m", "ta", ("b",), []), ("m", "t", ("ab",), [])),
+        # the candidate/candidate boundary
+        (("m", "t", ("ab", "c"), []), ("m", "t", ("a", "bc"), [])),
+        (("m", "t", ("a", "b"), []), ("m", "t", ("a\x1fb",), [])),
+        # the model/flag/template boundaries: the flag is written "0"
+        (("m0", "t", ("a",), []), ("m", "0t", ("a",), [])),
+        # the value/value boundary
+        (("m", "{{x}}{{y}}", ("a",), ["ab", "c"]), ("m", "{{x}}{{y}}", ("a",), ["a", "bc"])),
+        # text that looks like a length prefix
+        (("m", "{{x}}{{y}}", ("a",), ["a\x01" + "\0" * 7 + "b", ""]),
+         ("m", "{{x}}{{y}}", ("a",), ["a", "b"])),
+        # the last candidate and the first value, which sit in the two parts
+        (("m", "{{x}}", ("ab",), ["c"]), ("m", "{{x}}", ("a",), ["bc"])),
+    ],
+)
+def test_key_parts_do_not_run_into_each_other(left, right):
+    assert key_of(left[0], False, left[1], left[2], left[3]) != \
+        key_of(right[0], False, right[1], right[2], right[3])
+
+
+def test_candidates_and_coords_do_not_run_into_each_other():
+    # The ids follow the candidates and the values, under a tag of their own.
+    with_ids = key_of("m", False, "{{x}}", ("a",), ["i"], ids=("p", "e"))
+    assert key_of("m", False, "{{x}}", ("a", "p"), ["i", "e"]) != with_ids
+    assert zps.prompt_key_part("m", False, "{{x}}", ("a", "p")) != \
+        zps.prompt_key_part("m", False, "{{x}}", ("a",), "p")
+    assert zps.example_key_part(["i", "e"]) != zps.example_key_part(["i"], "e")
+
+
+_text = st.text(st.sampled_from("ab1:{}\x1f"), max_size=4)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.tuples(_text, _text, st.lists(_text, min_size=1, max_size=3),
+                 st.lists(_text, max_size=3), st.none() | st.tuples(_text, _text)),
+       st.tuples(_text, _text, st.lists(_text, min_size=1, max_size=3),
+                 st.lists(_text, max_size=3), st.none() | st.tuples(_text, _text)))
+def test_different_cells_get_different_keys(a, b):
+    def key(cell):
+        model, template, candidates, values, ids = cell
+        return key_of(model, False, template, candidates, values, ids)
+
+    assert (key(a) == key(b)) == (a == b)
 
 
 _UNICODE_INPUT = "Film: é ünïcode ☃ 文字"
 
 
-# Keys that earlier versions wrote, in hex, each after the cell it addresses.
+# Keys that earlier runs wrote, in hex, each after the cell it addresses: model,
+# length-norm flag, template, candidates, the values it reads, (prompt, example) ids.
 _PINNED_KEYS = [
-    (("m", "input", ("yes",), False, None),
-     "dcadc815112b5ea5da59bde5c28b007a728da8e158336808e23b0a67031f9542"),
-    (("m", "input", ("yes",), True, ("p0", "e0")),
-     "251ed7ac42709b52af1888e8cfa6cbc66cf21bcd5367adef71f5c158b372edc7"),
-    (("gpt-x", _UNICODE_INPUT, ("great", "bad", "so-so"), False, None),
-     "d96a61b1e0c95b5d5039d4c615400e8734edc0843092f0d221d96c76ee6f0f23"),
-    (("gpt-x", _UNICODE_INPUT, ("great", "bad", "so-so"), True, None),
-     "ff8c6a47d5b3a9795b4d8493c6a38c1a40f94ec269cefb2b16c00bec6d606522"),
-    (("gpt-x", _UNICODE_INPUT, ("great", "bad", "so-so"), False, ("prompt/é", "ex-7")),
-     "c7095c36552d47471ca7a8c0f9ac3df1edf00a04baabf343f7877fcf83d4f871"),
-    (("", "", ("", "", ""), True, ("", "")),
-     "81f91221fb7bb0f588bc846e03ebdad3ef5ece8a8342b23a584b2b76a1a603bf"),
+    (("m", False, "{{text}}", ("yes",), ["input"], None),
+     "363285883fcf76a95a0f88dc32a074ad070c5b59922c639b32e6e319f0af9fc4"
+     "e8e7d160865a7ddbef9c3295bcb092f3ac4c3245edc6527638fbc81f75e2e4cc"),
+    (("m", True, "{{text}}", ("yes",), ["input"], ("p0", "e0")),
+     "5751730c412cd2979efe00e5dbd3a1769e9d4675b09c422db99aa4bdb2f084e1"
+     "427965cd09779d4174374bd1af5ff18f4063d509ebf153ebf737e0de65344d43"),
+    (("gpt-x", False, "Review: {{text}}", ("great", "bad", "so-so"), [_UNICODE_INPUT], None),
+     "b62aeb535eb715d1120967b0432af17554af11aff16ff5b8a8d3ef5db97b28c3"
+     "d67ff6618693b731c29e6b4343169a8d8632eb3549a3532160ff29521def7a80"),
+    (("gpt-x", True, "Review: {{text}}", ("great", "bad", "so-so"), [_UNICODE_INPUT], None),
+     "0dd2efa1ff5a7210c3bc21568714385ee32fabc3adf212b04c552d8b028cb4ab"
+     "d67ff6618693b731c29e6b4343169a8d8632eb3549a3532160ff29521def7a80"),
+    (("gpt-x", False, "{{title}}: {{text}}", ("great", "bad", "so-so"), ["é", _UNICODE_INPUT],
+      ("prompt/é", "ex-7")),
+     "5e4fce437004104dc634a1b6139a66ad8777368b786dd10ac3df62d7a975522a"
+     "58dd8a8f47ec0fb643a0ec26c632050feb1c76121e719fe74b6f4548c983fb38"),
+    (("", True, "", ("", "", ""), [], ("", "")),
+     "659ba0c4fe6a3408ba0aa12dbebee5bb63159851aaffd50dbffb05f44c18c402"
+     "1168a66c83da310f552000968f6b4ce1a9eae2b09a4d2ff29cb1ec5f717836cf"),
 ]
 
 
 @pytest.mark.parametrize("args, expected", _PINNED_KEYS)
 def test_key_bytes_are_pinned(args, expected):
-    # Keys written by earlier versions must keep hitting: any change to the
-    # hashed text silently turns every existing cache into misses.
-    assert make_cache_key(*args).hex() == expected
+    # Keys written by earlier runs must keep hitting: any change to the key
+    # bytes silently turns every existing cache into misses.
+    assert key_of(*args).hex() == expected
 
 
 def test_pinned_keys_hit_a_file_of_an_earlier_version(tmp_path):
-    # The pinned digests, as a file written by an earlier version holds them,
-    # are found by the keys this version computes.
+    # The pinned keys, as a file written by an earlier run holds them, are found
+    # by the keys this version computes.
     path = tmp_path / "c.cache"
     rows = [[-float(i), -0.5] for i in range(len(_PINNED_KEYS))]
     path.write_bytes(segment_bytes([(bytes.fromhex(expected), row)
                                     for (_, expected), row in zip(_PINNED_KEYS, rows)]))
     with ScoreCache(path) as cache:
         for (args, _), row in zip(_PINNED_KEYS, rows):
-            assert cache.get(make_cache_key(*args)) == tuple(row)
+            assert cache.get(key_of(*args)) == tuple(row)
         assert (cache.hits, cache.misses) == (len(_PINNED_KEYS), 0)
-
-
-@pytest.mark.parametrize(
-    "left, right",
-    [
-        # the input/candidate boundary
-        (("m", "a\x1fb", ("c",)), ("m", "a", ("b\x1fc",))),
-        (("m", "ab", ("c",)), ("m", "a", ("bc",))),
-        # the candidate/candidate boundary
-        (("m", "i", ("a\x1fb", "c")), ("m", "i", ("a", "b\x1fc"))),
-        (("m", "i", ("ab", "c")), ("m", "i", ("a", "bc"))),
-        (("m", "i", ("a", "b")), ("m", "i", ("a\x1fb",))),
-        # text that looks like a length prefix
-        (("m", "i", ("1:a", "b")), ("m", "i1:", ("1:a", "1:b"))),
-        # the model/flag and input/count boundaries
-        (("m\x1fln=0", "i", ("a",)), ("m", "ln=0\x1fi", ("a",))),
-        (("m", "i", ("a",)), ("m", "i1", ("a",))),
-    ],
-)
-def test_key_parts_do_not_run_into_each_other(left, right):
-    assert make_cache_key(left[0], left[1], left[2], False) != \
-        make_cache_key(right[0], right[1], right[2], False)
-
-
-def test_candidates_and_coords_do_not_run_into_each_other():
-    with_coords = make_cache_key("m", "i", ("a",), False, coords=("p", "e"))
-    assert make_cache_key("m", "i", ("a", "p", "e"), False) != with_coords
-    assert make_cache_key("m", "i", ("a", "pid=p", "eid=e"), False) != with_coords
-
-
-_part = st.text(st.sampled_from("ab1:\x1f"), max_size=4)
-
-
-@settings(max_examples=300, deadline=None)
-@given(st.tuples(_part, _part, st.lists(_part, min_size=1, max_size=3),
-                 st.none() | st.tuples(_part, _part)),
-       st.tuples(_part, _part, st.lists(_part, min_size=1, max_size=3),
-                 st.none() | st.tuples(_part, _part)))
-def test_different_cells_get_different_keys(a, b):
-    def key(cell):
-        model, text, candidates, coords = cell
-        return make_cache_key(model, text, candidates, False, coords)
-
-    assert (key(a) == key(b)) == (a == b)
 
 
 def test_corrupt_line_raises_with_reset_advice(tmp_path):
@@ -205,11 +226,9 @@ def test_corrupt_line_raises_with_reset_advice(tmp_path):
         ScoreCache(path)
 
 
-def _damaged(field, value, block=False):
-    """A sound cell segment, or block segment, whose header ``field`` is
-    replaced by ``value`` (CRC kept)."""
-    data = (block_bytes(digest("block"), [A, B]) if block
-            else segment_bytes([(A, [-1.0, -2.0]), (B, [-3.0, -4.0])]))
+def _damaged(field, value):
+    """A sound segment whose header ``field`` is replaced by ``value`` (CRC kept)."""
+    data = segment_bytes([(A, [-1.0, -2.0]), (B, [-3.0, -4.0])])
     fields = dict(zip(("magic", "version", "b", "c", "length", "crc"),
                       CACHE_HEADER.unpack_from(data)))
     fields[field] = value
@@ -221,27 +240,26 @@ def _damaged(field, value, block=False):
     [
         _damaged("magic", b"ZPSD"),
         _damaged("version", 2),
+        _damaged("version", 3),
         _damaged("version", 4),
+        _damaged("version", 6),
         _damaged("b", 0),
         _damaged("b", 1),
         _damaged("c", 0),
         _damaged("c", 1),
         _damaged("length", 0),
-        _damaged("length", 2 * (32 + 16) + 8),
+        _damaged("length", 2 * (64 + 16) + 8),
         segment_bytes([(A, [-1.0, float("nan")])]),
         segment_bytes([(A, [float("inf"), -1.0])]),
         segment_bytes([(A, [-1.0]), (B, [float("-inf")])]),
-        _damaged("version", 3, block=True),
-        _damaged("version", 5, block=True),
-        _damaged("b", 0, block=True),
-        _damaged("b", 1, block=True),
-        _damaged("c", 1, block=True),
-        _damaged("length", 2 * 32, block=True),
+        # a version-5 header over a payload of 32-byte keys
+        raw_segment(5, 1, 2, bytes(32) + struct.pack("<2d", -1.0, -2.0)),
+        V3_CELL_SEGMENT,
+        V4_BLOCK_SEGMENT,
     ],
-    ids=["magic", "version-2", "version-4", "no-cells", "cell-count", "no-values",
-         "value-count", "no-length", "length", "nan", "inf", "-inf", "block-version-3",
-         "block-version-5", "block-no-cells", "block-cell-count", "block-values",
-         "block-length"],
+    ids=["magic", "version-2", "version-3", "version-4", "version-6", "no-cells",
+         "cell-count", "no-values", "value-count", "no-length", "length", "nan", "inf",
+         "-inf", "32-byte-keys", "v3-cells", "v4-block"],
 )
 @pytest.mark.parametrize("last", [False, True], ids=["middle", "last"])
 def test_damaged_segments_raise(tmp_path, segment, last):
@@ -354,24 +372,22 @@ def test_concurrent_puts_all_land(tmp_path):
 
 def test_file_format_is_pinned_bytes(tmp_path):
     # Files written by earlier runs of this format must keep reading, so its
-    # bytes do not change: per put_many, one header, the keys' digests, then
-    # the values as little-endian float64, cell by cell.
-    k1 = "dcadc815112b5ea5da59bde5c28b007a728da8e158336808e23b0a67031f9542"
-    k2 = "251ed7ac42709b52af1888e8cfa6cbc66cf21bcd5367adef71f5c158b372edc7"
-    k3 = "d96a61b1e0c95b5d5039d4c615400e8734edc0843092f0d221d96c76ee6f0f23"
+    # bytes do not change: per put_many, one header, the keys, then the values
+    # as little-endian float64, cell by cell.
+    k1, k2, k3 = (digest(name).hex() for name in ("k1", "k2", "k3"))
     path = tmp_path / "c.cache"
     with ScoreCache(path) as cache:
         cache.put_many([bytes.fromhex(k1), bytes.fromhex(k2)],
                        [[-3.5, -0.25, -1], [-0.0, 5e-324, -1.7976931348623157e308]])
         cache.put(bytes.fromhex(k3), [-2.0])
     expected = bytes.fromhex(
-        # "ZPSC", version 3, 2 cells, 3 values each, 112-byte payload, its crc32
-        "5a505343" "0300" "02000000" "0300" "7000000000000000" "8cbdac45"
+        # "ZPSC", version 5, 2 cells, 3 values each, 176-byte payload, its crc32
+        "5a505343" "0500" "02000000" "0300" "b000000000000000" "5987a757"
         + k1 + k2
         + "0000000000000cc0" "000000000000d0bf" "000000000000f0bf"  # -3.5, -0.25, -1.0
         + "0000000000000080" "0100000000000000" "ffffffffffffefff"  # -0.0, 5e-324, -max
-        # "ZPSC", version 3, 1 cell, 1 value, 40-byte payload, its crc32
-        + "5a505343" "0300" "01000000" "0100" "2800000000000000" "af823f28"
+        # "ZPSC", version 5, 1 cell, 1 value, 72-byte payload, its crc32
+        + "5a505343" "0500" "01000000" "0100" "4800000000000000" "02112b7a"
         + k3 + "00000000000000c0"  # -2.0
     )
     assert path.read_bytes() == expected
@@ -403,15 +419,16 @@ def test_creates_parent_directory(tmp_path):
         (A.hex(), [-1.0]),
         (None, [-1.0]),
         (7, [-1.0]),
-        (A[:31], [-1.0]),
+        (A[:63], [-1.0]),
         (A + b"0", [-1.0]),
+        (A[:32], [-1.0]),
         (b"", [-1.0]),
         (bytearray(A), [-1.0]),
         (memoryview(A), [-1.0]),
     ],
     ids=["nan", "inf", "-inf", "huge-int", "bool", "str-value", "none-value", "none",
-         "scalar", "empty", "str", "hex-str-key", "none-key", "int-key", "31-byte-key",
-         "33-byte-key", "empty-key", "bytearray-key", "memoryview-key"],
+         "scalar", "empty", "str", "hex-str-key", "none-key", "int-key", "63-byte-key",
+         "65-byte-key", "32-byte-key", "empty-key", "bytearray-key", "memoryview-key"],
 )
 def test_invalid_put_raises_and_writes_nothing(tmp_path, key, values):
     path = tmp_path / "c.cache"
@@ -428,10 +445,10 @@ def test_invalid_put_raises_and_writes_nothing(tmp_path, key, values):
 
 
 @pytest.mark.parametrize(
-    "key", [bytes(32), b"\xff" * 32, A, make_cache_key("m", "i", ("a",), False)],
-    ids=["zeros", "ones", "sha256", "make_cache_key"],
+    "key", [bytes(64), b"\xff" * 64, A, cell("i")],
+    ids=["zeros", "ones", "sha512", "make_cache_key"],
 )
-def test_any_32_byte_digest_is_accepted(tmp_path, key):
+def test_any_64_byte_key_is_accepted(tmp_path, key):
     path = tmp_path / "c.cache"
     with ScoreCache(path) as cache:
         cache.put(key, [-1.0])
@@ -443,8 +460,8 @@ def test_any_32_byte_digest_is_accepted(tmp_path, key):
 
 def test_bad_key_is_named_in_hex(tmp_path):
     with ScoreCache(tmp_path / "c.cache") as cache:
-        with pytest.raises(ValidationError, match=f"32-byte digest, not bytes {A[:31].hex()}$"):
-            cache.put_many([B, A[:31]], [[-1.0], [-1.0]])
+        with pytest.raises(ValidationError, match=f"must be 64 bytes, not bytes {A[:63].hex()}$"):
+            cache.put_many([B, A[:63]], [[-1.0], [-1.0]])
         with pytest.raises(ValidationError, match=f"not str '{A.hex()}'$"):
             cache.put(A.hex(), [-1.0])
 
@@ -694,7 +711,7 @@ from pathlib import Path
 from zps import ScoreCache
 
 def key(name):
-    return hashlib.sha256(name.encode()).digest()
+    return hashlib.sha512(name.encode()).digest()
 
 path, tag, other, chunks, size = sys.argv[1:4] + [int(a) for a in sys.argv[4:6]]
 Path(path + ".ready-" + tag).touch()
@@ -776,10 +793,10 @@ def test_put_many_round_trips_value_bits(chunks):
 
 
 def test_keys_ending_in_nul_bytes_load_whole_with_exact_value_bits(tmp_path):
-    # Segment keys are split from the joined digests as 32-byte voids: a bytes
+    # Segment keys are split from the joined keys as 64-byte voids: a bytes
     # dtype would strip the trailing NULs and the cells would never hit again.
-    keys = [bytes(32), b"\x01" + bytes(31), digest("a")[:16] + bytes(16),
-            digest("b")[:31] + b"\x00", digest("c")[:24] + bytes(8), b"\x00\xff" * 16]
+    keys = [bytes(64), b"\x01" + bytes(63), digest("a")[:32] + bytes(32),
+            digest("b")[:63] + b"\x00", digest("c")[:48] + bytes(16), b"\x00\xff" * 32]
     values = [[-0.0, 5e-324, -1.7976931348623157e308], [0.0, -5e-324, 1e-300],
               [-1.7976931348623157e308, -0.0, 5e-324], [-2.2250738585072014e-308, -0.5, 0.1],
               [-0.0, -0.0, -0.0], [5e-324, 1.7976931348623157e308, -1.0]]
@@ -793,143 +810,11 @@ def test_keys_ending_in_nul_bytes_load_whole_with_exact_value_bits(tmp_path):
             assert _bits(cache.get(k)) == _bits(v)
         assert cache.hits == len(keys) and cache.misses == 0
         # and so do cells that put_many records, after a reopen
-        more = [(bytes(31) + b"\x07", [-0.0, 5e-324, -1.0]),
-                (b"\x07" + bytes(31), [1.0, 2.0, 3.0])]
+        more = [(bytes(63) + b"\x07", [-0.0, 5e-324, -1.0]),
+                (b"\x07" + bytes(63), [1.0, 2.0, 3.0])]
         cache.put_many([k for k, _ in more], [v for _, v in more])
         for k, v in more:
             assert _bits(cache.get(k)) == _bits(v)
     with ScoreCache(path) as cache:
         for k, v in cells + more:
             assert _bits(cache.get(k)) == _bits(v)
-
-
-K = digest("block")
-
-
-def test_block_record_lists_cells_and_counts_none(tmp_path):
-    path = tmp_path / "c.cache"
-    with ScoreCache(path) as cache:
-        cache.put_many([A, B], [[-1.0, -0.5], [-2.0, -0.5]])
-        cache.put_block(K, [B, A])
-        assert cache.block(K) == [B, A] and cache.block(C) is None
-        assert len(cache) == 2
-    with ScoreCache(path) as cache:
-        assert cache.block(K) == [B, A]
-        assert len(cache) == 2 and (cache.hits, cache.misses) == (0, 0)
-    assert read_records(path) == [[(A, (-1.0, -0.5)), (B, (-2.0, -0.5))], (K, [B, A])]
-    assert path.read_bytes()[-(24 + 3 * 32):] == block_bytes(K, [B, A])
-
-
-def test_block_is_written_once_and_only_over_held_cells(tmp_path):
-    path = tmp_path / "c.cache"
-    with ScoreCache(path) as cache:
-        cache.put(A, [-1.0])
-        size = path.stat().st_size
-        cache.put_block(K, [A, C])  # C is not held
-        cache.put_block(K, [])
-        assert path.stat().st_size == size and cache.block(K) is None
-        cache.put_block(K, [A])
-        cache.put(B, [-2.0])
-        cache.put_block(K, [B])  # the block key keeps its first list
-        assert cache.block(K) == [A]
-    assert read_blocks(path) == [(K, [A])]
-
-
-def test_load_keeps_a_blocks_first_list(tmp_path):
-    # Two files concatenated: the same block key listing other cells.
-    path = tmp_path / "c.cache"
-    path.write_bytes(segment_bytes([(A, [-1.0]), (B, [-2.0])]) + block_bytes(K, [A])
-                     + block_bytes(K, [B]))
-    with ScoreCache(path) as cache:
-        assert cache.block(K) == [A] and len(cache) == 2
-
-
-def test_block_lists_a_key_not_held(tmp_path):
-    # A block only supplies keys: one the file lacks misses on get like any other.
-    path = tmp_path / "c.cache"
-    path.write_bytes(segment_bytes([(A, [-1.0])]) + block_bytes(K, [A, C]))
-    with ScoreCache(path) as cache:
-        assert cache.block(K) == [A, C]
-        assert cache.get(C) is None and (cache.hits, cache.misses) == (0, 1)
-        cache.put(C, [-3.0])
-        assert cache.block(K) == [A, C] and cache.get(C) == (-3.0,)
-
-
-def test_bad_block_key_raises_and_writes_nothing(tmp_path):
-    path = tmp_path / "c.cache"
-    with ScoreCache(path) as cache:
-        cache.put(A, [-1.0])
-        size = path.stat().st_size
-        for key in (K.hex(), K[:31], bytearray(K)):
-            with pytest.raises(ValidationError, match="32-byte digest"):
-                cache.put_block(key, [A])
-        assert path.stat().st_size == size
-
-
-def test_short_block_write_records_nothing(tmp_path):
-    path = tmp_path / "c.cache"
-    with ScoreCache(path) as cache:
-        cache.put(A, [-1.0])
-        size = path.stat().st_size
-        cache._handle = _FailingHandle(cache._handle, short=True)
-        with pytest.raises(OSError, match="short write"):
-            cache.put_block(K, [A])
-        assert cache.block(K) is None and path.stat().st_size == size
-        cache.put_block(K, [A])  # the same handle, retried
-    assert read_blocks(path) == [(K, [A])]
-
-
-def test_torn_last_block_is_cut_at_every_offset(tmp_path, caplog):
-    kept = segment_bytes([(A, [-1.0]), (B, [-2.0])]) + block_bytes(K, [A])
-    block = block_bytes(C, [A, B])
-    path = tmp_path / "c.cache"
-    for cut in range(1, len(block)):
-        path.write_bytes(kept + block[:cut])
-        caplog.clear()
-        with caplog.at_level(logging.WARNING, logger="zps.cache"):
-            with ScoreCache(path) as cache:
-                assert cache.block(K) == [A] and cache.block(C) is None
-        assert [r.getMessage() for r in caplog.records] == [
-            f"cache {path}: dropped torn last segment 3 ({cut} bytes)"]
-        assert path.read_bytes() == kept
-
-
-def test_block_with_a_bad_crc_is_cut_only_as_the_last_segment(tmp_path):
-    cells = segment_bytes([(A, [-1.0])])
-    damaged = bytearray(block_bytes(K, [A]))
-    damaged[-1] ^= 0x01  # one bit of the listed key, under the CRC
-    path = tmp_path / "c.cache"
-    path.write_bytes(cells + bytes(damaged) + cells)
-    with pytest.raises(CacheCorruptionError, match=rf"segment 2 \(byte {len(cells)}\)"):
-        ScoreCache(path)
-    path.write_bytes(cells + bytes(damaged))
-    with ScoreCache(path) as cache:
-        assert cache.block(K) is None and len(cache) == 1
-    assert path.read_bytes() == cells
-
-
-def test_block_key_sensitivity():
-    base = dict(model_id="m", rendered_inputs=["i", "j"], candidates=("a", "b"),
-                length_norm=False)
-    key = make_block_key(**base)
-    ids = ids_digest(["e0", "e1"])
-    for change in ({"model_id": "m2"}, {"rendered_inputs": ["i", "k"]},
-                   {"rendered_inputs": ["j", "i"]}, {"rendered_inputs": ["ij", ""]},
-                   {"rendered_inputs": ["i"]}, {"candidates": ("b", "a")},
-                   {"candidates": ("a", "b", "")}, {"length_norm": True}):
-        assert make_block_key(**{**base, **change}) != key
-    assert make_block_key(**base, coords=("p0", ids)) != key
-    assert make_block_key(**base, coords=("p1", ids)) != make_block_key(**base, coords=("p0", ids))
-    assert ids_digest(["e0", "e2"]) != ids and ids_digest(["e0e", "1"]) != ids
-    # no block key is a cell key: the two hash different texts
-    assert make_block_key("m", ["i"], ("a",), False) != make_cache_key("m", "i", ("a",), False)
-    assert make_block_key(**{**base, "rendered_inputs": ("i", "j")}) == key
-
-
-def test_block_key_bytes_are_pinned():
-    # Files written by this version must keep hitting their block records.
-    assert make_block_key("m", ["input", _UNICODE_INPUT], ("yes", "no"), False).hex() == \
-        "9633b54070684a008c38860e2a6e424893b6b00499c3da561fdc6ee3dbb3d38e"
-    assert make_block_key("m", ["input", _UNICODE_INPUT], ("yes", "no"), True,
-                          ("prompt/é", ids_digest(["ex-7", "ex-8"]))).hex() == \
-        "dbb8558d3977e2dae3334e8bae56d7e015e4c2468e479f987c4dcfb6a18980ad"

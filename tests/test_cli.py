@@ -16,8 +16,8 @@ import zps
 from zps import RemoteBackend, ScoreCache
 from zps.cli import TOKEN_ENV, main
 
-from .helpers import (BAD_INPUT_CASES, INPUT_FILES, StubScorer, block_bytes, read_segments,
-                      segment_bytes, write_bad_input)
+from .helpers import (BAD_INPUT_CASES, INPUT_FILES, V3_CELL_SEGMENT, V4_BLOCK_SEGMENT, StubScorer,
+                      read_segments, segment_bytes, write_bad_input)
 
 
 def test_import_loads_no_scipy():
@@ -423,14 +423,15 @@ class TestScore:
     @pytest.mark.parametrize("data, where", [
         (b'{"key": "a", "logprobs": [-1.0, -2.0]}\n', "segment 1 (byte 0)"),
         (b'{"cells": []}', "segment 1 (byte 0)"),
-        (b"ZPSC" + bytes(20) + segment_bytes([(bytes(32), [-1.0])]), "segment 1 (byte 0)"),
-        (segment_bytes([(bytes(32), [-1.0])]) + segment_bytes([(bytes(32), [-1.0])])[:-1]
-         + b"\0" + segment_bytes([(bytes(32), [-2.0])]), "segment 2 (byte 64)"),
-        (segment_bytes([(bytes(32), [float("nan")])]), "segment 1 (byte 0)"),
-        (segment_bytes([(bytes(32), [-1.0])]) + block_bytes(bytes(32), [bytes(32)])[:-1]
-         + b"\1" + segment_bytes([(bytes(32), [-2.0])]), "segment 2 (byte 64)"),
-    ], ids=["v2", "other-json", "bad-header", "bad-crc-not-last", "non-finite",
-            "bad-crc-block-not-last"])
+        (b"ZPSC" + bytes(20) + segment_bytes([(bytes(64), [-1.0])]), "segment 1 (byte 0)"),
+        (segment_bytes([(bytes(64), [-1.0])]) + segment_bytes([(bytes(64), [-1.0])])[:-1]
+         + b"\0" + segment_bytes([(bytes(64), [-2.0])]), "segment 2 (byte 96)"),
+        (segment_bytes([(bytes(64), [float("nan")])]), "segment 1 (byte 0)"),
+        # as versions 3 and 4 wrote them: a cell segment, then a block segment
+        (V3_CELL_SEGMENT + V4_BLOCK_SEGMENT, "segment 1 (byte 0)"),
+        (V4_BLOCK_SEGMENT + segment_bytes([(bytes(64), [-1.0])]), "segment 1 (byte 0)"),
+    ], ids=["v2", "other-json", "bad-header", "bad-crc-not-last", "non-finite", "v3-cells",
+            "v4-block"])
     def test_every_unreadable_cache_gets_the_one_refusal(self, workdir, capsys, data, where):
         (workdir / "cache.jsonl").write_bytes(data)
         assert main(self.score_args(workdir)) == 2

@@ -140,6 +140,23 @@ class TestBuildPseudoVal:
         with pytest.raises(ValidationError, match="size"):
             build_pseudo_val(gap_tensor(), PROB_MEAN, size=4)
 
+    @pytest.mark.parametrize("size", [True, False, np.True_, 2.5, 2.0, "2", np.float64(2)])
+    def test_size_that_is_not_an_int_is_refused(self, size):
+        # True once read as 1; 2.5 got past the range check and failed as a
+        # bare TypeError when the ranking was cut
+        for build in (lambda: build_pseudo_val(gap_tensor(), PROB_MEAN, size=size),
+                      lambda: top_confidence_pseudo_train(gap_tensor(), size, PROB_MEAN)):
+            with pytest.raises(ValidationError) as excinfo:
+                build()
+            assert str(excinfo.value) == f"size must be an int, not {size!r}"
+
+    @pytest.mark.parametrize("size", [np.int64(2), np.int32(2), np.uint8(2)])
+    def test_numpy_int_size_is_an_int(self, size):
+        assert build_pseudo_val(gap_tensor(), PROB_MEAN, size=size) == \
+            build_pseudo_val(gap_tensor(), PROB_MEAN, size=2)
+        assert top_confidence_pseudo_train(gap_tensor(), size, PROB_MEAN) == \
+            top_confidence_pseudo_train(gap_tensor(), 2, PROB_MEAN)
+
     def test_provenance_records_recipe(self):
         ps = build_pseudo_val(gap_tensor(), PROB_MEAN, size=2)
         assert "prob_mean" in ps.provenance

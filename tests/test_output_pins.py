@@ -82,12 +82,12 @@ PINS = {
     },
     "score-cache": {
         "stdout": "ab0a772cfdf7d1739838a54796c35b02ab7ac0e070990fafa6a8d0c5d6964d26",
-        "demo.cache": "5a17447786ad644e70d1deceb43209eaab49a18c72b671178f0d49d929cc51a6",
+        "demo.cache": "2599a78d999a0d57bb44b171e36ba93798aa263ab89adc7cb6419b603074ed02",
     },
     "select-warm-cache": {
         "stdout": "5d18699cd306faadcc86ca500d4cdcfdd77439109dab1abfbdab89fa2a54f15e",
         "report.json": "8b37193e6aa353f2675032b2d37af262b8869dc96f96350e9b5ef9e27231df1a",
-        "demo.cache": "5a17447786ad644e70d1deceb43209eaab49a18c72b671178f0d49d929cc51a6",
+        "demo.cache": "2599a78d999a0d57bb44b171e36ba93798aa263ab89adc7cb6419b603074ed02",
     },
     "select-length-norm-on": {
         "stdout": "54d0fdf16b8f1334d0f65590fa2b2725bef92a34c3c989bf1eda20384a620336",

@@ -17,9 +17,9 @@ from pathlib import Path
 import pytest
 
 import zps
-from zps import make_cache_key
+from zps import UnlabeledExample, candidate_phrases, load_catalog, render
 
-from .helpers import StubScorer, read_segments
+from .helpers import StubScorer, cell_key, read_segments
 
 ROOT = Path(__file__).resolve().parents[1]
 MODEL = "stub-model"
@@ -33,6 +33,19 @@ def cells(requests):
             for payload in requests for item in payload["items"]]
 
 
+def keys_by_cell(examples):
+    """Each cell's cache key by its (input, candidates), over the demo catalog
+    and the run's examples."""
+    task, prompts = load_catalog(ROOT / "demo" / "catalog.json")
+    return {(render(prompt, example), candidate_phrases(task, prompt)):
+            cell_key(MODEL, task, prompt, example, ids=False)
+            for prompt in prompts for example in examples}
+
+
+def example_fields(k):
+    return {"text": f"review number {k}"}
+
+
 @pytest.fixture(scope="module")
 def stub():
     with StubScorer() as server:
@@ -44,7 +57,7 @@ def run(tmp_path, stub):
     """Start ``zps select`` on a cache and an artifact in tmp_path; returns the child."""
     examples = tmp_path / "examples.jsonl"
     examples.write_text("".join(
-        json.dumps({"example_id": f"r{k:03d}", "fields": {"text": f"review number {k}"}}) + "\n"
+        json.dumps({"example_id": f"r{k:03d}", "fields": example_fields(k)}) + "\n"
         for k in range(EXAMPLES)), encoding="utf-8")
     argv = [sys.executable, "-m", "zps.cli", "select",
             "--catalog", str(ROOT / "demo" / "catalog.json"), "--examples", str(examples),
@@ -98,8 +111,9 @@ def test_killed_select_resumes_from_its_cache(tmp_path, stub, run, killed_at):
         stub.hang_up = None
     answered = cells(stub.requests[start : start + killed_at - 1])
     cached = [key for segment in read_segments(cache) for key, _ in segment]
-    assert cached == [make_cache_key(MODEL, text, candidates, False)
-                      for text, candidates in answered]
+    keys = keys_by_cell([UnlabeledExample(f"r{k:03d}", example_fields(k))
+                         for k in range(EXAMPLES)])
+    assert cached == [keys[cell] for cell in answered]
     assert not artifact.exists()
 
     # The rerun scores exactly the cells that are not cached yet.

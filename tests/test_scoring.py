@@ -32,24 +32,20 @@ from zps import (
     UnlabeledExample,
     ValidationError,
     Verbalizer,
-    candidate_phrases,
     make_cache_key,
     predict,
-    render,
     score_all,
 )
 from zps.scoring import log_softmax
 
 from .helpers import (
     StubScorer,
-    block_bytes,
+    cell_key,
     make_examples,
     make_prompts,
     make_task,
     plant_labels,
     raw_tensor,
-    read_blocks,
-    read_records,
     read_segments,
     segment_bytes,
     stub_score,
@@ -275,11 +271,8 @@ class TestScoreAll:
         cells = [(i, k) for i in range(len(prompts)) for k in range(len(examples))]
         with ScoreCache(tmp_path / "c") as cache:
             for i, k in cells[::2]:
-                prompt, example = prompts[i], examples[k]
-                key = make_cache_key(backend.model_id, render(prompt, example),
-                                     candidate_phrases(task, prompt), False,
-                                     (prompt.prompt_id, example.example_id))
-                cache.put(key, raw[i, k])
+                cache.put(cell_key(backend.model_id, task, prompts[i], examples[k], ids=True),
+                          raw[i, k])
         asked = []
 
         def recorded(batch):
@@ -295,21 +288,22 @@ class TestScoreAll:
                          for i, k in cells[1::2]]
 
     def test_one_cache_key_per_cell(self, tmp_path, monkeypatch):
-        # One key per cell on the cold run; the warm run finds each prompt's
-        # window through its block record and hashes no cell key.
+        # One key per cell on every run, cold and warm, in walk order: the
+        # cell's prompt part, with every candidate, and its example part.
         task, prompts, examples, backend, _ = synthetic_setup(p=3, n=5, c=3)
         hashed = []
 
-        def counted(*args, **kwargs):
-            hashed.append(args)
-            return make_cache_key(*args, **kwargs)
+        def counted(*args):
+            hashed.append(make_cache_key(*args))
+            return hashed[-1]
 
         monkeypatch.setattr(zps.scoring, "make_cache_key", counted)
         for _ in range(2):  # cold, then warm
             with ScoreCache(tmp_path / "c.jsonl") as cache:
                 score_all(task, prompts, examples, backend, cache)
-        assert len(hashed) == 3 * 5
-        assert all(len(args[2]) == 3 for args in hashed)  # every candidate in one key
+        walked = [cell_key(backend.model_id, task, prompt, example, ids=True)
+                  for prompt in prompts for example in examples]
+        assert hashed == walked * 2
 
     @pytest.mark.parametrize("axis", ["prompt_id", "example_id"])
     def test_repeated_ids_refused_before_anything_is_scored(self, tmp_path, axis):
@@ -327,8 +321,7 @@ class TestScoreAll:
 
     def test_cached_cell_with_wrong_value_count_is_corruption(self, tmp_path):
         task, prompts, examples, backend, _ = synthetic_setup(p=1, n=2, c=3)
-        key = make_cache_key(backend.model_id, "x1", candidate_phrases(task, prompts[0]),
-                             False, ("p00", "e0001"))
+        key = cell_key(backend.model_id, task, prompts[0], examples[1], ids=True)
         with ScoreCache(tmp_path / "c.jsonl") as cache:
             cache.put(key, [-1.0, -2.0])
             with pytest.raises(CacheCorruptionError, match="delete or move"):
@@ -384,9 +377,8 @@ class TestScoreAll:
             handle = cache._handle = _CountingHandle(cache._handle)
             score_all(task, prompts, examples, backend, cache)
             assert backend.calls == 8  # 30 cells in chunks of 4
-            # one segment per chunk and one block per prompt, each in one write
-            # to the unbuffered handle
-            assert (handle.writes, handle.flushes) == (8 + 3, 0)
+            # one segment per chunk, each in one write to the unbuffered handle
+            assert (handle.writes, handle.flushes) == (8, 0)
             assert len(cache) == 30
 
     def test_parallel_jobs_write_the_same_cache(self, tmp_path):
@@ -409,7 +401,6 @@ class TestScoreAll:
         segments = read_segments(serial)
         assert len(segments) == 17  # one segment per chunk of 2
         assert sum(map(len, segments)) == 3 * 11  # one cell per (prompt, example)
-        assert len(read_blocks(serial)) == 3  # one block per prompt
         assert parallel.read_bytes() == serial.read_bytes()
 
     def test_isolated_cells_stay_cached_after_a_failure(self, tmp_path):
@@ -499,10 +490,7 @@ class TestScoreAll:
         task, prompts, examples, _, planted = synthetic_setup(p=2, n=3, c=3)
         backend = SyntheticBackend(seed=0, prompt_quality={p.prompt_id: 0.7 for p in prompts},
                                    planted_labels=planted, max_batch_size=2)
-        prompt, example = prompts[1], examples[2]
-        key = make_cache_key(backend.model_id, render(prompt, example),
-                             candidate_phrases(task, prompt), False,
-                             (prompt.prompt_id, example.example_id))
+        key = cell_key(backend.model_id, task, prompts[1], examples[2], ids=True)
         path = tmp_path / "c"
         with ScoreCache(path) as cache:
             cache.put_many([key], [[-1.0] * 4])
@@ -514,8 +502,7 @@ class TestScoreAll:
         assert appends == [threading.get_ident()] * 2
         segments = read_segments(path)
         assert [len(segment) for segment in segments] == [1, 2, 2]
-        walked = [make_cache_key(backend.model_id, render(pr, ex), candidate_phrases(task, pr),
-                                 False, (pr.prompt_id, ex.example_id))
+        walked = [cell_key(backend.model_id, task, pr, ex, ids=True)
                   for pr in prompts for ex in examples][:4]
         assert [k for segment in segments[1:] for k, _ in segment] == walked
         with ScoreCache(path) as cache:
@@ -567,8 +554,8 @@ REPEATED_KEY_BODIES = [
     "fd69ec9c12508e546c6de3c6c7d1801cd0ed2813115bed95f22f83751057fcaf",
 ]
 REPEATED_KEY_TENSOR = "ea5ded3fe12ccba83eacc05129db3c06866e7b3f7758651a4a265300c64eb0e2"
-REPEATED_KEY_FILE = "e019dea119c065ba959b025c0aaaff358145ca9cf21f1f6040faa39e87c2e9ef"
-REPEATED_KEY_CELLS = "153619996f840ce12c1400d2431518b35d46b93cdad81d9f7fcdfe9119b97c90"
+REPEATED_KEY_FILE = "a75866708b33f352e468f6dd18e449d6a8ed65fd29a3b053c230db5e9365e3a3"
+REPEATED_KEY_CELLS = "f68179657171f2f1b06f2e393bc5e7b0bd279ae68958f115109314a1a06cd9a9"
 
 
 class TestStreamingWalk:
@@ -605,6 +592,39 @@ class TestStreamingWalk:
         assert _sha256(path.read_bytes()) == REPEATED_KEY_FILE
         assert (cache.hits, cache.misses) == (0, 21)
 
+    @pytest.mark.parametrize("jobs", [1, 2])
+    @pytest.mark.parametrize("addressed", ["ids", "content"])
+    def test_warm_run_renders_nothing_and_calls_no_backend(self, tmp_path, monkeypatch,
+                                                           addressed, jobs):
+        # Every key is built from key parts, so a warm run renders no cell.
+        if addressed == "ids":
+            task, prompts, examples, backend, _ = synthetic_setup(p=3, n=10, c=3)
+        else:
+            task, verb = _yes_no_task()
+            prompts = [Prompt(f"p{i}", PromptTemplate(text), verb) for i, text in
+                       enumerate(["{{text}} {{extra}}", "{{extra}}: {{text}}", "{{text}}"])]
+            examples = [UnlabeledExample(f"e{k}", {"text": f"x{k}", "extra": f"y{k % 4}"})
+                        for k in range(10)]
+            backend = _TextBackend()
+        sent = []
+        score_batch = backend.score_batch
+
+        def spy(batch):
+            sent.append(batch)
+            return score_batch(batch)
+
+        monkeypatch.setattr(backend, "score_batch", spy)
+        with ScoreCache(tmp_path / "c") as cache:
+            cold = score_all(task, prompts, examples, backend, cache)
+        assert sum(map(len, sent)) == 30
+        calls = _count_calls(monkeypatch)
+        with ScoreCache(tmp_path / "c") as cache:
+            warm = score_all(task, prompts, examples, backend, cache, jobs=jobs)
+            assert (cache.hits, cache.misses) == (30, 0)
+        assert calls == {"make_cache_key": 30, "render": 0, "get": 30}
+        assert sum(map(len, sent)) == 30
+        assert warm.logprobs.tobytes() == cold.logprobs.tobytes()
+
     def test_repeated_keys_under_many_threads(self, tmp_path):
         # More workers than cores and a short switch interval, so appends land
         # while the walk is still looking keys up: every cell stays a miss.
@@ -628,30 +648,6 @@ class TestStreamingWalk:
         assert np.array_equal(parallel[0], serial[0])
         assert parallel[1:3] == serial[1:3] == ((0, 180), 10)
         assert parallel[3] == serial[3]
-
-    def test_windows_without_a_cache_send_the_same_batches(self, monkeypatch):
-        # Windows of 4 over 10 examples, with chunks of 3 that cross them.
-        task, prompts, examples, _, planted = synthetic_setup(p=3, n=10, c=3)
-        backend = SyntheticBackend(seed=0, prompt_quality={p.prompt_id: 0.7 for p in prompts},
-                                   planted_labels=planted, max_batch_size=3)
-        batches = []
-        score_batch = backend.score_batch
-
-        def spy(batch):
-            batches.append([(r.prompt_id, r.example_id) for r in batch])
-            return score_batch(batch)
-
-        monkeypatch.setattr(backend, "score_batch", spy)
-
-        def run(cells):
-            monkeypatch.setattr(zps.scoring, "BLOCK_CELLS", cells)
-            batches.clear()
-            tensor = score_all(task, prompts, examples, backend)
-            return tensor.logprobs.tobytes(), list(batches)
-
-        windowed = run(4)
-        assert windowed == run(10) == run(512)
-        assert [len(batch) for batch in windowed[1]] == [3] * 10
 
     def test_peak_memory_follows_the_chunks_in_flight(self):
         # tracemalloc counts bytes, so this does not depend on timing. A score_all
@@ -739,8 +735,6 @@ class TestOneWriter:
 
         serial = run(1)
         assert len(read_segments(tmp_path / "jobs1")) == 6  # the chunks with a new key
-        # p0 and p1 render the same texts, so they share one block
-        assert len(read_blocks(tmp_path / "jobs1")) == 3
         assert run(2) == serial
         assert run(4) == serial
 
@@ -769,10 +763,8 @@ class TestOneWriter:
             with pytest.raises(OSError, match="disk full"):
                 score_all(task, prompts, examples, _DelayedBackend(0), cache, jobs=jobs)
         assert len(appends) == 3
-        # the first two chunks, e00-e07 and e08-e15 of p0, hold 8 and 2 new keys;
-        # p0's block waits for its last chunk, which is never appended
+        # the first two chunks, e00-e07 and e08-e15 of p0, hold 8 and 2 new keys
         assert [len(segment) for segment in read_segments(path)] == [8, 2]
-        assert read_blocks(path) == []
 
 
 def _count_calls(monkeypatch):
@@ -790,143 +782,6 @@ def _count_calls(monkeypatch):
         monkeypatch.setattr(zps.scoring, name, counted(name, getattr(zps.scoring, name)))
     monkeypatch.setattr(ScoreCache, "get", counted("get", ScoreCache.get))
     return calls
-
-
-def _cells_only(path, out):
-    """Write ``path``'s cell segments, without its block records, to ``out``."""
-    out.write_bytes(b"".join(map(segment_bytes, read_segments(path))))
-    return out
-
-
-class TestBlockRecords:
-    # Windows of 4 over 10 examples: 3 windows, of 4, 4 and 2 cells, per prompt.
-
-    @pytest.fixture(autouse=True)
-    def small_windows(self, monkeypatch):
-        monkeypatch.setattr(zps.scoring, "BLOCK_CELLS", 4)
-
-    def cold(self, path, **kw):
-        task, prompts, examples, backend, _ = synthetic_setup(p=3, n=10, c=3, **kw)
-        with ScoreCache(path) as cache:
-            tensor = score_all(task, prompts, examples, backend, cache)
-        return task, prompts, examples, backend, tensor
-
-    def test_warm_run_over_blocks_hashes_no_cell_key(self, tmp_path, monkeypatch):
-        path = tmp_path / "c"
-        task, prompts, examples, backend, cold = self.cold(path)
-        assert [len(listed) for _, listed in read_blocks(path)] == [4, 4, 2] * 3
-        per_cell = _cells_only(path, tmp_path / "cells")
-        calls = _count_calls(monkeypatch)
-        with ScoreCache(path) as cache:
-            warm = score_all(task, prompts, examples, backend, cache)
-            assert (cache.hits, cache.misses) == (30, 0)
-        assert calls == {"make_cache_key": 0, "render": 30, "get": 30}
-        with ScoreCache(per_cell) as cache:
-            plain = score_all(task, prompts, examples, backend, cache)
-            assert (cache.hits, cache.misses) == (30, 0)
-        assert calls == {"make_cache_key": 30, "render": 60, "get": 60}
-        assert backend.calls == 1  # the cold run's one chunk
-        assert warm.logprobs.tobytes() == plain.logprobs.tobytes() == cold.logprobs.tobytes()
-
-    @pytest.mark.parametrize("jobs", [1, 2, 4])
-    def test_block_free_file_gets_each_windows_block_once(self, tmp_path, monkeypatch, jobs):
-        # Every window of the warm runs is all hits, so each block goes out
-        # with an empty chunk.
-        path = tmp_path / "c"
-        task, prompts, examples, backend, _ = self.cold(path)
-        blocks = read_blocks(path)
-        cells = _cells_only(path, tmp_path / "cells")
-        before = cells.read_bytes()
-        calls = _count_calls(monkeypatch)
-        with ScoreCache(cells) as cache:
-            score_all(task, prompts, examples, backend, cache, jobs=jobs)
-        assert calls["make_cache_key"] == 30
-        assert read_blocks(cells) == blocks
-        grown = cells.read_bytes()
-        assert grown[:len(before)] == before
-        with ScoreCache(cells) as cache:
-            score_all(task, prompts, examples, backend, cache, jobs=jobs)
-            assert (cache.hits, cache.misses) == (30, 0)
-        assert calls["make_cache_key"] == 30  # none on the second warm run
-        assert cells.read_bytes() == grown
-        assert backend.calls == 1
-
-    def test_a_listed_cell_the_file_lacks_is_one_miss(self, tmp_path, monkeypatch):
-        # p01's second window (e0004-e0007) lists e0005, which the file lacks: its
-        # listed key is looked up, missed, scored and appended, and no cell is hashed.
-        path = tmp_path / "c"
-        task, prompts, examples, backend, cold = self.cold(path)
-        lost = make_cache_key(backend.model_id, render(prompts[1], examples[5]),
-                              candidate_phrases(task, prompts[1]), False, ("p01", "e0005"))
-        cells = [cell for segment in read_segments(path) for cell in segment if cell[0] != lost]
-        damaged = tmp_path / "damaged"
-        damaged.write_bytes(segment_bytes(cells) + b"".join(
-            block_bytes(key, listed) for key, listed in read_blocks(path)))
-        calls = _count_calls(monkeypatch)
-        with ScoreCache(damaged) as cache:
-            warm = score_all(task, prompts, examples, backend, cache)
-            assert (cache.hits, cache.misses) == (29, 1)
-        assert calls == {"make_cache_key": 0, "render": 30, "get": 30}
-        assert backend.calls == 1 + 1 and backend.cells_scored == 30 + 1
-        assert warm.logprobs.tobytes() == cold.logprobs.tobytes()
-        # the cell is appended; its window keeps its first block, which now hits
-        with ScoreCache(damaged) as cache:
-            assert lost in cache
-            score_all(task, prompts, examples, backend, cache)
-            assert (cache.hits, cache.misses) == (30, 0)
-        assert calls["make_cache_key"] == 0
-
-    @pytest.mark.parametrize("seed", [0, 1])
-    def test_jobs_write_one_file_with_blocks(self, tmp_path, seed):
-        task, prompts, examples = _delay_grid()
-
-        def run(jobs):
-            path = tmp_path / f"jobs{jobs}"
-            with ScoreCache(path) as cache:
-                tensor = score_all(task, prompts, examples, _DelayedBackend(seed), cache,
-                                   jobs=jobs)
-            return tensor.logprobs.tobytes(), path.read_bytes()
-
-        serial = run(1)
-        # Windows start at fields x0, x4, x8, x2 and x6, for each of the three
-        # templates; a repeated window reuses the first one's block.
-        assert len(read_blocks(tmp_path / "jobs1")) == 5 * 3
-        assert run(2) == serial
-        assert run(4) == serial
-
-    @pytest.mark.parametrize("jobs", [1, 2, 4])
-    def test_blocks_follow_the_chunk_that_completes_their_window(self, tmp_path, jobs):
-        # Chunks of 3 over windows of 4: each block is appended right after the
-        # chunk holding its window's last cell, or the last chunk at the end.
-        # p01's window e0004-e0007 closes on a chunk boundary, so its block
-        # goes out with an empty chunk.
-        task, prompts, examples, _, planted = synthetic_setup(p=2, n=10, c=2)
-        backend = SyntheticBackend(seed=0, prompt_quality={p.prompt_id: 0.7 for p in prompts},
-                                   planted_labels=planted, max_batch_size=3)
-        path = tmp_path / "c"
-        with ScoreCache(path) as cache:
-            score_all(task, prompts, examples, backend, cache, jobs=jobs)
-        records = [len(r) if isinstance(r, list) else "block" for r in read_records(path)]
-        assert records == [3, 3, "block", 3, "block", 3, "block", 3, "block", 3, "block",
-                           2, "block"]
-
-    def test_window_with_a_failed_cell_gets_no_block(self, tmp_path):
-        task = make_task(2)
-        prompts, examples = make_prompts(task, 2), make_examples(10)
-        planted = {**plant_labels(task, examples), "e0005": "intruder"}
-        backend = SyntheticBackend(seed=0, prompt_quality={p.prompt_id: 0.7 for p in prompts},
-                                   planted_labels=planted, max_batch_size=4)
-        path = tmp_path / "c"
-        with ScoreCache(path) as cache:
-            with pytest.raises(ScoringFailedError) as excinfo:
-                score_all(task, prompts, examples, backend, cache)
-            assert len(cache) == 2 * 9
-        assert excinfo.value.failed == [("p00", "e0005"), ("p01", "e0005")]
-        # each prompt's first and last windows, not the one holding e0005
-        assert [listed for _, listed in read_blocks(path)] == [
-            [make_cache_key(backend.model_id, render(p, e), candidate_phrases(task, p), False,
-                            (p.prompt_id, e.example_id)) for e in examples[start : start + 4]]
-            for p in prompts for start in (0, 8)]
 
 
 class _SpoilingBackend(ScorerBackend):
