@@ -1,7 +1,7 @@
 """Score tensors and the batch scoring driver.
 
-``score_all`` renders every (prompt, example) pair, asks the backend for the
-log-likelihood of each verbalized choice, and assembles the dense
+``score_all`` asks the backend for the log-likelihood of each verbalized
+choice of every (prompt, example) pair its cache lacks, and assembles the dense
 prompt x example x choice tensor everything downstream consumes. Results are
 written position-addressed, so the tensor is bit-identical no matter how
 requests are batched, parallelized, or served from cache.
@@ -21,13 +21,13 @@ from collections import deque
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import count, repeat
+from itertools import repeat
 from typing import Sequence
 
 import numpy as np
 
 from .backends import ScoreRequest, ScorerBackend
-from .cache import ScoreCache, example_key_part, make_cache_key, prompt_key_part, score_matrix
+from .cache import ScoreCache, example_key_parts, make_cache_key, prompt_key_part, score_matrix
 from .catalog import Prompt, TaskSpec, UnlabeledExample, candidate_phrases, render
 from .errors import (BackendError, CacheCorruptionError, ProtocolError, ScoringFailedError,
                      ValidationError)
@@ -43,9 +43,7 @@ def label_indices(labels: Sequence[str], choices: Sequence[str]) -> np.ndarray:
     try:
         return np.fromiter(map(lookup.__getitem__, labels), np.int64, len(labels))
     except KeyError as exc:
-        raise ValidationError(
-            f"label {exc} is not among the choices {list(choices)}"
-        ) from None
+        raise ValidationError(f"label {exc} is not among the choices {list(choices)}") from None
 
 
 def prompt_rows(prompt_ids: Sequence[str], wanted: Sequence[str]) -> list[int]:
@@ -145,12 +143,8 @@ class ScoreTensor:
     @cached_property
     def predictions(self) -> "PredictionMatrix":
         """Argmax choice per (prompt, example); ties go to the earliest choice."""
-        return PredictionMatrix(
-            prompt_ids=self.prompt_ids,
-            example_ids=self.example_ids,
-            choices=self.choices,
-            indices=np.argmax(self.logprobs, axis=2),
-        )
+        return PredictionMatrix(self.prompt_ids, self.example_ids, self.choices,
+                                np.argmax(self.logprobs, axis=2))
 
     @cached_property
     def confidences(self) -> np.ndarray:
@@ -188,27 +182,19 @@ class PredictionMatrix:
 
     def restrict(self, prompt_ids: Sequence[str]) -> "PredictionMatrix":
         rows = prompt_rows(self.prompt_ids, prompt_ids)
-        return PredictionMatrix(
-            prompt_ids=tuple(prompt_ids),
-            example_ids=self.example_ids,
-            choices=self.choices,
-            indices=self.indices[rows],
-        )
+        return PredictionMatrix(tuple(prompt_ids), self.example_ids, self.choices,
+                                self.indices[rows])
 
 
 def predict(tensor: ScoreTensor) -> PredictionMatrix:
     """Argmax choice per (prompt, example); ties go to the earliest choice.
-
-    Computed once per tensor: this returns the tensor's ``predictions``.
-    """
+    Computed once per tensor: this returns the tensor's ``predictions``."""
     return tensor.predictions
 
 
 def log_softmax(raw: np.ndarray, axis: int) -> np.ndarray:
-    """Log-probabilities over ``axis``, shifted by the max for stability.
-
-    ``raw`` must be finite, which ``score_all``'s check and the cache guarantee.
-    """
+    """Log-probabilities over ``axis``, shifted by the max for stability. ``raw``
+    must be finite, which ``score_all``'s check and the cache guarantee."""
     shifted = raw - raw.max(axis, keepdims=True)
     return shifted - np.log(np.exp(shifted).sum(axis, keepdims=True))
 
@@ -217,30 +203,22 @@ def _chunk(seq: Sequence, size: int) -> list[Sequence]:
     return [seq[i : i + size] for i in range(0, len(seq), size)]
 
 
-def score_all(
-    task: TaskSpec,
-    prompts: Sequence[Prompt],
-    examples: Sequence[UnlabeledExample],
-    backend: ScorerBackend,
-    cache: ScoreCache | None = None,
-    *,
-    normalize: str = "softmax",
-    length_norm: bool = False,
-    jobs: int = 1,
-) -> ScoreTensor:
+def score_all(task: TaskSpec, prompts: Sequence[Prompt], examples: Sequence[UnlabeledExample],
+              backend: ScorerBackend, cache: ScoreCache | None = None, *,
+              normalize: str = "softmax", length_norm: bool = False, jobs: int = 1) -> ScoreTensor:
     """Fill the full p x n x c score tensor.
 
-    One walk in (prompt, example) order looks each cell up by its cache key,
-    its prompt's key part joined to its example's (see ``zps.cache``), so no
-    cell is rendered to be found. Hits need no backend call; misses are
-    rendered and gather into chunks of ``max_batch_size``, each sent to the
-    backend as soon as it is full: inline with ``jobs == 1``, else on ``jobs``
-    threads, so at most ``jobs + 1`` chunks of rendered inputs are alive. The
-    calling thread takes them back in walk order and is the cache's one
-    writer, one ``put_many`` per scored chunk, so the file is the same at any
-    ``jobs``. It retries a chunk the backend fails, or answers with other than
-    c finite scores per cell, cell by cell; cells that still fail are reported
-    by (prompt_id, example_id).
+    One walk in (prompt, example) order looks each prompt's cells up in one
+    ``ScoreCache.find`` by their keys, its key part joined to each example's
+    (see ``zps.cache``), so no cell is rendered to be found; one ``gather``
+    reads every hit after the walk. Misses are rendered and gather into chunks
+    of ``max_batch_size``, each sent to the backend as soon as it is full:
+    inline with ``jobs == 1``, else on ``jobs`` threads, so at most ``jobs + 1``
+    chunks of rendered inputs are alive. The calling thread takes them back in
+    walk order and is the cache's one writer, one ``put_many`` per scored
+    chunk, so the file is the same at any ``jobs``. It retries a chunk the
+    backend fails, or answers with other than c finite scores per cell, cell
+    by cell; cells that still fail are reported by (prompt_id, example_id).
 
     Refused before any cell is scored, in this order: a ``jobs`` or backend
     ``max_batch_size`` that is not an int >= 1 (a bool is not), repeated ids,
@@ -252,13 +230,12 @@ def score_all(
         raise ValidationError("score_all needs at least one prompt and one example")
     if normalize not in NORMALIZE_MODES:
         raise ValidationError(f"normalize must be one of {NORMALIZE_MODES}")
-    if not (isinstance(jobs, int) and not isinstance(jobs, bool) and jobs >= 1):
-        raise ValidationError(f"jobs must be an int >= 1, not {jobs!r}")
     size = backend.max_batch_size
-    if not (isinstance(size, int) and not isinstance(size, bool) and size >= 1):
-        raise ValidationError(f"backend max_batch_size must be an int >= 1, not {size!r}")
-    _refuse_duplicate_ids(prompt_id=[p.prompt_id for p in prompts],
-                          example_id=[e.example_id for e in examples])
+    for name, value in (("jobs", jobs), ("backend max_batch_size", size)):
+        if not (isinstance(value, int) and not isinstance(value, bool) and value >= 1):
+            raise ValidationError(f"{name} must be an int >= 1, not {value!r}")
+    example_ids = [e.example_id for e in examples]
+    _refuse_duplicate_ids(prompt_id=[p.prompt_id for p in prompts], example_id=example_ids)
 
     n, c = len(examples), len(task.choices)
     raw = np.empty((len(prompts), n, c), dtype=np.float64)
@@ -279,61 +256,55 @@ def score_all(
         for example in gaps:
             render(prompt, example)  # raises for the first cell this prompt cannot fill
 
-    # With a cache, each prompt's key part and its examples' key parts. An
-    # example's part holds only the values its template reads, so it is built
-    # once per distinct tuple of placeholders.
-    key_parts: list[tuple[bytes, list[bytes]]] = []
-    if cache is not None:
-        by_names: dict[tuple[str, ...], list[bytes]] = {}
-        for prompt, phrases in zip(prompts, phrase_sets):
-            names = prompt.template.placeholders()
-            if names not in by_names:
-                by_names[names] = [
-                    example_key_part([example.fields[name] for name in names],
-                                     None if content_addressed else example.example_id)
-                    for example in examples]
-            key_parts.append((prompt_key_part(model_id, length_norm,
-                                              prompt.template.template_text, phrases,
-                                              None if content_addressed else prompt.prompt_id),
-                              by_names[names]))
+    # With a cache, an example's key part holds only the values its prompt's
+    # template reads, so the parts are built once per tuple of placeholders.
+    by_names: dict[tuple[str, ...], list[bytes]] = {}
+    found = np.full(len(prompts) * n, -1, np.intp)  # each cell's number in the cache, or -1
 
     def walk():
         """Chunks of misses, each a list of (request, row in flat, cache key).
-        Cache hits (rows, and their values end to end) go into raw at the end."""
-        misses, hit_rows, hits = [], [], []
+        The hits go into raw at the end, in one gather from the cache."""
+        misses = []
         # Only a content-addressed backend gives two cells one key. A key queued in
         # this run is a miss again, as if every lookup came before every append.
         queued: set[bytes] = set()
         for i, prompt in enumerate(prompts):
             prompt_id, phrases = prompt.prompt_id, phrase_sets[i]
-            prompt_part, parts = key_parts[i] if key_parts else (None, repeat(None))
-            for row, example, part in zip(count(i * n), examples, parts):
-                key = None
-                if cache is not None:
-                    key = make_cache_key(prompt_part, part)
-                    cached = cache.get(key)
-                    if cached is not None:
-                        if key not in queued:
-                            if len(cached) != c:
-                                raise CacheCorruptionError(
-                                    f"cache {cache.path} holds {len(cached)} values for a "
-                                    f"cell with {c} candidates; delete or move the file to "
-                                    "reset it")
-                            hit_rows.append(row)
-                            hits.extend(cached)
-                            continue
-                        cache.hits -= 1  # this run's own append
-                        cache.misses += 1
-                    if content_addressed:
-                        queued.add(key)
+            todo, keys, stop = range(n), [None] * n, n
+            if cache is not None:
+                names = prompt.template.placeholders()
+                if names not in by_names:
+                    by_names[names] = example_key_parts([e.fields for e in examples], names,
+                                                        None if content_addressed else example_ids)
+                prompt_part = prompt_key_part(model_id, length_norm, prompt.template.template_text,
+                                              phrases, None if content_addressed else prompt_id)
+                keys = list(map(make_cache_key, repeat(prompt_part, n), by_names[names]))
+                cells = found[i * n : (i + 1) * n]
+                cells[:] = cache.find(keys)
+                if queued:  # the hits of this run's own appends are misses again
+                    again = np.fromiter(map(queued.__contains__, keys), bool, n) & (cells >= 0)
+                    cells[again], moved = -1, np.count_nonzero(again)
+                    cache.hits, cache.misses = cache.hits - moved, cache.misses + moved
+                at = np.flatnonzero(cells >= 0)
+                stop = next(iter(at[cache.widths(cells[at]) != c]), n)
+                todo = np.flatnonzero(cells[:stop] < 0).tolist()
+                if content_addressed:
+                    queued.update(keys[k] for k in todo)
+            for k in todo:
+                example = examples[k]
                 misses.append((ScoreRequest(render(prompt, example), phrases, prompt_id,
-                                            example.example_id, choices), row, key))
+                                            example.example_id, choices), i * n + k, keys[k]))
                 if len(misses) == size:
                     yield from _chunk(misses, size)
                     misses = []
+            if stop < n:
+                raise CacheCorruptionError(
+                    f"cache {cache.path} holds {cache.widths(cells[[stop]])[0]} values for a "
+                    f"cell with {c} candidates; delete or move the file to reset it")
         yield from _chunk(misses, size)
-        if hits:
-            flat[hit_rows] = np.reshape(hits, (-1, c))
+        if cache is not None:
+            hit = found >= 0
+            flat[hit] = cache.gather(found[hit], c)
 
     def score(chunk: Sequence[tuple]) -> np.ndarray | None:
         """Score a chunk's cells into raw: their values, or None if the backend fails them."""
@@ -392,10 +363,5 @@ def score_all(
         raise ScoringFailedError(failed)
 
     logprobs = log_softmax(raw, axis=2) if normalize == "softmax" else raw
-    return ScoreTensor(
-        prompt_ids=tuple(p.prompt_id for p in prompts),
-        example_ids=tuple(e.example_id for e in examples),
-        choices=task.choices,
-        logprobs=logprobs,
-        normalized=normalize == "softmax",
-    )
+    return ScoreTensor(tuple(p.prompt_id for p in prompts), tuple(example_ids), task.choices,
+                       logprobs, normalize == "softmax")

@@ -4,6 +4,7 @@ import errno
 import hashlib
 import logging
 import os
+import re
 import struct
 import subprocess
 import sys
@@ -576,6 +577,20 @@ def test_empty_put_many_writes_nothing(tmp_path):
     assert path.read_bytes() == b""
 
 
+def test_put_after_close_is_refused_naming_the_path_and_get_still_reads(tmp_path):
+    path = tmp_path / "c.cache"
+    cache = ScoreCache(path)
+    cache.put(A, [-1.0, -0.5])
+    cache.close()
+    puts = [lambda: cache.put_many([B], [[-2.0, -0.5]]), lambda: cache.put(B, [-2.0, -0.5]),
+            lambda: cache.put_many([], []), lambda: cache.put_many([A[:63]], [[-1.0]])]
+    for put in puts:  # refused before the keys or values are even looked at
+        with pytest.raises(ValueError, match=f"^cache {re.escape(str(path))} is closed$"):
+            put()
+    assert cache.get(A) == (-1.0, -0.5) and cache.get(B) is None and len(cache) == 1
+    assert read_segments(path) == [[(A, (-1.0, -0.5))]]
+
+
 def test_put_many_takes_an_array_and_copies_it(tmp_path):
     path = tmp_path / "c.cache"
     values = np.array([[-1.0, -0.5], [-2.0, -0.25]])
@@ -652,16 +667,14 @@ def test_torn_last_line_still_being_written_is_left_alone(tmp_path, monkeypatch,
     path = tmp_path / "c.cache"
     first, second = segment_bytes([(A, [-1.0, -0.5])]), segment_bytes([(B, [-2.0, -0.5])])
     path.write_bytes(first + second[:-5])
-    read_bytes = Path.read_bytes
+    truncate = ScoreCache._truncate
 
-    def read_then_finish(self):
-        data = read_bytes(self)
-        if self == path:
-            with open(path, "ab") as fh:
-                fh.write(second[-5:])
-        return data
+    def finish_then_truncate(self, size, offset):
+        with open(path, "ab") as fh:
+            fh.write(second[-5:])
+        return truncate(self, size, offset)
 
-    monkeypatch.setattr(Path, "read_bytes", read_then_finish)
+    monkeypatch.setattr(ScoreCache, "_truncate", finish_then_truncate)
     with caplog.at_level(logging.WARNING, logger="zps.cache"):
         with ScoreCache(path) as cache:
             assert len(cache) == 1

@@ -509,6 +509,39 @@ class TestScoreAll:
             assert len(cache) == 1 + 4
 
 
+def test_one_file_holds_the_cells_of_a_two_and_a_three_choice_task(tmp_path):
+    # Each cell keeps its own width in the store: two tasks fill one file cold,
+    # then a warm run of each, after a reopen, finds every cell.
+    setups = [synthetic_setup(p=2, n=6, c=c) for c in (2, 3)]
+    path = tmp_path / "c"
+    with ScoreCache(path) as cache:
+        cold = [score_all(task, prompts, examples[:5], backend, cache)
+                for task, prompts, examples, backend, _ in setups]
+    with ScoreCache(path) as cache:
+        for (task, prompts, examples, backend, _), tensor in zip(setups, cold):
+            calls, hits = backend.calls, cache.hits
+            warm = score_all(task, prompts, examples[:5], backend, cache)
+            assert (backend.calls, cache.hits - hits, cache.misses) == (calls, 10, 0)
+            assert warm.logprobs.tobytes() == tensor.logprobs.tobytes()
+            widths = {len(cache.get(cell_key(backend.model_id, task, prompt, example, ids=True)))
+                      for prompt in prompts for example in examples[:5]}
+            assert widths == {len(task.choices)}
+        # A 3-choice cell recorded with 2 values is refused where the walk meets
+        # it, (p01, e0005), after the one miss before it, (p00, e0005), is scored
+        # and appended.
+        task, prompts, examples, backend, _ = setups[1]
+        backend.max_batch_size = 1
+        cache.put(cell_key(backend.model_id, task, prompts[1], examples[5], ids=True),
+                  [-1.0, -2.0])
+        calls = backend.calls
+        with pytest.raises(CacheCorruptionError, match=re.escape(
+                f"cache {path} holds 2 values for a cell with 3 candidates")):
+            score_all(task, prompts, examples, backend, cache)
+        assert backend.calls == calls + 1
+        assert cell_key(backend.model_id, task, prompts[0], examples[5], ids=True) in cache
+    assert len(read_segments(path)[-1]) == 1
+
+
 def _yes_no_task():
     task = TaskSpec("t", ("text", "extra"), ("0", "1"))
     verb = Verbalizer({"0": "no", "1": "yes"})
@@ -621,7 +654,7 @@ class TestStreamingWalk:
         with ScoreCache(tmp_path / "c") as cache:
             warm = score_all(task, prompts, examples, backend, cache, jobs=jobs)
             assert (cache.hits, cache.misses) == (30, 0)
-        assert calls == {"make_cache_key": 30, "render": 0, "get": 30}
+        assert calls == {"make_cache_key": 30, "render": 0, "get": 0}
         assert sum(map(len, sent)) == 30
         assert warm.logprobs.tobytes() == cold.logprobs.tobytes()
 
