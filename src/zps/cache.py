@@ -22,7 +22,8 @@ as little-endian float64.
 In memory, cells are numbered as they are stored and their values lie end to
 end in one float64 array, so cells of any width share a file; a dict maps each
 key to its cell. An open reads one segment at a time and builds no per-cell
-object but the key. ``find`` looks keys up in bulk; ``gather`` reads their values.
+object but the key. ``find`` looks keys up in bulk; ``gather`` reads their values
+and refuses a cell that does not hold as many values as the caller asks for.
 
 Reads are lock-free after load. Each ``put_many`` appends its segment in one
 write, under a lock, to an unbuffered append-mode handle; ``score_all`` makes
@@ -194,7 +195,8 @@ class ScoreCache:
     def get(self, key: bytes) -> tuple[float, ...] | None:
         """The cell's cached values in candidate order, or None: a one-key ``find``."""
         cell, = self.find([key])
-        return None if cell < 0 else tuple(self.gather([cell], self.widths(cell))[0].tolist())
+        start, end = self._bounds[[cell, cell + 1]]
+        return None if cell < 0 else tuple(self._values[start:end].tolist())
 
     def find(self, keys: Sequence[bytes]) -> np.ndarray:
         """Each key's cell number, or -1 if it is absent; each key is a hit or a miss."""
@@ -203,15 +205,19 @@ class ScoreCache:
         self.hits, self.misses = self.hits + found, self.misses + len(keys) - found
         return cells
 
-    def widths(self, cells: np.ndarray) -> np.ndarray:
-        """How many values each of ``cells`` holds."""
-        return self._bounds[cells + 1] - self._bounds[cells]
-
     def gather(self, cells: np.ndarray, width: int) -> np.ndarray:
-        """The (len(cells), width) values of ``cells``, each ``width`` values long."""
+        """The (len(cells), width) values of ``cells``. The first of them, in the
+        order given, that does not hold ``width`` values is refused as corrupt."""
         if not len(cells):
             return np.empty((0, width))
-        return np.lib.stride_tricks.sliding_window_view(self._values, width)[self._bounds[cells]]
+        starts = self._bounds[cells]
+        widths = self._bounds[np.add(cells, 1)] - starts
+        wrong = widths[widths != width]
+        if len(wrong):
+            raise CacheCorruptionError(
+                f"cache {self.path} holds {wrong[0]} values for a cell with {width} candidates; "
+                "delete or move the file to reset it")
+        return np.lib.stride_tricks.sliding_window_view(self._values, width)[starts]
 
     def __contains__(self, key: bytes) -> bool:
         return key in self._index

@@ -29,8 +29,7 @@ import numpy as np
 from .backends import ScoreRequest, ScorerBackend
 from .cache import ScoreCache, example_key_parts, make_cache_key, prompt_key_part, score_matrix
 from .catalog import Prompt, TaskSpec, UnlabeledExample, candidate_phrases, render
-from .errors import (BackendError, CacheCorruptionError, ProtocolError, ScoringFailedError,
-                     ValidationError)
+from .errors import BackendError, ProtocolError, ScoringFailedError, ValidationError
 
 logger = logging.getLogger(__name__)
 
@@ -208,23 +207,23 @@ def score_all(task: TaskSpec, prompts: Sequence[Prompt], examples: Sequence[Unla
               normalize: str = "softmax", length_norm: bool = False, jobs: int = 1) -> ScoreTensor:
     """Fill the full p x n x c score tensor.
 
-    One walk in (prompt, example) order looks each prompt's cells up in one
-    ``ScoreCache.find`` by their keys, its key part joined to each example's
-    (see ``zps.cache``), so no cell is rendered to be found; one ``gather``
-    reads every hit after the walk. Misses are rendered and gather into chunks
-    of ``max_batch_size``, each sent to the backend as soon as it is full:
-    inline with ``jobs == 1``, else on ``jobs`` threads, so at most ``jobs + 1``
-    chunks of rendered inputs are alive. The calling thread takes them back in
-    walk order and is the cache's one writer, one ``put_many`` per scored
-    chunk, so the file is the same at any ``jobs``. It retries a chunk the
-    backend fails, or answers with other than c finite scores per cell, cell
-    by cell; cells that still fail are reported by (prompt_id, example_id).
+    Every cell is looked up before any is scored: one ``ScoreCache.find`` per
+    prompt by its cells' keys (see ``zps.cache``; no cell is rendered to be
+    found), then one ``gather`` of every hit, so two cells of one key are both
+    misses if the cache lacks it. A walk in (prompt, example) order renders the
+    misses into chunks of ``max_batch_size``, each sent to the backend as soon
+    as it is full: inline with ``jobs == 1``, else on ``jobs`` threads, so at
+    most ``jobs + 1`` chunks of rendered inputs are alive. The calling thread
+    takes them back in walk order and is the cache's one writer, one
+    ``put_many`` per scored chunk, so the file is the same at any ``jobs``. It
+    retries a chunk the backend fails, or answers with other than c finite
+    scores per cell, cell by cell; cells that still fail are reported by
+    (prompt_id, example_id).
 
     Refused before any cell is scored, in this order: a ``jobs`` or backend
     ``max_batch_size`` that is not an int >= 1 (a bool is not), repeated ids,
-    then per prompt a verbalizer missing a choice and an example missing a
-    field the template renders. A cached row whose width is not c is refused
-    when the walk reaches it, after the chunks scored before it are appended.
+    per prompt a verbalizer missing a choice and an example missing a field
+    the template renders, then a cached cell that does not hold c values.
     """
     if not prompts or not examples:
         raise ValidationError("score_all needs at least one prompt and one example")
@@ -256,59 +255,43 @@ def score_all(task: TaskSpec, prompts: Sequence[Prompt], examples: Sequence[Unla
         for example in gaps:
             render(prompt, example)  # raises for the first cell this prompt cannot fill
 
-    # With a cache, an example's key part holds only the values its prompt's
-    # template reads, so the parts are built once per tuple of placeholders.
-    by_names: dict[tuple[str, ...], list[bytes]] = {}
-    found = np.full(len(prompts) * n, -1, np.intp)  # each cell's number in the cache, or -1
+    # An example's key part holds only the values its prompt's template reads,
+    # so the parts are built once per tuple of placeholders. A miss's key is
+    # built again to append it, so that no run holds every cell's key.
+    found = np.full((len(prompts), n), -1, np.intp)  # each cell's number in the cache, or -1
+    if cache is not None:
+        by_names: dict[tuple[str, ...], list[bytes]] = {}
+        prompt_parts, example_parts = [], []  # per prompt
+        for i, prompt in enumerate(prompts):
+            names = prompt.template.placeholders()
+            if names not in by_names:
+                by_names[names] = example_key_parts([e.fields for e in examples], names,
+                                                    None if content_addressed else example_ids)
+            part = prompt_key_part(model_id, length_norm, prompt.template.template_text,
+                                   phrase_sets[i], None if content_addressed else prompt.prompt_id)
+            prompt_parts.append(part)
+            example_parts.append(by_names[names])
+            found[i] = cache.find(list(map(make_cache_key, repeat(part, n), by_names[names])))
+        hit = found >= 0
+        raw[hit] = cache.gather(found[hit], c)  # refuses a cell of another width
 
     def walk():
-        """Chunks of misses, each a list of (request, row in flat, cache key).
-        The hits go into raw at the end, in one gather from the cache."""
+        """Chunks of misses, each a list of (request, row in flat)."""
         misses = []
-        # Only a content-addressed backend gives two cells one key. A key queued in
-        # this run is a miss again, as if every lookup came before every append.
-        queued: set[bytes] = set()
         for i, prompt in enumerate(prompts):
             prompt_id, phrases = prompt.prompt_id, phrase_sets[i]
-            todo, keys, stop = range(n), [None] * n, n
-            if cache is not None:
-                names = prompt.template.placeholders()
-                if names not in by_names:
-                    by_names[names] = example_key_parts([e.fields for e in examples], names,
-                                                        None if content_addressed else example_ids)
-                prompt_part = prompt_key_part(model_id, length_norm, prompt.template.template_text,
-                                              phrases, None if content_addressed else prompt_id)
-                keys = list(map(make_cache_key, repeat(prompt_part, n), by_names[names]))
-                cells = found[i * n : (i + 1) * n]
-                cells[:] = cache.find(keys)
-                if queued:  # the hits of this run's own appends are misses again
-                    again = np.fromiter(map(queued.__contains__, keys), bool, n) & (cells >= 0)
-                    cells[again], moved = -1, np.count_nonzero(again)
-                    cache.hits, cache.misses = cache.hits - moved, cache.misses + moved
-                at = np.flatnonzero(cells >= 0)
-                stop = next(iter(at[cache.widths(cells[at]) != c]), n)
-                todo = np.flatnonzero(cells[:stop] < 0).tolist()
-                if content_addressed:
-                    queued.update(keys[k] for k in todo)
-            for k in todo:
+            for k in np.flatnonzero(found[i] < 0).tolist():
                 example = examples[k]
                 misses.append((ScoreRequest(render(prompt, example), phrases, prompt_id,
-                                            example.example_id, choices), i * n + k, keys[k]))
+                                            example.example_id, choices), i * n + k))
                 if len(misses) == size:
                     yield from _chunk(misses, size)
                     misses = []
-            if stop < n:
-                raise CacheCorruptionError(
-                    f"cache {cache.path} holds {cache.widths(cells[[stop]])[0]} values for a "
-                    f"cell with {c} candidates; delete or move the file to reset it")
         yield from _chunk(misses, size)
-        if cache is not None:
-            hit = found >= 0
-            flat[hit] = cache.gather(found[hit], c)
 
     def score(chunk: Sequence[tuple]) -> np.ndarray | None:
         """Score a chunk's cells into raw: their values, or None if the backend fails them."""
-        batch, rows, _ = zip(*chunk)
+        batch, rows = zip(*chunk)
         try:
             reply = backend.score_batch(list(batch))
             values = score_matrix(reply)
@@ -339,7 +322,9 @@ def score_all(task: TaskSpec, prompts: Sequence[Prompt], examples: Sequence[Unla
             if scored is None:
                 failed.append((part[0][0].prompt_id, part[0][0].example_id))
             elif cache is not None:
-                cache.put_many([key for _, _, key in part], scored)
+                keys = [make_cache_key(prompt_parts[row // n], example_parts[row // n][row % n])
+                        for _, row in part]
+                cache.put_many(keys, scored)
 
     if jobs == 1:
         for chunk in walk():
@@ -347,16 +332,11 @@ def score_all(task: TaskSpec, prompts: Sequence[Prompt], examples: Sequence[Unla
     else:
         with ThreadPoolExecutor(max_workers=jobs) as pool:
             pending: deque[tuple[Sequence[tuple], Future]] = deque()
-            try:
-                for chunk in walk():
-                    pending.append((chunk, pool.submit(score, chunk)))
-                    if len(pending) > jobs:
-                        chunk, future = pending.popleft()
-                        finish(chunk, future.result())
-            except CacheCorruptionError:  # met by the walk: cache what was scored before it
-                for chunk, future in pending:
+            for chunk in walk():
+                pending.append((chunk, pool.submit(score, chunk)))
+                if len(pending) > jobs:
+                    chunk, future = pending.popleft()
                     finish(chunk, future.result())
-                raise
             for chunk, future in pending:
                 finish(chunk, future.result())
     if failed:

@@ -48,8 +48,9 @@ def test_worker_probe_targets_exist():
 
 def test_traced_counts_match_the_work_done(tmp_path):
     # The per-layer counts come from wrapping names zps calls through: one
-    # render and one cache key per cell, one backend call per chunk. score_all
-    # looks a prompt's keys up in one ScoreCache.find, so get is never called.
+    # render per cell, one backend call per chunk, and one cache key per cell
+    # to look it up and one more per scored cell to append it. score_all looks
+    # a prompt's keys up in one ScoreCache.find, so get is never called.
     tracing = load_tracing()
     task = make_task(3)
     prompts, examples = make_prompts(task, 4), make_examples(30)
@@ -67,7 +68,7 @@ def test_traced_counts_match_the_work_done(tmp_path):
     metrics = tracing.layer_metrics(tracing.op_layer_stats(tracer.spans)[0], {})
     cells, chunks = 4 * 30, -(-4 * 30 // 16)
     assert metrics["catalog.render_calls"] == cells
-    assert metrics["cache.key_calls"] == cells
+    assert metrics["cache.key_calls"] == 2 * cells
     assert metrics["cache.get_calls"] == 0
     assert metrics["scoring.chunks"] == chunks
     assert metrics["backends.requests"] == chunks == backend.calls

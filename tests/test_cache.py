@@ -605,6 +605,30 @@ def test_put_many_takes_an_array_and_copies_it(tmp_path):
     assert read_segments(path) == [[(A, (-1.0, -0.5)), (B, (-2.0, -0.25))]]
 
 
+def test_gather_refuses_a_cell_of_another_width(tmp_path):
+    # Cells of widths 2, 3 and 2 lie end to end in the store. Each one asked for
+    # at a width it does not hold is refused, never read into its neighbour's
+    # values or past the end of the store.
+    path = tmp_path / "c.cache"
+    with ScoreCache(path) as cache:
+        for key, row in ((A, [-1.0, -2.0]), (B, [-3.0, -4.0, -5.0]), (C, [-6.0, -7.0])):
+            cache.put(key, row)
+        cells = cache.find([A, B, C])
+        assert cache.gather(cells[[0, 2]], 2).tolist() == [[-1.0, -2.0], [-6.0, -7.0]]
+        assert cache.gather(cells[[1]], 3).tolist() == [[-3.0, -4.0, -5.0]]
+        for cell, held in zip(cells, (2, 3, 2)):
+            for width in (held - 1, held + 1):
+                with pytest.raises(CacheCorruptionError) as excinfo:
+                    cache.gather(np.array([cell]), width)
+                assert str(excinfo.value) == (
+                    f"cache {path} holds {held} values for a cell with {width} candidates; "
+                    "delete or move the file to reset it")
+        with pytest.raises(CacheCorruptionError, match="holds 3 values for a cell with 2 "):
+            cache.gather(cells, 2)  # the first cell of another width, in the order given
+        for width in (1, 2, 5):
+            assert cache.gather(np.empty(0, np.intp), width).shape == (0, width)
+
+
 def _three_segments():
     return [segment_bytes([(digest(f"{s}-{i}"), [-float(s), -float(i), -0.5]) for i in range(3)])
             for s in range(3)]

@@ -211,9 +211,10 @@ def test_ids_are_mixed_in_only_for_an_id_addressed_backend(tmp_path, monkeypatch
                                  planted_labels={e.example_id: "0" for e in examples})
     with ScoreCache(tmp_path / "ids") as cache:
         score_all(task, prompts, examples, synthetic, cache)
+    # each cell's key to look it up, then again to append it once scored
     assert walked == [reference_cache_key(synthetic.model_id, False, p.template.template_text,
                                           ("no", "yes"), e.fields, (p.prompt_id, e.example_id))
-                      for p in prompts for e in examples]
+                      for p in prompts for e in examples] * 2
     walked.clear()
     with StubScorer() as stub, ScoreCache(tmp_path / "content") as cache:
         remote = RemoteBackend(stub.url, model="m")
@@ -222,4 +223,4 @@ def test_ids_are_mixed_in_only_for_an_id_addressed_backend(tmp_path, monkeypatch
         finally:
             remote.close()
     assert walked == [reference_cache_key("m", False, p.template.template_text, ("no", "yes"),
-                                          e.fields) for p in prompts for e in examples]
+                                          e.fields) for p in prompts for e in examples] * 2

@@ -440,16 +440,19 @@ class TestScore:
         assert (workdir / "cache.jsonl").read_bytes() == data
 
     def test_cached_row_of_the_wrong_width_exits_two(self, workdir, capsys):
-        # One cell's real key, stored with 3 values for a 2-choice task.
+        # One cell's real key, stored with 3 values for a 2-choice task: the run
+        # is refused before any cell is scored, so the file gains nothing.
         assert main(self.score_args(workdir)) == 0
         key = read_segments(workdir / "cache.jsonl")[-1][-1][0]
         bad = workdir / "bad.cache"
         with ScoreCache(bad) as cache:
             cache.put_many([key], [[-1.0, -2.0, -3.0]])
+        before = bad.read_bytes()
         capsys.readouterr()
         assert main(select_args(workdir, "--cache", str(bad))) == 2
         err = capsys.readouterr().err
         assert f"cache {bad} holds 3 values for a cell with 2 candidates" in err
+        assert bad.read_bytes() == before
 
 
 class TestRemoteErrors:

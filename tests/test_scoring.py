@@ -287,9 +287,10 @@ class TestScoreAll:
         assert asked == [(prompts[i].prompt_id, examples[k].example_id)
                          for i, k in cells[1::2]]
 
-    def test_one_cache_key_per_cell(self, tmp_path, monkeypatch):
-        # One key per cell on every run, cold and warm, in walk order: the
-        # cell's prompt part, with every candidate, and its example part.
+    def test_one_cache_key_per_cell_and_one_per_appended_cell(self, tmp_path, monkeypatch):
+        # One key per cell to look it up, on every run, in walk order: the cell's
+        # prompt part, with every candidate, and its example part. A cold run
+        # builds each scored cell's key again to append it, in walk order too.
         task, prompts, examples, backend, _ = synthetic_setup(p=3, n=5, c=3)
         hashed = []
 
@@ -303,7 +304,7 @@ class TestScoreAll:
                 score_all(task, prompts, examples, backend, cache)
         walked = [cell_key(backend.model_id, task, prompt, example, ids=True)
                   for prompt in prompts for example in examples]
-        assert hashed == walked * 2
+        assert hashed == walked + walked + walked  # cold lookups, cold appends, warm lookups
 
     @pytest.mark.parametrize("axis", ["prompt_id", "example_id"])
     def test_repeated_ids_refused_before_anything_is_scored(self, tmp_path, axis):
@@ -482,11 +483,11 @@ class TestScoreAll:
         assert np.array_equal(warm.logprobs, expected)
 
     @pytest.mark.parametrize("jobs", [1, 2, 4])
-    def test_cached_row_one_value_too_wide_is_refused_after_finished_chunks(
+    def test_cached_row_one_value_too_wide_is_refused_before_any_request(
             self, tmp_path, monkeypatch, jobs):
-        # The walk meets the bad row at the last cell, after two chunks of 2 were
-        # scored; the calling thread appends both, in walk order, before the
-        # refusal propagates, and they stay cached for a rerun.
+        # The bad row is the last cell's, behind four misses, two chunks of 2.
+        # Every cell is looked up before any is scored, so the refusal comes
+        # before the first request and the file is left as it was.
         task, prompts, examples, _, planted = synthetic_setup(p=2, n=3, c=3)
         backend = SyntheticBackend(seed=0, prompt_quality={p.prompt_id: 0.7 for p in prompts},
                                    planted_labels=planted, max_batch_size=2)
@@ -494,19 +495,16 @@ class TestScoreAll:
         path = tmp_path / "c"
         with ScoreCache(path) as cache:
             cache.put_many([key], [[-1.0] * 4])
-            appends = _spy_on_appends(monkeypatch)
-            with pytest.raises(CacheCorruptionError, match=re.escape(
-                    f"cache {path} holds 4 values for a cell with 3 candidates")):
-                score_all(task, prompts, examples, backend, cache, jobs=jobs)
-        assert backend.calls == 2
-        assert appends == [threading.get_ident()] * 2
-        segments = read_segments(path)
-        assert [len(segment) for segment in segments] == [1, 2, 2]
-        walked = [cell_key(backend.model_id, task, pr, ex, ids=True)
-                  for pr in prompts for ex in examples][:4]
-        assert [k for segment in segments[1:] for k, _ in segment] == walked
+        before = path.read_bytes()
         with ScoreCache(path) as cache:
-            assert len(cache) == 1 + 4
+            appends = _spy_on_appends(monkeypatch)
+            with pytest.raises(CacheCorruptionError) as excinfo:
+                score_all(task, prompts, examples, backend, cache, jobs=jobs)
+        assert str(excinfo.value) == (f"cache {path} holds 4 values for a cell with 3 "
+                                      "candidates; delete or move the file to reset it")
+        assert backend.calls == 0
+        assert appends == []
+        assert path.read_bytes() == before
 
 
 def test_one_file_holds_the_cells_of_a_two_and_a_three_choice_task(tmp_path):
@@ -526,19 +524,20 @@ def test_one_file_holds_the_cells_of_a_two_and_a_three_choice_task(tmp_path):
             widths = {len(cache.get(cell_key(backend.model_id, task, prompt, example, ids=True)))
                       for prompt in prompts for example in examples[:5]}
             assert widths == {len(task.choices)}
-        # A 3-choice cell recorded with 2 values is refused where the walk meets
-        # it, (p01, e0005), after the one miss before it, (p00, e0005), is scored
-        # and appended.
+        # A 3-choice cell recorded with 2 values, (p01, e0005), is refused before
+        # any cell is scored: the miss before it in the walk, (p00, e0005), is
+        # neither sent nor appended.
         task, prompts, examples, backend, _ = setups[1]
         backend.max_batch_size = 1
         cache.put(cell_key(backend.model_id, task, prompts[1], examples[5], ids=True),
                   [-1.0, -2.0])
-        calls = backend.calls
+        calls, before = backend.calls, path.read_bytes()
         with pytest.raises(CacheCorruptionError, match=re.escape(
                 f"cache {path} holds 2 values for a cell with 3 candidates")):
             score_all(task, prompts, examples, backend, cache)
-        assert backend.calls == calls + 1
-        assert cell_key(backend.model_id, task, prompts[0], examples[5], ids=True) in cache
+        assert backend.calls == calls
+        assert cell_key(backend.model_id, task, prompts[0], examples[5], ids=True) not in cache
+    assert path.read_bytes() == before
     assert len(read_segments(path)[-1]) == 1
 
 
@@ -606,11 +605,11 @@ class TestStreamingWalk:
         assert stub.bodies == []
         assert path.stat().st_size == 0
 
-    @pytest.mark.parametrize("jobs", [1, 2])
+    @pytest.mark.parametrize("jobs", [1, 2, 4])
     def test_a_key_repeated_within_a_run_is_a_miss_each_time(self, tmp_path, jobs):
         # Two prompts render the same text, and the examples' fields repeat every 3:
-        # 21 cells over 6 keys, every one sent and counted a miss, as when every
-        # lookup came before every append.
+        # 21 cells over 6 keys, every one sent and counted a miss, since every
+        # lookup comes before every append.
         task, verb = _yes_no_task()
         prompts = [Prompt("p0", PromptTemplate("A: {{text}}"), verb),
                    Prompt("p1", PromptTemplate("A: {{text}}"), verb),

@@ -4,19 +4,23 @@ A plain model predicts each run: which cells the cache already holds, which
 the backend is asked for, which fail, and the exact segments appended in walk
 order. Runs on drawn sub-grids, at drawn ``jobs`` and batch sizes, against a
 backend that fails drawn cells or answers a chunk with a wrong-width row, are
-interleaved with cuts of the file at drawn offsets and reopens.
+interleaved with cuts of the file at drawn offsets and reopens, and with runs
+refused before any cell is scored, because their grid looks up a cell of
+another width planted in the file.
 """
 
 import shutil
 import tempfile
 from pathlib import Path
 
+import pytest
 from hypothesis import HealthCheck, settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, precondition, rule
 
-from zps import (BackendError, Prompt, PromptTemplate, ScoreCache, ScorerBackend,
-                 ScoringFailedError, TaskSpec, UnlabeledExample, Verbalizer, render, score_all)
+from zps import (BackendError, CacheCorruptionError, Prompt, PromptTemplate, ScoreCache,
+                 ScorerBackend, ScoringFailedError, TaskSpec, UnlabeledExample, Verbalizer, render,
+                 score_all)
 
 from .helpers import CACHE_HEADER, cell_key, read_segments, stub_score
 
@@ -110,11 +114,15 @@ class WalkAndCache(RuleBasedStateMachine):
         self.segments += appended
         return len(walk) - len(misses), len(misses), sorted(failed)
 
-    @rule(data=st.data(), jobs=st.sampled_from([1, 2]), size=st.integers(1, 7))
-    def score(self, data, jobs, size):
-        prompts, examples = ([items[i] for i in data.draw(st.lists(
+    @staticmethod
+    def draw_grid(data):
+        return ([items[i] for i in data.draw(st.lists(
             st.sampled_from(range(len(items))), min_size=1, unique=True))]
             for items in (PROMPTS, EXAMPLES))
+
+    @rule(data=st.data(), jobs=st.sampled_from([1, 2, 4]), size=st.integers(1, 7))
+    def score(self, data, jobs, size):
+        prompts, examples = self.draw_grid(data)
         grid = [(p.prompt_id, e.example_id) for p in prompts for e in examples]
         fail = set(data.draw(st.lists(st.sampled_from(grid), max_size=2)))
         spoil = set(data.draw(st.lists(st.sampled_from(grid), max_size=2)))
@@ -141,6 +149,36 @@ class WalkAndCache(RuleBasedStateMachine):
                           jobs=jobs)
         assert backend.calls == calls and self.path.stat().st_size == size_before
         assert again.logprobs.tobytes() == tensor.logprobs.tobytes()
+
+    def free_cells(self):
+        return [(p, e) for p in PROMPTS for e in EXAMPLES if self.key(p, e) not in self.held]
+
+    @precondition(free_cells)
+    @rule(data=st.data(), jobs=st.sampled_from([1, 2, 4]), size=st.integers(1, 7))
+    def score_refused_by_a_planted_cell_of_another_width(self, data, jobs, size):
+        # A 3-value cell under a key the file lacks refuses a run whose grid looks
+        # it up, before any cell is scored; then its segment is cut off again.
+        prompt, example = data.draw(st.sampled_from(self.free_cells()))
+        planted, sound = self.key(prompt, example), self.path.stat().st_size
+        self.cache.put(planted, [-1.0, -2.0, -3.0])
+        prompts, examples = self.draw_grid(data)
+        prompts = [p for p in PROMPTS if p in prompts or p is prompt]
+        examples = [e for e in EXAMPLES if e in examples or e is example]
+        keys = [self.key(p, e) for p in prompts for e in examples]
+        hits = sum(key in self.held or key == planted for key in keys)
+        backend = _ModelBackend(self.content_addressed, size, set(), set())
+        before, file_before = (self.cache.hits, self.cache.misses), self.path.read_bytes()
+        with pytest.raises(CacheCorruptionError) as excinfo:
+            score_all(TASK, prompts, examples, backend, self.cache, normalize="none", jobs=jobs)
+        assert str(excinfo.value) == (f"cache {self.path} holds 3 values for a cell with 2 "
+                                      "candidates; delete or move the file to reset it")
+        assert backend.calls == 0 and self.path.read_bytes() == file_before
+        assert (self.cache.hits - before[0], self.cache.misses - before[1]) == \
+            (hits, len(keys) - hits)
+        self.cache.close()
+        with open(self.path, "r+b") as out:
+            out.truncate(sound)
+        self.cache = ScoreCache(self.path)
 
     @precondition(lambda self: self.segments)
     @rule(data=st.data())
@@ -170,6 +208,6 @@ class WalkAndCache(RuleBasedStateMachine):
 
 
 WalkAndCache.TestCase.settings = settings(
-    derandomize=True, max_examples=60, stateful_step_count=10, deadline=None,
+    derandomize=True, max_examples=100, stateful_step_count=10, deadline=None,
     suppress_health_check=[HealthCheck.too_slow])
 TestWalkAndCache = WalkAndCache.TestCase
