@@ -210,15 +210,15 @@ def score_all(task: TaskSpec, prompts: Sequence[Prompt], examples: Sequence[Unla
     Every cell is looked up before any is scored: one ``ScoreCache.find`` per
     prompt by its cells' keys (see ``zps.cache``; no cell is rendered to be
     found), then one ``gather`` of every hit, so two cells of one key are both
-    misses if the cache lacks it. A walk in (prompt, example) order renders the
-    misses into chunks of ``max_batch_size``, each sent to the backend as soon
-    as it is full: inline with ``jobs == 1``, else on ``jobs`` threads, so at
-    most ``jobs + 1`` chunks of rendered inputs are alive. The calling thread
-    takes them back in walk order and is the cache's one writer, one
-    ``put_many`` per scored chunk, so the file is the same at any ``jobs``. It
-    retries a chunk the backend fails, or answers with other than c finite
-    scores per cell, cell by cell; cells that still fail are reported by
-    (prompt_id, example_id).
+    misses if the cache lacks it. The misses, each named by its row ``i * n +
+    k`` in (prompt, example) order, are cut into chunks of ``max_batch_size``,
+    and a chunk is rendered when it is scored: inline with ``jobs == 1``, else
+    on one of ``jobs`` threads, so at most ``jobs`` chunks of rendered inputs
+    are alive. The calling thread takes the scores back in walk order and is
+    the cache's one writer, one ``put_many`` per scored chunk, so the file is
+    the same at any ``jobs``. It retries a chunk the backend fails, or answers
+    with other than c finite scores per cell, cell by cell, rendering each
+    cell again; cells that still fail are reported by (prompt_id, example_id).
 
     Refused before any cell is scored, in this order: a ``jobs`` or backend
     ``max_batch_size`` that is not an int >= 1 (a bool is not), repeated ids,
@@ -275,25 +275,14 @@ def score_all(task: TaskSpec, prompts: Sequence[Prompt], examples: Sequence[Unla
         hit = found >= 0
         raw[hit] = cache.gather(found[hit], c)  # refuses a cell of another width
 
-    def walk():
-        """Chunks of misses, each a list of (request, row in flat)."""
-        misses = []
-        for i, prompt in enumerate(prompts):
-            prompt_id, phrases = prompt.prompt_id, phrase_sets[i]
-            for k in np.flatnonzero(found[i] < 0).tolist():
-                example = examples[k]
-                misses.append((ScoreRequest(render(prompt, example), phrases, prompt_id,
-                                            example.example_id, choices), i * n + k))
-                if len(misses) == size:
-                    yield from _chunk(misses, size)
-                    misses = []
-        yield from _chunk(misses, size)
-
-    def score(chunk: Sequence[tuple]) -> np.ndarray | None:
-        """Score a chunk's cells into raw: their values, or None if the backend fails them."""
-        batch, rows = zip(*chunk)
+    def score(rows: np.ndarray) -> np.ndarray | None:
+        """Render and score the cells of these rows into raw: their values, or
+        None if the backend fails them."""
+        batch = [ScoreRequest(render(prompts[i], examples[k]), phrase_sets[i],
+                              prompts[i].prompt_id, example_ids[k], choices)
+                 for i, k in zip((rows // n).tolist(), (rows % n).tolist())]
         try:
-            reply = backend.score_batch(list(batch))
+            reply = backend.score_batch(batch)
             values = score_matrix(reply)
             if values is None or values.shape != (len(batch), c):
                 raise ProtocolError(f"scores are not {len(batch)} rows of {c} finite numbers",
@@ -304,41 +293,41 @@ def score_all(task: TaskSpec, prompts: Sequence[Prompt], examples: Sequence[Unla
                 logger.error("cell (%s, %s) failed: %s",
                              batch[0].prompt_id, batch[0].example_id, str(exc))
             return None
-        cells = np.array(rows, dtype=np.intp)
         if length_norm:
-            values /= tokens[cells // n]
-        flat[cells] = values
+            values /= tokens[rows // n]
+        flat[rows] = values
         return values
 
     failed: list[tuple[str, str]] = []
 
-    def finish(chunk: Sequence[tuple], values: np.ndarray | None) -> None:
+    def finish(rows: np.ndarray, values: np.ndarray | None) -> None:
         """Append a scored chunk; retry a failed one cell by cell, appending each
         cell that scores and recording each that fails again."""
-        parts = [(chunk, values)]
-        if values is None and len(chunk) > 1:
-            parts = (([miss], score([miss])) for miss in chunk)
+        parts = [(rows, values)]
+        if values is None and len(rows) > 1:
+            parts = ((cell, score(cell)) for cell in rows.reshape(-1, 1))
         for part, scored in parts:
+            cells = zip((part // n).tolist(), (part % n).tolist())
             if scored is None:
-                failed.append((part[0][0].prompt_id, part[0][0].example_id))
+                failed.extend((prompts[i].prompt_id, example_ids[k]) for i, k in cells)
             elif cache is not None:
-                keys = [make_cache_key(prompt_parts[row // n], example_parts[row // n][row % n])
-                        for _, row in part]
-                cache.put_many(keys, scored)
+                cache.put_many([make_cache_key(prompt_parts[i], example_parts[i][k])
+                                for i, k in cells], scored)
 
+    chunks = _chunk(np.flatnonzero(found.ravel() < 0), size)  # misses by row, in walk order
     if jobs == 1:
-        for chunk in walk():
-            finish(chunk, score(chunk))
+        for rows in chunks:
+            finish(rows, score(rows))
     else:
         with ThreadPoolExecutor(max_workers=jobs) as pool:
-            pending: deque[tuple[Sequence[tuple], Future]] = deque()
-            for chunk in walk():
-                pending.append((chunk, pool.submit(score, chunk)))
+            pending: deque[tuple[np.ndarray, Future]] = deque()
+            for rows in chunks:
+                pending.append((rows, pool.submit(score, rows)))
                 if len(pending) > jobs:
-                    chunk, future = pending.popleft()
-                    finish(chunk, future.result())
-            for chunk, future in pending:
-                finish(chunk, future.result())
+                    rows, future = pending.popleft()
+                    finish(rows, future.result())
+            for rows, future in pending:
+                finish(rows, future.result())
     if failed:
         raise ScoringFailedError(failed)
 

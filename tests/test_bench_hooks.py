@@ -11,6 +11,8 @@ import importlib.util
 from collections import Counter
 from pathlib import Path
 
+import pytest
+
 import zps.backends
 import zps.cli
 import zps.fewshot
@@ -46,11 +48,14 @@ def test_worker_probe_targets_exist():
     assert callable(zps.backends.SyntheticBackend.score_batch)
 
 
-def test_traced_counts_match_the_work_done(tmp_path):
+@pytest.mark.parametrize("jobs", [1, 4])
+def test_traced_counts_match_the_work_done(tmp_path, jobs):
     # The per-layer counts come from wrapping names zps calls through: one
     # render per cell, one backend call per chunk, and one cache key per cell
     # to look it up and one more per scored cell to append it. score_all looks
-    # a prompt's keys up in one ScoreCache.find, so get is never called.
+    # a prompt's keys up in one ScoreCache.find, so get is never called. At
+    # jobs > 1 a chunk is rendered on the pool thread that scores it, and the
+    # counts are the same.
     tracing = load_tracing()
     task = make_task(3)
     prompts, examples = make_prompts(task, 4), make_examples(30)
@@ -62,7 +67,7 @@ def test_traced_counts_match_the_work_done(tmp_path):
     try:
         tracer.start_op(0)
         with ScoreCache(tmp_path / "cache.jsonl") as cache:
-            score_all(task, prompts, examples, backend, cache)
+            score_all(task, prompts, examples, backend, cache, jobs=jobs)
     finally:
         tracer.uninstall()
     metrics = tracing.layer_metrics(tracing.op_layer_stats(tracer.spans)[0], {})

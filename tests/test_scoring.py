@@ -798,15 +798,35 @@ class TestOneWriter:
         # the first two chunks, e00-e07 and e08-e15 of p0, hold 8 and 2 new keys
         assert [len(segment) for segment in read_segments(path)] == [8, 2]
 
+    @pytest.mark.parametrize("jobs", [1, 2, 4])
+    def test_each_miss_is_rendered_once_and_each_retried_cell_once_more(
+            self, tmp_path, monkeypatch, jobs):
+        # A chunk is rendered when it is scored, on whichever thread scores it.
+        # The chunk holding (p2, e13) fails whole, and each of its 8 cells is
+        # rendered again for its own retry.
+        task, prompts, examples = _delay_grid()
+        calls = _count_calls(monkeypatch)
+        with ScoreCache(tmp_path / "cold") as cache:
+            score_all(task, prompts, examples, _DelayedBackend(0), cache, jobs=jobs)
+        assert calls["render"] == 160
+        backend = _DelayedBackend(0, fail={("p2", "e13")})
+        with ScoreCache(tmp_path / "failing") as cache:
+            with pytest.raises(ScoringFailedError):
+                score_all(task, prompts, examples, backend, cache, jobs=jobs)
+        assert calls["render"] == 160 + 160 + 8
+        assert sorted(cells for cells, _ in backend.calls) == [1] * 8 + [8] * 20
+
 
 def _count_calls(monkeypatch):
     """Calls of ``make_cache_key`` and ``render`` through zps.scoring and of
-    ``ScoreCache.get`` from now on, by name."""
+    ``ScoreCache.get`` from now on, by name, from any thread."""
     calls = {"make_cache_key": 0, "render": 0, "get": 0}
+    lock = threading.Lock()  # pool threads render too
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
-            calls[name] += 1
+            with lock:
+                calls[name] += 1
             return fn(*args, **kwargs)
         return wrapper
 

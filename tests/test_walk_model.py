@@ -6,7 +6,8 @@ order. Runs on drawn sub-grids, at drawn ``jobs`` and batch sizes, against a
 backend that fails drawn cells or answers a chunk with a wrong-width row, are
 interleaved with cuts of the file at drawn offsets and reopens, and with runs
 refused before any cell is scored, because their grid looks up a cell of
-another width planted in the file.
+another width planted in the file. Each rule records a ``hypothesis.event``,
+so ``pytest --hypothesis-show-statistics`` shows how often each one ran.
 """
 
 import shutil
@@ -14,7 +15,7 @@ import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, settings
+from hypothesis import HealthCheck, event, settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, precondition, rule
 
@@ -122,6 +123,7 @@ class WalkAndCache(RuleBasedStateMachine):
 
     @rule(data=st.data(), jobs=st.sampled_from([1, 2, 4]), size=st.integers(1, 7))
     def score(self, data, jobs, size):
+        event("rule: score")
         prompts, examples = self.draw_grid(data)
         grid = [(p.prompt_id, e.example_id) for p in prompts for e in examples]
         fail = set(data.draw(st.lists(st.sampled_from(grid), max_size=2)))
@@ -158,6 +160,7 @@ class WalkAndCache(RuleBasedStateMachine):
     def score_refused_by_a_planted_cell_of_another_width(self, data, jobs, size):
         # A 3-value cell under a key the file lacks refuses a run whose grid looks
         # it up, before any cell is scored; then its segment is cut off again.
+        event("rule: score_refused_by_a_planted_cell_of_another_width")
         prompt, example = data.draw(st.sampled_from(self.free_cells()))
         planted, sound = self.key(prompt, example), self.path.stat().st_size
         self.cache.put(planted, [-1.0, -2.0, -3.0])
@@ -183,6 +186,7 @@ class WalkAndCache(RuleBasedStateMachine):
     @precondition(lambda self: self.segments)
     @rule(data=st.data())
     def cut_and_reopen(self, data):
+        event("rule: cut_and_reopen")
         self.cache.close()
         size = self.path.stat().st_size
         offset = data.draw(st.integers(0, size))
